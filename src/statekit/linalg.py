@@ -75,12 +75,16 @@ def realign(z: np.ndarray, m: int, n: int) -> np.ndarray:
     Row (j*m + i) of the result is vec of the n x n block at block position
     (i, j). For z = a (x) b with a of size m and b of size n the result
     equals vec(a) vec(b)^T, so z is such a Kronecker product exactly when
-    the realignment has rank one.
+    the realignment has rank one. Leading axes, if any, index a stack of
+    matrices that are realigned independently.
     """
     z = np.asarray(z)
-    if z.shape != (m * n, m * n):
+    if z.shape[-2:] != (m * n, m * n):
         raise ValueError(f"expected shape {(m * n, m * n)}, got {z.shape}")
-    return z.reshape(m, n, m, n).transpose(2, 0, 3, 1).reshape(m * m, n * n)
+    lead = z.shape[:-2]
+    b = len(lead)
+    axes = list(range(b)) + [b + 2, b, b + 3, b + 1]
+    return z.reshape(lead + (m, n, m, n)).transpose(axes).reshape(lead + (m * m, n * n))
 
 
 def realign_inverse(r: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -93,18 +97,21 @@ def realign_inverse(r: np.ndarray, m: int, n: int) -> np.ndarray:
 
 def bipartition_view(a: np.ndarray, shape, party: int) -> np.ndarray:
     """Permute row and column tensor indices so `party` (1-based) is the
-    outer block index; the remaining parties keep their original order."""
+    outer block index; the remaining parties keep their original order.
+    Leading axes, if any, index a stack of matrices permuted alike."""
     dims = as_dims(shape)
     k = len(dims)
     side = int(np.prod(dims))
     a = np.asarray(a)
-    if a.shape != (side, side):
+    if a.shape[-2:] != (side, side):
         raise ValueError(f"expected shape {(side, side)}, got {a.shape}")
     if not 1 <= party <= k:
         raise ValueError(f"party {party} out of range 1..{k}")
+    lead = a.shape[:-2]
+    b = len(lead)
     perm = [party - 1] + [p for p in range(k) if p != party - 1]
-    t = a.reshape(dims + dims)
-    return t.transpose(perm + [k + p for p in perm]).reshape(side, side)
+    axes = list(range(b)) + [b + p for p in perm] + [b + k + p for p in perm]
+    return a.reshape(lead + dims + dims).transpose(axes).reshape(lead + (side, side))
 
 
 def svd(a: np.ndarray):

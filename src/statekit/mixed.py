@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import oracle
 from .factor import FactorSet, NotDecomposable, extract_factors
@@ -40,6 +39,16 @@ from .linalg import (
 
 # Acceptance threshold on the summed squared rank-one residuals.
 F_ACCEPT = 1e-14
+# Stage (b) of the gauge search: random-phase starts per pairing, the
+# iteration cap per start, and the run of iterations without a 30% gain
+# after which a start stops.
+N_STARTS = 32
+ALS_ITERS = 300
+STALL_LIMIT = 25
+# Stage (a2): kernel refits per sign pattern, and the sign patterns refit
+# together in one batch.
+KERNEL_FIT_ITERS = 40
+SIGN_BATCH = 128
 # Condition-number cap on extracted witness factors.
 WITNESS_COND_CAP = 1e12
 # Relative eigenvalue gap below which indices join one degeneracy cluster.
@@ -267,6 +276,103 @@ def _negativity_cost(factors: Sequence[np.ndarray]) -> float:
     return cost
 
 
+def _cut_pencil(x: np.ndarray, yp: np.ndarray, dims: Sequence[int]):
+    """Coefficient pencil of the connector x diag(d) yp^dag.
+
+    Row i holds the realignments of the rank-one term x_i yp_i^dag over
+    every single-party cut, flattened and concatenated, so d @ pencil lists
+    all realignments of the connector at once. Cuts with equal realignment
+    shape sit next to each other; the second value lists each such group as
+    (start, stop, (cuts, rows, cols)) over the pencil's columns.
+    """
+    n = int(np.prod(dims))
+    terms = x.T[:, :, None] * yp.conj().T[:, None, :]
+    shapes = [(d * d, (n // d) ** 2) for d in dims]
+    blocks, groups, lo = [], [], 0
+    for shp in dict.fromkeys(shapes):
+        parties = [k for k in range(len(dims)) if shapes[k] == shp]
+        for k in parties:
+            view = bipartition_view(terms, dims, k + 1)
+            blocks.append(realign(view, dims[k], n // dims[k]).reshape(n, -1))
+        hi = lo + len(parties) * shp[0] * shp[1]
+        groups.append((lo, hi, (len(parties),) + shp))
+        lo = hi
+    return np.concatenate(blocks, axis=1), groups
+
+
+def _rank1_project(r: np.ndarray) -> np.ndarray:
+    """Nearest rank-one matrix to every matrix of a (..., p, q) stack.
+
+    Projects onto the top eigenvector of the smaller Gram matrix (R R^dag
+    when p <= q, else R^dag R), which equals truncating the SVD to its
+    leading term, with one batched eigh in place of one SVD per matrix.
+    """
+    rh = r.conj().swapaxes(-1, -2)
+    if r.shape[-2] <= r.shape[-1]:
+        u = np.linalg.eigh(r @ rh)[1][..., -1:]
+        return u @ (u.conj().swapaxes(-1, -2) @ r)
+    v = np.linalg.eigh(rh @ r)[1][..., -1:]
+    return (r @ v) @ v.conj().swapaxes(-1, -2)
+
+
+def _rank1_stack(y: np.ndarray, groups) -> np.ndarray:
+    """Nearest rank-one realignment on every cut, for each row of y."""
+    out = np.empty_like(y)
+    for lo, hi, shp in groups:
+        r = y[:, lo:hi].reshape((y.shape[0],) + shp)
+        out[:, lo:hi] = _rank1_project(r).reshape(y.shape[0], -1)
+    return out
+
+
+def _lstsq_pinv(a: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse with the default cutoff of np.linalg.lstsq (singular
+    values at most eps * max(a.shape) * sigma_1 count as zero), so that
+    pinv @ b is the least-squares solution lstsq(a, b) for every b."""
+    return np.linalg.pinv(a, rcond=np.finfo(float).eps * max(a.shape))
+
+
+def _als(d: np.ndarray, pencil: np.ndarray, groups, pinv_t: np.ndarray,
+         supm: np.ndarray, pin: np.ndarray):
+    """Alternating least squares from every row of d at once; yields the
+    final iterate of each row in row order, as soon as it and every row
+    before it have stopped, so a caller that accepts an early row ends the
+    batch there.
+
+    Each iteration replaces the realignments d @ pencil by their nearest
+    rank-one matrices, solves for the diagonal that best reproduces them
+    (pinv_t is the transposed pseudo-inverse of pencil^T), and projects the
+    pinned support magnitudes back. A row stops on its own when its gap
+    falls below 1e-13 of the target, after more than STALL_LIMIT iterations
+    without a 30% gain, or when the solve returns zero; stopped rows keep
+    their last iterate and leave the batch.
+    """
+    d = d.copy()
+    prev = np.full(d.shape[0], np.inf)
+    stall = np.zeros(d.shape[0], dtype=int)
+    live = np.arange(d.shape[0])
+    done = 0
+    for _ in range(ALS_ITERS):
+        if live.size == 0:
+            break
+        y = d[live] @ pencil
+        target = _rank1_stack(y, groups)
+        gap = np.linalg.norm(y - target, axis=1)
+        stop = gap < 1e-13 * np.maximum(np.linalg.norm(target, axis=1), 1e-300)
+        stall[live] = np.where(gap > 0.7 * prev[live], stall[live] + 1, 0)
+        prev[live] = np.minimum(prev[live], gap)
+        dn = target @ pinv_t
+        stop |= (stall[live] > STALL_LIMIT) | (np.linalg.norm(dn, axis=1) < 1e-300)
+        live, dn = live[~stop], dn[~stop]
+        mag = np.abs(dn)
+        ph = np.divide(dn, mag, out=np.ones_like(dn), where=mag > 1e-300)
+        d[live] = np.where(supm, pin * ph, dn)
+        first_live = live[0] if live.size else d.shape[0]
+        while done < first_live:
+            yield d[done]
+            done += 1
+    yield from d[done:]
+
+
 def gauge_search(
     x: np.ndarray,
     y: np.ndarray,
@@ -276,10 +382,6 @@ def gauge_search(
     eigvals: Optional[tuple[np.ndarray, np.ndarray]] = None,
     pairings: Optional[Sequence[tuple[int, ...]]] = None,
     seed: int = 0,
-    n_starts: int = 32,
-    iters: int = 300,
-    f_accept: float = F_ACCEPT,
-    pin_support: bool = True,
 ) -> Optional[GaugeResult]:
     """Search connector candidates x diag(d) y^dag for one whose realignment
     is rank one on every single-party cut.
@@ -288,13 +390,19 @@ def gauge_search(
     entries already fit a rank-one diagonal pattern. Stage (a2), for real
     frames, enumerates support sign patterns with kernel entries fit
     linearly, keeping the certified candidate closest to entrywise
-    nonnegativity. Stage (b) runs multi-start alternating least squares over
-    the diagonal coefficients with support magnitudes projected back to
-    their pinned values, on a deterministic seed schedule.
+    nonnegativity. Stage (b) runs alternating least squares over the
+    diagonal coefficients with support magnitudes projected back to their
+    pinned values, from N_STARTS starts at once: the support phases of every
+    start but the first are drawn in one call from a generator seeded with
+    `seed`, all starts iterate as one (N_STARTS, n) batch against a
+    pseudo-inverse computed once per pairing, and each start stops on its
+    own. Starts are scored in start order, each as soon as it and every
+    earlier start have stopped, and the first one below F_ACCEPT is
+    returned without waiting for the later starts.
 
     `pairings` lists column permutations of y to try (within-degeneracy
     reorderings); pinned support magnitudes are recomputed per pairing from
-    `eigvals` when given. Returns the first candidate below `f_accept`, else
+    `eigvals` when given. Returns the first candidate below F_ACCEPT, else
     None.
     """
     dims = as_dims(shape)
@@ -305,35 +413,38 @@ def gauge_search(
         pairings = [gauge.permutation or tuple(range(n))]
     best: Optional[GaugeResult] = None
     kernel_ratio_seen: Optional[float] = None
+    real_frames = (
+        float(np.max(np.abs(x.imag))) < 1e-12
+        and float(np.max(np.abs(y.imag))) < 1e-12
+    )
 
     for pi in pairings:
         pi = tuple(pi)
         if sorted(pi) != list(range(n)):
             raise ValueError("pairing is not a permutation")
+        pinned = np.full(n, np.nan, dtype=complex)
         if eigvals is not None:
             lam, mu = eigvals
             if any((i < r) != (pi[i] < r) for i in range(n)):
                 continue
-            pinned = np.full(n, np.nan, dtype=complex)
             for i in range(r):
                 pinned[i] = np.sqrt(lam[i] / mu[pi[i]])
         else:
-            pinned = np.full(n, np.nan, dtype=complex)
             pinned[:r] = base_mags[:r]
-        if not pin_support:
-            pinned = np.full(n, np.nan, dtype=complex)
         yp = y[:, pi]
-        sup_idx = np.nonzero(~np.isnan(pinned.real))[0]
-        ker_idx = np.nonzero(np.isnan(pinned.real))[0]
         supm = ~np.isnan(pinned.real)
+        sup_idx = np.nonzero(supm)[0]
+        ker_idx = np.nonzero(~supm)[0]
+        pin = np.where(supm, pinned, 0.0)
 
-        def evaluate(d, kr):
+        def evaluate(d, kr) -> GaugeResult:
             nonlocal best
-            a = x @ np.diag(d) @ yp.conj().T
+            a = (x * d) @ yp.conj().T
             f, per = _objective(a, dims)
+            cand = GaugeResult(a, f, tuple(per), kr, d.copy(), pi)
             if best is None or f < best.residual:
-                best = GaugeResult(a, f, tuple(per), kr, d.copy(), pi)
-            return f
+                best = cand
+            return cand
 
         # stage (a): deterministic ratio completion
         if sup_idx.size:
@@ -341,107 +452,50 @@ def gauge_search(
             if d0 is not None:
                 if ratio is not None:
                     kernel_ratio_seen = _real_ratio(ratio)
-                if evaluate(d0, kernel_ratio_seen) < f_accept:
+                if evaluate(d0, kernel_ratio_seen).residual < F_ACCEPT:
                     return best
 
-        # coefficient pencil shared by stages (a2) and (b): row i holds the
-        # stacked realignments of the rank-one term x_i y_i^dag over all cuts
-        pencil = []
-        shapes = []
-        for party in range(1, len(dims) + 1):
-            rows = []
-            for i in range(n):
-                term = np.outer(x[:, i], yp[:, i].conj())
-                view = bipartition_view(term, dims, party)
-                rows.append(realign(view, dims[party - 1], n // dims[party - 1]).reshape(-1))
-            pencil.append(np.array(rows))
-            shapes.append((dims[party - 1] ** 2, (n // dims[party - 1]) ** 2))
-        stacked = np.concatenate(pencil, axis=1).T
-
-        def rank1_stack(d):
-            out = []
-            for g, shp in zip(pencil, shapes):
-                rmat = (d @ g).reshape(shp)
-                u, s, vh = np.linalg.svd(rmat)
-                out.append((s[0] * np.outer(u[:, 0], vh[0])).reshape(-1))
-            return np.concatenate(out)
-
-        def fit_kernel(d):
-            if ker_idx.size == 0:
-                return d
-            ak = stacked[:, ker_idx]
-            for _ in range(40):
-                rhs = rank1_stack(d) - stacked[:, sup_idx] @ d[sup_idx]
-                ck, *_ = np.linalg.lstsq(ak, rhs, rcond=None)
-                d = d.copy()
-                d[ker_idx] = ck
-            return d
+        pencil, groups = _cut_pencil(x, yp, dims)
 
         # stage (a2): sign enumeration for real frames
-        real_frames = (
-            float(np.max(np.abs(x.imag))) < 1e-12
-            and float(np.max(np.abs(y.imag))) < 1e-12
-        )
-        if pin_support and real_frames and 0 < sup_idx.size <= 11:
+        if real_frames and 0 < sup_idx.size <= 11:
+            bits = np.arange(2 ** (sup_idx.size - 1))
+            signs = np.ones((bits.size, sup_idx.size))
+            signs[:, 1:] = 1 - 2 * ((bits[:, None] >> np.arange(sup_idx.size - 1)) & 1)
+            ds = np.ones((bits.size, n), dtype=complex)
+            ds[:, sup_idx] = pinned[sup_idx] * signs
+            if ker_idx.size:
+                # kernel entries refit linearly against the rank-one targets,
+                # SIGN_BATCH patterns at a time to bound the working set
+                ker_pinv_t = _lstsq_pinv(pencil[ker_idx].T).T
+                for lo in range(0, bits.size, SIGN_BATCH):
+                    blk = ds[lo:lo + SIGN_BATCH]
+                    fixed = blk[:, sup_idx] @ pencil[sup_idx]
+                    for _ in range(KERNEL_FIT_ITERS):
+                        rhs = _rank1_stack(blk @ pencil, groups) - fixed
+                        blk[:, ker_idx] = rhs @ ker_pinv_t
             certified = []
-            for bits in range(2 ** (sup_idx.size - 1)):
-                signs = np.ones(sup_idx.size)
-                for p in range(sup_idx.size - 1):
-                    if (bits >> p) & 1:
-                        signs[p + 1] = -1.0
-                d = np.zeros(n, dtype=complex)
-                d[sup_idx] = pinned[sup_idx] * signs
-                if ker_idx.size:
-                    d[ker_idx] = 1.0
-                d = fit_kernel(d)
-                a = x @ np.diag(d) @ yp.conj().T
-                f, per = _objective(a, dims)
-                if best is None or f < best.residual:
-                    best = GaugeResult(a, f, tuple(per), kernel_ratio_seen, d.copy(), pi)
-                if f < f_accept:
+            for b, d in zip(bits, ds):
+                cand = evaluate(d, kernel_ratio_seen)
+                if cand.residual < F_ACCEPT:
                     try:
-                        cost = _negativity_cost(extract_factors(a, dims).factors)
+                        factors = extract_factors(cand.connector, dims).factors
+                        cost = _negativity_cost(factors)
                     except NotDecomposable:
                         cost = np.inf
-                    certified.append((round(cost, 9), bits, f, a, tuple(per), d.copy()))
+                    certified.append((round(cost, 9), int(b), cand))
             if certified:
-                certified.sort(key=lambda t: (t[0], t[1]))
-                _, _, f, a, per, d = certified[0]
-                return GaugeResult(a, f, per, kernel_ratio_seen, d, pi)
+                return min(certified, key=lambda t: t[:2])[2]
 
-        # stage (b): multi-start alternating least squares
+        # stage (b): batched multi-start alternating least squares
         rng = np.random.default_rng(seed)
-        for start in range(n_starts):
-            d = np.where(supm, np.nan_to_num(pinned), 1.0).astype(complex)
-            if start > 0:
-                d = d * np.exp(2j * np.pi * rng.random(n))
-                if not pin_support:
-                    d = d * (0.5 + rng.random(n))
-            prev = np.inf
-            stall = 0
-            for _ in range(iters):
-                target = rank1_stack(d)
-                gap = float(np.linalg.norm(stacked @ d - target))
-                if gap < 1e-13 * max(float(np.linalg.norm(target)), 1e-300):
-                    break
-                if gap > 0.7 * prev:
-                    stall += 1
-                    if stall > 25:
-                        break
-                else:
-                    stall = 0
-                prev = min(prev, gap)
-                dn, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-                if float(np.linalg.norm(dn)) < 1e-300:
-                    break
-                d = dn
-                if pin_support:
-                    mag = np.abs(d)
-                    ph = np.divide(d, mag, out=np.ones_like(d), where=mag > 1e-300)
-                    d = np.where(supm, np.nan_to_num(pinned) * ph, d)
-            if evaluate(d, kernel_ratio_seen) < f_accept:
+        starts = np.tile(np.where(supm, pin, 1.0), (N_STARTS, 1))
+        starts[1:] *= np.exp(2j * np.pi * rng.random((N_STARTS - 1, n)))
+        pinv_t = _lstsq_pinv(pencil.T).T
+        for d in _als(starts, pencil, groups, pinv_t, supm, pin):
+            if evaluate(d, kernel_ratio_seen).residual < F_ACCEPT:
                 return best
-    if best is not None and best.residual < f_accept:
+    if best is not None and best.residual < F_ACCEPT:
         return best
     return None
 
@@ -481,10 +535,11 @@ def normal_form(rho: np.ndarray, shape, iters: int = 20000, tol: float = 1e-12,
             if float(w.min()) < 1e-14:
                 return None
             f = v @ np.diag((dims[party] * w) ** -0.5) @ v.conj().T
-            ops = [np.eye(d, dtype=complex) for d in dims]
-            ops[party] = f
-            big = kron_list(ops)
-            r = big @ r @ big.conj().T
+            # conjugate by the filter on this party's row and column axes
+            t = r.reshape(dims + dims)
+            t = np.moveaxis(np.tensordot(f, t, axes=(1, party)), 0, party)
+            t = np.moveaxis(np.tensordot(t, f.conj(), axes=(k + party, 1)), -1, k + party)
+            r = t.reshape(r.shape)
             r = r / np.trace(r).real
             filters[party] = f @ filters[party]
         if dev < tol:
@@ -526,12 +581,15 @@ def _compose_pairing(base: tuple[int, ...], extra: tuple[int, ...]) -> tuple[int
     return tuple(base[extra[i]] for i in range(len(base)))
 
 
-def _connector_pairing(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[int, ...]:
+def _connector_pairing(t: np.ndarray, x: np.ndarray,
+                       y: np.ndarray) -> Optional[tuple[int, ...]]:
     """Pair eigenvector columns through a certified connector: index i of x
-    goes with the y column carrying the largest overlap |x_i^dag t y_j|,
-    resolved globally as an assignment problem."""
-    overlap = np.abs(x.conj().T @ t @ y)
-    _, cols = linear_sum_assignment(-overlap)
+    goes with the y column carrying the largest overlap |x_i^dag t y_j|.
+    Returns None unless those columns form a permutation, i.e. unless the
+    connector is near monomial in the two eigenbases."""
+    cols = np.argmax(np.abs(x.conj().T @ t @ y), axis=1)
+    if np.unique(cols).size != cols.size:
+        return None
     return tuple(int(c) for c in cols)
 
 
@@ -678,10 +736,14 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> MixedVerdict:
 def _refine_report(rho1, rho2, dims, s1, s2, connector, seed):
     """Search again in the raw frames with the pairing and cluster rotations
     implied by a certified connector; on success this yields the canonical
-    diagonal presentation and its kernel ratio."""
+    diagonal presentation and its kernel ratio. Returns None when the raw
+    support ranks differ (no scaling links the raw spectra) or the connector
+    reveals no pairing, so the filtered-frame verdict stands."""
+    if s1.support_rank != s2.support_rank:
+        return None
     base = _connector_pairing(connector, s1.eigvecs, s2.eigvecs)
     perms = cluster_pairings(s1.clusters)
-    if perms is None:
+    if base is None or perms is None:
         return None
     xr = _resolve_frames(connector, s1.eigvecs, s2.eigvecs, s1.clusters, base)
     candidates = [_compose_pairing(base, p) for p in perms]

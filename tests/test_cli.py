@@ -1,10 +1,15 @@
 """Tests for the command-line surface: file formats, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import statekit
 from statekit import cli
 from statekit.factor import FactorSet
 from statekit.linalg import SystemShape
@@ -280,3 +285,12 @@ def test_float_formatting_is_normalized():
     assert cli._fmt_float(0.1) == "0.10000000000000001"
     payload = cli._emit({"x": [1.0, True, None, "s"]})
     assert payload == '{"x":[1,true,null,"s"]}'
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(statekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, statekit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
