@@ -17,6 +17,7 @@ from .linalg import (
     eigh_desc,
     kron_list,
     partial_trace_keep,
+    rank_mismatch,
     rank_report,
     realign,
     realign_inverse,
@@ -34,12 +35,9 @@ from .factor import (
     kron,
 )
 from .mixed import (
-    GaugeCandidate,
     GaugeResult,
     MixedState,
-    MixedVerdict,
     SpectralData,
-    build_scaling,
     check_mixed_equivalence,
     gauge_search,
     invariant_screen,
@@ -48,7 +46,6 @@ from .mixed import (
 )
 from .pure import (
     PureState,
-    PureVerdict,
     RankSignature,
     check_bipartite,
     check_pure_equivalence,
@@ -58,12 +55,14 @@ from .pure import (
 from .oracle import (
     ORACLE_TOL,
     FixtureParams,
+    Verdict,
     WitnessCheck,
     fixtures,
     make_equivalent_pair,
     random_ilo,
     verify_witness_mixed,
     verify_witness_pure,
+    witness_verdict,
 )
 
 __version__ = "0.1.0"
@@ -83,6 +82,7 @@ __all__ = [
     "eigh_desc",
     "rank_report",
     "decisive_rank",
+    "rank_mismatch",
     "partial_trace_keep",
     "kron_list",
     "FactorSet",
@@ -94,24 +94,22 @@ __all__ = [
     "extract_factors",
     "MixedState",
     "SpectralData",
-    "GaugeCandidate",
     "GaugeResult",
-    "MixedVerdict",
     "spectral_prep",
-    "build_scaling",
     "gauge_search",
     "normal_form",
     "invariant_screen",
     "check_mixed_equivalence",
     "PureState",
     "RankSignature",
-    "PureVerdict",
     "coefficient_matrix",
     "rank_signature",
     "check_bipartite",
     "check_pure_equivalence",
+    "Verdict",
     "WitnessCheck",
     "FixtureParams",
+    "witness_verdict",
     "verify_witness_pure",
     "verify_witness_mixed",
     "random_ilo",

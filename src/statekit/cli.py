@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -23,6 +24,7 @@ from .linalg import SystemShape, bipartition_view, rank_report, realign
 from .mixed import MixedState, check_mixed_equivalence
 from .oracle import (
     FixtureParams,
+    Verdict,
     fixtures,
     make_equivalent_pair,
     verify_witness_mixed,
@@ -142,6 +144,8 @@ def _complex_array(data, count: int, what: str) -> np.ndarray:
             raise DataFormatError(
                 f"data entry {i} must be a [re, im] pair of numbers"
             )
+        if not (math.isfinite(cell[0]) and math.isfinite(cell[1])):
+            raise DataFormatError(f"data entry {i} is not finite")
         out[i] = complex(cell[0], cell[1])
     return out
 
@@ -225,18 +229,16 @@ def witness_object(fs: FactorSet) -> dict:
     }
 
 
-def _verdict_report(verdict, seed: int) -> dict:
+def _verdict_report(verdict: Verdict, seed: int) -> dict:
     report = {
         "outcome": verdict.outcome,
         "reason": verdict.reason,
         "residuals": [float(r) for r in verdict.residuals],
     }
-    oracle_residual = getattr(verdict, "oracle_residual", None)
-    if oracle_residual is not None:
-        report["oracle_residual"] = float(oracle_residual)
-    kernel_ratio = getattr(verdict, "kernel_ratio", None)
-    if kernel_ratio is not None:
-        report["kernel_ratio"] = float(kernel_ratio)
+    if verdict.oracle_residual is not None:
+        report["oracle_residual"] = float(verdict.oracle_residual)
+    if verdict.kernel_ratio is not None:
+        report["kernel_ratio"] = float(verdict.kernel_ratio)
     if verdict.witness is not None:
         report["witness"] = witness_object(verdict.witness)
     report["version"] = __version__
@@ -260,13 +262,22 @@ def _resolve_seed(value: Optional[int]) -> int:
         raise UsageError("SLOCC_SEED must be an integer") from None
 
 
-def _canonical_cuts(k: int) -> list[tuple[int, ...]]:
-    cuts = set()
-    for mask in range(1, 2 ** k - 1):
-        cut = tuple(p for p in range(1, k + 1) if (mask >> (p - 1)) & 1)
-        comp = tuple(p for p in range(1, k + 1) if p not in cut)
-        cuts.add(min(cut, comp, key=lambda c: (len(c), c)))
-    return sorted(cuts, key=lambda c: (len(c), c))
+def _parse_dims(text: str) -> tuple[int, ...]:
+    """Party dimensions from a comma-separated --dims value."""
+    try:
+        return SystemShape(tuple(int(d) for d in text.split(","))).dims
+    except ValueError:
+        raise UsageError(
+            f"--dims must list integers of at least 2, got {text!r}"
+        ) from None
+
+
+def _require_same_shape(first, second):
+    if first.shape != second.shape:
+        raise DataFormatError(
+            f"states have different dims ({list(first.shape.dims)} vs "
+            f"{list(second.shape.dims)})"
+        )
 
 
 def _cmd_realign(args) -> int:
@@ -291,7 +302,7 @@ def _cmd_realign(args) -> int:
 
 def _cmd_factor(args) -> int:
     matrix, file_dims = _parse_matrix(args.file)
-    dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else file_dims
+    dims = _parse_dims(args.dims) if args.dims else file_dims
     if int(np.prod(dims)) != matrix.shape[0]:
         raise DataFormatError(
             f"dims {list(dims)} do not match matrix side {matrix.shape[0]}"
@@ -336,14 +347,8 @@ def _cmd_check_pure(args) -> int:
     psi = parse_state(args.second)
     if not isinstance(phi, PureState) or not isinstance(psi, PureState):
         raise DataFormatError("check-pure requires two pure state files")
-    if args.all_cuts:
-        verdict = None
-        for cut in _canonical_cuts(phi.shape.nparties):
-            verdict = check_pure_equivalence(phi, psi, seed, row_parties=cut)
-            if verdict.outcome != "Inconclusive":
-                break
-    else:
-        verdict = check_pure_equivalence(phi, psi, seed)
+    _require_same_shape(phi, psi)
+    verdict = check_pure_equivalence(phi, psi)
     _print(_verdict_report(verdict, seed))
     return _OUTCOME_CODES[verdict.outcome]
 
@@ -354,6 +359,7 @@ def _cmd_check_mixed(args) -> int:
     rho2 = parse_state(args.second)
     if not isinstance(rho1, MixedState) or not isinstance(rho2, MixedState):
         raise DataFormatError("check-mixed requires two mixed state files")
+    _require_same_shape(rho1, rho2)
     verdict = check_mixed_equivalence(rho1, rho2, seed)
     _print(_verdict_report(verdict, seed))
     return _OUTCOME_CODES[verdict.outcome]
@@ -365,12 +371,15 @@ def _cmd_verify(args) -> int:
     witness = parse_witness(args.witness)
     if isinstance(first, PureState) != isinstance(second, PureState):
         raise DataFormatError("verify requires two states of the same kind")
+    _require_same_shape(first, second)
     if witness.dims != first.shape.dims:
         raise DataFormatError("witness dims do not match the states")
-    if isinstance(first, PureState):
-        check = verify_witness_pure(first, second, witness)
-    else:
-        check = verify_witness_mixed(first, second, witness)
+    verify = verify_witness_pure if isinstance(first, PureState) else verify_witness_mixed
+    try:
+        check = verify(first, second, witness)
+    except ValueError as exc:
+        # a singular factor or a zero scale
+        raise DataFormatError(f"invalid witness: {exc}") from None
     _print({
         "relative_residual": check.relative_residual,
         "passed": check.passed,
@@ -382,7 +391,7 @@ def _parse_fixture_params(text: Optional[str]) -> FixtureParams:
     if not text:
         return FixtureParams()
     kwargs = {}
-    scalar = {"a", "b", "c", "alpha", "beta", "gamma", "connector_fill"}
+    scalar = {"a", "b", "c", "alpha", "beta", "gamma"}
     for item in text.split(","):
         key, sep, val = item.partition("=")
         key = key.strip()
@@ -408,21 +417,16 @@ def _write_json(path: str, obj: dict):
 
 def _cmd_gen(args) -> int:
     seed = _resolve_seed(args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    written = []
     if args.example is not None:
         params = _parse_fixture_params(args.params)
         try:
             first, second = fixtures(args.example, params)
         except ValueError as exc:
             raise DataFormatError(str(exc)) from None
-        for tag, state in (("a", first), ("b", second)):
-            path = os.path.join(args.out, f"fixture{args.example}{tag}.json")
-            _write_json(path, state_object(state, f"fixture{args.example}{tag}"))
-            written.append(path)
+        names = [f"fixture{args.example}{tag}" for tag in ("a", "b")]
+        objs = [state_object(state, name) for state, name in zip((first, second), names)]
     else:
-        dims = tuple(int(d) for d in args.dims.split(","))
-        shape = SystemShape(dims)
+        shape = SystemShape(_parse_dims(args.dims))
         rng = np.random.default_rng(seed)
         n = shape.side
         if args.random == "pure":
@@ -432,17 +436,19 @@ def _cmd_gen(args) -> int:
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             rho = g @ g.conj().T
             state = MixedState(shape, rho / np.trace(rho).real)
-        path = os.path.join(args.out, "state_a.json")
-        _write_json(path, state_object(state, "state_a"))
-        written.append(path)
+        names = ["state_a"]
+        objs = [state_object(state, "state_a")]
         if args.equivalent_pair:
             partner, fs = make_equivalent_pair(state, seed)
-            path = os.path.join(args.out, "state_b.json")
-            _write_json(path, state_object(partner, "state_b"))
-            written.append(path)
-            path = os.path.join(args.out, "witness.json")
-            _write_json(path, witness_object(fs))
-            written.append(path)
+            names += ["state_b", "witness"]
+            objs += [state_object(partner, "state_b"), witness_object(fs)]
+    # the output directory is created only once every input has been accepted
+    os.makedirs(args.out, exist_ok=True)
+    written = []
+    for name, obj in zip(names, objs):
+        path = os.path.join(args.out, f"{name}.json")
+        _write_json(path, obj)
+        written.append(path)
     _print({"written": written})
     return 0
 
@@ -469,8 +475,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check-pure", help="equivalence verdict for two pure states")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--all-cuts", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="echoed in the report; no pure verdict depends on it")
     p.set_defaults(func=_cmd_check_pure)
 
     p = sub.add_parser("check-mixed", help="equivalence verdict for two mixed states")

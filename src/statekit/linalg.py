@@ -8,7 +8,7 @@ plain numpy arrays; all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -164,6 +164,17 @@ def decisive_rank(a: np.ndarray) -> tuple[int, bool]:
     rank = int(np.sum(s >= soft))
     decisive = bool(np.all((s >= soft) | (s <= hard)))
     return rank, decisive
+
+
+def rank_mismatch(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int]]:
+    """The decisive ranks of a and b when both are decisive and differ, else
+    None. This is the only rank evidence that may become an Inequivalent
+    verdict."""
+    r1, d1 = decisive_rank(a)
+    r2, d2 = decisive_rank(b)
+    if d1 and d2 and r1 != r2:
+        return r1, r2
+    return None
 
 
 def partial_trace_keep(rho: np.ndarray, shape, party: int) -> np.ndarray:

@@ -25,17 +25,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import oracle
-from .factor import FactorSet, NotDecomposable, extract_factors
+from .factor import NotDecomposable, extract_factors
 from .linalg import (
     SystemShape,
     as_dims,
     bipartition_view,
-    decisive_rank,
     eigh_desc,
     kron_list,
     partial_trace_keep,
+    rank_mismatch,
     realign,
 )
+from .oracle import Verdict
 
 # Acceptance threshold on the summed squared rank-one residuals.
 F_ACCEPT = 1e-14
@@ -49,8 +50,6 @@ STALL_LIMIT = 25
 # together in one batch.
 KERNEL_FIT_ITERS = 40
 SIGN_BATCH = 128
-# Condition-number cap on extracted witness factors.
-WITNESS_COND_CAP = 1e12
 # Relative eigenvalue gap below which indices join one degeneracy cluster.
 CLUSTER_REL_GAP = 1e-8
 # Largest cluster handled by exhaustive permutation search.
@@ -71,6 +70,8 @@ class MixedState:
         side = self.shape.side
         if rho.shape != (side, side):
             raise ValueError(f"expected shape {(side, side)}, got {rho.shape}")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("density matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(rho))))
         if float(np.max(np.abs(rho - rho.conj().T))) > 1e-10 * scale:
             raise ValueError("density matrix is not Hermitian within 1e-10")
@@ -93,17 +94,6 @@ class SpectralData:
 
 
 @dataclass(frozen=True)
-class GaugeCandidate:
-    """Diagonal connector parameters: pinned support magnitudes, start
-    phases, kernel fills, and an optional within-cluster pairing."""
-
-    magnitudes: tuple[float, ...]
-    phases: tuple[float, ...]
-    support_rank: int
-    permutation: Optional[tuple[int, ...]] = None
-
-
-@dataclass(frozen=True)
 class GaugeResult:
     """Accepted connector with its residual evidence."""
 
@@ -113,16 +103,6 @@ class GaugeResult:
     kernel_ratio: Optional[float]
     diagonal: np.ndarray
     pairing: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MixedVerdict:
-    outcome: str
-    witness: Optional[FactorSet]
-    reason: str
-    residuals: tuple[float, ...]
-    oracle_residual: Optional[float] = None
-    kernel_ratio: Optional[float] = None
 
 
 def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
@@ -167,21 +147,6 @@ def spectral_prep(rho, shape=None) -> SpectralData:
                 continue
         clusters.append([i])
     return SpectralData(q, w, support, tuple(tuple(c) for c in clusters))
-
-
-def build_scaling(s1: SpectralData, s2: SpectralData) -> GaugeCandidate:
-    """Diagonal scaling seed: sqrt(lambda_i / mu_i) on the common support
-    (sorted pairing), kernel entries 1, phases 0.
-
-    The support part satisfies B Lambda_2 B = Lambda_1 exactly.
-    """
-    if s1.support_rank != s2.support_rank:
-        raise ValueError("support ranks differ; no scaling exists")
-    r = s1.support_rank
-    n = s1.eigvals.size
-    mags = [float(np.sqrt(s1.eigvals[i] / s2.eigvals[i])) for i in range(r)]
-    mags += [1.0] * (n - r)
-    return GaugeCandidate(tuple(mags), tuple([0.0] * n), r, None)
 
 
 def _objective(a: np.ndarray, dims: Sequence[int]) -> tuple[float, list[float]]:
@@ -376,10 +341,10 @@ def _als(d: np.ndarray, pencil: np.ndarray, groups, pinv_t: np.ndarray,
 def gauge_search(
     x: np.ndarray,
     y: np.ndarray,
-    gauge: GaugeCandidate,
+    support_rank: int,
     shape,
     *,
-    eigvals: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    eigvals: tuple[np.ndarray, np.ndarray],
     pairings: Optional[Sequence[tuple[int, ...]]] = None,
     seed: int = 0,
 ) -> Optional[GaugeResult]:
@@ -401,16 +366,18 @@ def gauge_search(
     returned without waiting for the later starts.
 
     `pairings` lists column permutations of y to try (within-degeneracy
-    reorderings); pinned support magnitudes are recomputed per pairing from
-    `eigvals` when given. Returns the first candidate below F_ACCEPT, else
-    None.
+    reorderings), the identity when omitted. For each pairing pi the first
+    `support_rank` entries are pinned to magnitude sqrt(lambda_i / mu_pi(i))
+    from `eigvals` = (lambda, mu), and pairings that map support indices
+    outside the support are skipped. Returns the first candidate below
+    F_ACCEPT, else None.
     """
     dims = as_dims(shape)
     n = int(np.prod(dims))
-    r = gauge.support_rank
-    base_mags = np.asarray(gauge.magnitudes, dtype=float)
+    r = support_rank
+    lam, mu = eigvals
     if pairings is None:
-        pairings = [gauge.permutation or tuple(range(n))]
+        pairings = [tuple(range(n))]
     best: Optional[GaugeResult] = None
     kernel_ratio_seen: Optional[float] = None
     real_frames = (
@@ -422,15 +389,11 @@ def gauge_search(
         pi = tuple(pi)
         if sorted(pi) != list(range(n)):
             raise ValueError("pairing is not a permutation")
+        if any((i < r) != (pi[i] < r) for i in range(n)):
+            continue
         pinned = np.full(n, np.nan, dtype=complex)
-        if eigvals is not None:
-            lam, mu = eigvals
-            if any((i < r) != (pi[i] < r) for i in range(n)):
-                continue
-            for i in range(r):
-                pinned[i] = np.sqrt(lam[i] / mu[pi[i]])
-        else:
-            pinned[:r] = base_mags[:r]
+        for i in range(r):
+            pinned[i] = np.sqrt(lam[i] / mu[pi[i]])
         yp = y[:, pi]
         supm = ~np.isnan(pinned.real)
         sup_idx = np.nonzero(supm)[0]
@@ -563,17 +526,16 @@ def invariant_screen(rho1: np.ndarray, rho2: np.ndarray, shape) -> Optional[str]
     spectra return None so the caller keeps searching.
     """
     dims = as_dims(shape)
-    r1, d1 = decisive_rank(rho1)
-    r2, d2 = decisive_rank(rho2)
-    if d1 and d2 and r1 != r2:
-        return f"global rank mismatch ({r1} vs {r2})"
+    ranks = rank_mismatch(rho1, rho2)
+    if ranks is not None:
+        return f"global rank mismatch ({ranks[0]} vs {ranks[1]})"
     for party in range(1, len(dims) + 1):
-        m1 = partial_trace_keep(rho1, dims, party)
-        m2 = partial_trace_keep(rho2, dims, party)
-        k1, e1 = decisive_rank(m1)
-        k2, e2 = decisive_rank(m2)
-        if e1 and e2 and k1 != k2:
-            return f"party {party} reduced rank mismatch ({k1} vs {k2})"
+        ranks = rank_mismatch(
+            partial_trace_keep(rho1, dims, party),
+            partial_trace_keep(rho2, dims, party),
+        )
+        if ranks is not None:
+            return f"party {party} reduced rank mismatch ({ranks[0]} vs {ranks[1]})"
     return None
 
 
@@ -608,24 +570,18 @@ def _resolve_frames(t: np.ndarray, x: np.ndarray, y: np.ndarray,
 
 
 def _assemble(rho1, rho2, shape, connector, per_cut, kernel_ratio, reason):
-    """Extract witness factors and gate the verdict on the oracle check."""
-    dims = as_dims(shape)
+    """Extract witness factors from a connector and gate the verdict on the
+    oracle."""
     try:
-        fs = extract_factors(connector, dims)
+        fs = extract_factors(connector, as_dims(shape))
     except NotDecomposable:
         return None
-    for f in fs.factors:
-        if float(np.linalg.cond(f)) > WITNESS_COND_CAP:
-            return None
-    check = oracle.verify_witness_mixed(rho1, rho2, fs)
-    if not check.passed:
-        return None
-    return MixedVerdict(
-        "Equivalent", fs, reason, tuple(per_cut), check.relative_residual, kernel_ratio
+    return oracle.witness_verdict(
+        oracle.verify_witness_mixed, rho1, rho2, fs, reason, per_cut, kernel_ratio
     )
 
 
-def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> MixedVerdict:
+def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
     """Decide equivalence of two density matrices, or refuse honestly.
 
     Inequivalent only on decisive rank-invariant mismatches. Equivalent only
@@ -643,7 +599,7 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> MixedVerdict:
 
     mismatch = invariant_screen(r1, r2, dims)
     if mismatch is not None:
-        return MixedVerdict("Inequivalent", None, mismatch, ())
+        return Verdict("Inequivalent", None, mismatch, ())
 
     s1 = spectral_prep(r1, dims)
     s2 = spectral_prep(r2, dims)
@@ -656,9 +612,8 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> MixedVerdict:
         if pairings is None:
             diag_notes.append("degenerate spectrum beyond permutation budget")
         else:
-            gauge = build_scaling(s1, s2)
             res = gauge_search(
-                s1.eigvecs, s2.eigvecs, gauge, dims,
+                s1.eigvecs, s2.eigvecs, s1.support_rank, dims,
                 eigvals=(s1.eigvals, s2.eigvals), pairings=pairings, seed=seed,
             )
             if res is not None:
@@ -692,9 +647,8 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> MixedVerdict:
                 if pairings is None:
                     diag_notes.append("degenerate filtered spectrum")
                 else:
-                    gauge = build_scaling(t1, t2)
                     res = gauge_search(
-                        t1.eigvecs, t2.eigvecs, gauge, dims,
+                        t1.eigvecs, t2.eigvecs, t1.support_rank, dims,
                         eigvals=(t1.eigvals, t2.eigvals), pairings=pairings,
                         seed=seed,
                     )
@@ -730,7 +684,7 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> MixedVerdict:
 
     reason = "; ".join(diag_notes) if diag_notes else "no decomposable connector found"
     residuals = () if not np.isfinite(best_f) else (float(best_f),)
-    return MixedVerdict("Inconclusive", None, reason, residuals)
+    return Verdict("Inconclusive", None, reason, residuals)
 
 
 def _refine_report(rho1, rho2, dims, s1, s2, connector, seed):
@@ -747,9 +701,8 @@ def _refine_report(rho1, rho2, dims, s1, s2, connector, seed):
         return None
     xr = _resolve_frames(connector, s1.eigvecs, s2.eigvecs, s1.clusters, base)
     candidates = [_compose_pairing(base, p) for p in perms]
-    gauge = build_scaling(s1, s2)
     res = gauge_search(
-        xr, s2.eigvecs, gauge, dims,
+        xr, s2.eigvecs, s1.support_rank, dims,
         eigvals=(s1.eigvals, s2.eigvals), pairings=candidates, seed=seed,
     )
     if res is None:

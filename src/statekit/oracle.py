@@ -2,8 +2,10 @@
 
 Witness checks substitute the claimed local factors directly into the
 defining transformation and measure the residual; they share no code with
-the search pipelines, so a passing check is independent evidence. The
-fixture builders produce the reference states used across the test suite:
+the search pipelines, so a passing check is independent evidence. Both
+pipelines report a `Verdict`, and an Equivalent one is only built here, by
+`witness_verdict`, once its witness has passed that check. The fixture
+builders produce the reference states used across the test suite:
 Bell-diagonal pairs, two ranks of corner-decorated diagonal states on three
 qubits, and a pair of biseparable three-qubit vectors.
 """
@@ -11,7 +13,7 @@ qubits, and a pair of biseparable three-qubit vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,6 +24,8 @@ from .linalg import as_dims
 ORACLE_TOL = 1e-7
 # Condition-number cap for randomly drawn local factors.
 ILO_COND_CAP = 1e3
+# Condition-number cap on the factors of a witness behind a verdict.
+WITNESS_COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -30,6 +34,19 @@ class WitnessCheck:
 
     relative_residual: float
     passed: bool
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Three-valued outcome of an equivalence check, with the verified
+    witness of an Equivalent one and the evidence behind it."""
+
+    outcome: str
+    witness: Optional[FactorSet]
+    reason: str
+    residuals: tuple[float, ...]
+    oracle_residual: Optional[float] = None
+    kernel_ratio: Optional[float] = None
 
 
 def _decide(residual: float) -> WitnessCheck:
@@ -43,9 +60,7 @@ class FixtureParams:
 
     Bell-diagonal pairs take the two weight vectors `lam` and `mu`. The
     corner-decorated families take `a`, `b`, `c` and, for the full-corner
-    family, the second triple `alpha`, `beta`, `gamma`; `connector_fill` is
-    the free diagonal entry of that family's known connector and does not
-    affect the states themselves.
+    family, the second triple `alpha`, `beta`, `gamma`.
     """
 
     lam: Optional[tuple[float, ...]] = None
@@ -56,7 +71,6 @@ class FixtureParams:
     alpha: Optional[float] = None
     beta: Optional[float] = None
     gamma: Optional[float] = None
-    connector_fill: Optional[float] = None
 
 
 def _amplitudes(state) -> np.ndarray:
@@ -116,6 +130,24 @@ def verify_witness_mixed(rho1, rho2, w: FactorSet) -> WitnessCheck:
     return _decide(
         float(np.linalg.norm(m1 - image / tr)) / float(np.linalg.norm(m1))
     )
+
+
+def witness_verdict(verify: Callable[..., WitnessCheck], first, second,
+                    witness: FactorSet, reason: str, residuals=(),
+                    kernel_ratio=None) -> Optional[Verdict]:
+    """The Equivalent verdict for a canonical witness mapping `second` onto
+    `first`, or None when a factor's condition number exceeds
+    WITNESS_COND_CAP or the substitution check `verify` (verify_witness_pure
+    or verify_witness_mixed) fails."""
+    for f in witness.factors:
+        s = np.linalg.svd(np.asarray(f), compute_uv=False)
+        if s[-1] <= 0.0 or s[0] / s[-1] > WITNESS_COND_CAP:
+            return None
+    check = verify(first, second, witness)
+    if not check.passed:
+        return None
+    return Verdict("Equivalent", witness, reason, tuple(residuals),
+                   check.relative_residual, kernel_ratio)
 
 
 def random_ilo(shape, seed) -> FactorSet:

@@ -4,27 +4,28 @@ A pure state over parties with dimensions (n_1, ..., n_K) is flattened to a
 coefficient matrix for any bipartition of the parties; invertible local maps
 act as row and column factors on that matrix, so its rank over every cut is
 an equivalence invariant. The pipeline screens on the full rank signature,
-then constructs an explicit witness: exactly for two parties from the two
-singular value decompositions, by diagonal gauge search over the SVD frames
-for more parties, and by a product-vector pairing argument for three qubits
-where the diagonal search is too rigid. Every Equivalent verdict carries an
+acting only on decisive rank mismatches, then constructs an explicit
+witness: exactly for two parties from the two singular value
+decompositions, by splitting off parties that are not entangled with the
+rest, and by a product-vector pairing argument for three qubits. Pairs no
+route connects are Inconclusive. Every Equivalent verdict carries an
 independently verified witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import oracle
-from .factor import FactorSet, NotDecomposable, canonicalize, extract_factors
-from .linalg import RANK1_ACCEPT, SystemShape, rank_report, svd
-from .mixed import GaugeCandidate, gauge_search
+from .factor import canonicalize
+from .linalg import RANK1_ACCEPT, SystemShape, rank_mismatch, rank_report, svd
+from .oracle import Verdict
 
-# Condition-number cap on witness factors.
-WITNESS_COND_CAP = 1e12
+_witness_verdict = partial(oracle.witness_verdict, oracle.verify_witness_pure)
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,8 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amp.size != self.shape.side:
             raise ValueError(f"expected {self.shape.side} amplitudes, got {amp.size}")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("amplitudes must be finite")
         nrm = float(np.linalg.norm(amp))
         if abs(nrm - 1.0) > 1e-6:
             raise ValueError(f"state norm {nrm:.6g} is not 1")
@@ -61,27 +64,19 @@ class RankSignature:
         return self.entries[comp]
 
 
-@dataclass(frozen=True)
-class PureVerdict:
-    outcome: str
-    witness: Optional[FactorSet]
-    reason: str
-    residuals: tuple[float, ...]
-    oracle_residual: Optional[float] = None
-
-
-def coefficient_matrix(psi: PureState, row_parties: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Flatten the state into the matrix whose rows are indexed by the given
-    parties (ascending) and whose columns by the complement (ascending).
+def coefficient_matrix(psi: PureState, cut: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Flatten the state into the matrix whose rows are indexed by the
+    parties of `cut` (ascending) and whose columns by the complement
+    (ascending).
 
     Defaults to the first floor(K/2) parties.
     """
     dims = psi.shape.dims
     k = len(dims)
-    if row_parties is None:
-        row_parties = tuple(range(1, k // 2 + 1)) if k > 1 else (1,)
-    rows = tuple(sorted(set(int(p) for p in row_parties)))
-    if len(rows) != len(tuple(row_parties)):
+    if cut is None:
+        cut = tuple(range(1, k // 2 + 1)) if k > 1 else (1,)
+    rows = tuple(sorted(set(int(p) for p in cut)))
+    if len(rows) != len(tuple(cut)):
         raise ValueError("row parties contain duplicates")
     if not rows or any(p < 1 or p > k for p in rows):
         raise ValueError("row parties must be a nonempty subset of the parties")
@@ -124,23 +119,22 @@ def _unitary_with_column(v: np.ndarray) -> np.ndarray:
     return q
 
 
-def _verdict_from_witness(phi: PureState, psi: PureState, factors, scale,
-                          reason: str, residuals=()) -> Optional[PureVerdict]:
-    """Canonicalize, condition-check, and oracle-gate a candidate witness."""
-    for f in factors:
-        s = np.linalg.svd(np.asarray(f), compute_uv=False)
-        if s[-1] <= 0.0 or s[0] / s[-1] > WITNESS_COND_CAP:
-            return None
-    fs = canonicalize(factors, scale)
-    check = oracle.verify_witness_pure(phi, psi, fs)
-    if not check.passed:
-        return None
-    return PureVerdict("Equivalent", fs, reason, tuple(residuals), check.relative_residual)
+def _borderline(cut: tuple[int, ...], r1: int, r2: int) -> Verdict:
+    """Refusal for numerical ranks that differ on a cut although neither
+    rank is decisive: no rank separates the pair, and a witness could only
+    bridge singular values below the oracle's resolution."""
+    return Verdict(
+        "Inconclusive", None,
+        f"numerical ranks on cut {cut} ({r1} vs {r2}) lie in the indecision band",
+        (),
+    )
 
 
-def check_bipartite(phi: PureState, psi: PureState, seed: int = 0) -> PureVerdict:
+def check_bipartite(phi: PureState, psi: PureState) -> Verdict:
     """Two-party equivalence: decided by Schmidt rank alone, with the witness
-    assembled from the two singular value decompositions. Never Inconclusive.
+    assembled from the two singular value decompositions. Inequivalent only
+    when the two Schmidt ranks are decisive and differ; Inconclusive when
+    they differ inside the indecision band.
     """
     if phi.shape != psi.shape:
         raise ValueError("states have different shapes")
@@ -151,9 +145,11 @@ def check_bipartite(phi: PureState, psi: PureState, seed: int = 0) -> PureVerdic
     r1 = rank_report(m1).numerical_rank
     r2 = rank_report(m2).numerical_rank
     if r1 != r2:
-        return PureVerdict(
-            "Inequivalent", None, f"Schmidt ranks differ ({r1} vs {r2})", ()
-        )
+        if rank_mismatch(m1, m2) is not None:
+            return Verdict(
+                "Inequivalent", None, f"Schmidt ranks differ ({r1} vs {r2})", ()
+            )
+        return _borderline((1,), r1, r2)
     x1, s1, y1 = svd(m1)
     x2, s2, y2 = svd(m2)
     m, n = m1.shape
@@ -164,12 +160,13 @@ def check_bipartite(phi: PureState, psi: PureState, seed: int = 0) -> PureVerdic
         b2[k] = np.sqrt(s1[k] / s2[k])
     c1 = x1 @ np.diag(b1) @ x2.conj().T
     c2 = (y2.conj().T @ np.diag(b2) @ y1).T
-    verdict = _verdict_from_witness(
-        phi, psi, [c1, c2], 1.0, "witness from the two singular decompositions"
+    verdict = _witness_verdict(
+        phi, psi, canonicalize([c1, c2]),
+        "witness from the two singular decompositions",
     )
     if verdict is not None:
         return verdict
-    return PureVerdict(
+    return Verdict(
         "Inconclusive", None, "constructed witness failed verification", ()
     )
 
@@ -245,18 +242,13 @@ def _split_party(psi: PureState, party: int):
     return u[:, 0], rest
 
 
-def check_pure_equivalence(
-    phi: PureState,
-    psi: PureState,
-    seed: int = 0,
-    row_parties: Optional[Sequence[int]] = None,
-) -> PureVerdict:
+def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
     """Decide equivalence of two pure states, or refuse honestly.
 
-    Inequivalent only on rank-signature mismatches. Equivalent only with an
-    independently verified witness. A failed search is Inconclusive: with
-    degenerate singular values the SVD frames are not unique, so absence of
-    a connector in the computed frames proves nothing.
+    Inequivalent only on decisive rank mismatches. Equivalent only with an
+    independently verified witness. Everything else is Inconclusive: the
+    constructive routes cover two parties, product factors and three qubits,
+    so finding no witness proves nothing.
     """
     if phi.shape != psi.shape:
         raise ValueError("states have different shapes")
@@ -265,33 +257,39 @@ def check_pure_equivalence(
 
     if k == 1:
         w = _unitary_with_column(phi.amplitudes) @ _unitary_with_column(psi.amplitudes).conj().T
-        verdict = _verdict_from_witness(phi, psi, [w], 1.0, "single-party rotation")
+        verdict = _witness_verdict(
+            phi, psi, canonicalize([w]), "single-party rotation"
+        )
         if verdict is not None:
             return verdict
-        return PureVerdict("Inconclusive", None, "single-party rotation failed", ())
+        return Verdict("Inconclusive", None, "single-party rotation failed", ())
 
     sig1 = rank_signature(phi)
     sig2 = rank_signature(psi)
-    if sig1 != sig2:
-        cut = next(
-            c for c in sig1.entries if sig1.entries[c] != sig2.entries.get(c, -1)
-        )
-        return PureVerdict(
-            "Inequivalent",
-            None,
-            f"rank signature differs on cut {cut} "
-            f"({sig1.entries[cut]} vs {sig2.entries.get(cut)})",
-            (),
-        )
+    borderline = None
+    for cut in sig1.entries:
+        r1, r2 = sig1.entries[cut], sig2.entries[cut]
+        if r1 == r2:
+            continue
+        if rank_mismatch(coefficient_matrix(phi, cut), coefficient_matrix(psi, cut)) is not None:
+            return Verdict(
+                "Inequivalent", None,
+                f"rank signature differs on cut {cut} ({r1} vs {r2})", (),
+            )
+        borderline = borderline or _borderline(cut, r1, r2)
+    if borderline is not None:
+        return borderline
 
     if float(np.linalg.norm(phi.amplitudes - psi.amplitudes)) < 1e-12:
         factors = [np.eye(d, dtype=complex) for d in dims]
-        verdict = _verdict_from_witness(phi, psi, factors, 1.0, "identical amplitudes")
+        verdict = _witness_verdict(
+            phi, psi, canonicalize(factors), "identical amplitudes"
+        )
         if verdict is not None:
             return verdict
 
     if k == 2:
-        return check_bipartite(phi, psi, seed)
+        return check_bipartite(phi, psi)
 
     # factor off parties that are not entangled with the rest
     for party in range(1, k + 1):
@@ -303,94 +301,37 @@ def check_pure_equivalence(
             continue
         u1, rest1 = split1
         u2, rest2 = split2
-        sub = check_pure_equivalence(rest1, rest2, seed)
+        sub = check_pure_equivalence(rest1, rest2)
         if sub.outcome == "Equivalent":
             local = _unitary_with_column(u1) @ _unitary_with_column(u2).conj().T
             factors = list(sub.witness.factors)
             factors.insert(party - 1, local)
-            verdict = _verdict_from_witness(
-                phi, psi, factors, sub.witness.scale,
+            verdict = _witness_verdict(
+                phi, psi, canonicalize(factors, sub.witness.scale),
                 f"party {party} factors out; remainder equivalent",
             )
             if verdict is not None:
                 return verdict
         elif sub.outcome == "Inequivalent":
-            return PureVerdict(
+            return Verdict(
                 "Inequivalent", None,
                 f"after factoring party {party}: {sub.reason}", (),
             )
-        return PureVerdict(
+        return Verdict(
             "Inconclusive", None,
             f"party {party} factors out but the remainder is inconclusive", (),
         )
 
-    verdict = _svd_frame_search(phi, psi, seed, row_parties)
-    if verdict is not None:
-        return verdict
-
     if dims == (2, 2, 2):
         factors = _three_qubit_witness(phi, psi)
         if factors is not None:
-            verdict = _verdict_from_witness(
-                phi, psi, factors, 1.0, "witness from product-vector pairing"
+            verdict = _witness_verdict(
+                phi, psi, canonicalize(factors), "witness from product-vector pairing"
             )
             if verdict is not None:
                 return verdict
 
-    return PureVerdict(
+    return Verdict(
         "Inconclusive", None,
         "no verifiable connector found in the computed frames", (),
-    )
-
-
-def _svd_frame_search(phi, psi, seed, row_parties) -> Optional[PureVerdict]:
-    """Diagonal gauge route: search X1 D1 X2^dag and Y2^dag D2 Y1 for
-    connectors decomposable over the row and column parties respectively,
-    with sqrt(lambda/mu) pinned on the common support."""
-    dims = phi.shape.dims
-    k = len(dims)
-    if row_parties is None:
-        row_parties = tuple(range(1, k // 2 + 1))
-    rows = tuple(sorted(row_parties))
-    cols = tuple(p for p in range(1, k + 1) if p not in rows)
-    row_dims = tuple(dims[p - 1] for p in rows)
-    col_dims = tuple(dims[p - 1] for p in cols)
-    m1 = coefficient_matrix(phi, rows)
-    m2 = coefficient_matrix(psi, rows)
-    x1, s1, y1 = svd(m1)
-    x2, s2, y2 = svd(m2)
-    r = rank_report(m1).numerical_rank
-    if rank_report(m2).numerical_rank != r:
-        return None
-    m, n = m1.shape
-
-    support = [float(np.sqrt(s1[i] / s2[i])) for i in range(r)]
-    gauge_rows = GaugeCandidate(
-        tuple(support + [1.0] * (m - r)), tuple([0.0] * m), r
-    )
-    gauge_cols = GaugeCandidate(
-        tuple(support + [1.0] * (n - r)), tuple([0.0] * n), r
-    )
-    res_r = gauge_search(
-        y2.conj().T, y1.conj().T, gauge_cols, col_dims, seed=seed
-    )
-    if res_r is None:
-        return None
-    res_l = gauge_search(x1, x2, gauge_rows, row_dims, seed=seed)
-    if res_l is None:
-        return None
-    try:
-        left = extract_factors(res_l.connector, row_dims)
-        right = extract_factors(res_r.connector, col_dims)
-    except NotDecomposable:
-        return None
-    factors: list[np.ndarray] = [np.zeros(0)] * k
-    for f, p in zip(left.factors, rows):
-        factors[p - 1] = np.array(f)
-    for f, p in zip(right.factors, cols):
-        factors[p - 1] = np.array(f).T
-    return _verdict_from_witness(
-        phi, psi, factors, left.scale * right.scale,
-        "diagonal connectors over the singular frames",
-        res_l.per_cut + res_r.per_cut,
     )

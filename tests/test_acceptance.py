@@ -165,7 +165,7 @@ def test_c09_bipartite_pairs_resolve_by_schmidt_rank():
         rank = 1 + seed % min(m, n)
         phi = _schmidt_state(m, n, rank, 2 * seed)
         psi = _schmidt_state(m, n, rank, 2 * seed + 1)
-        verdict = check_bipartite(phi, psi, seed=seed)
+        verdict = check_bipartite(phi, psi)
         assert verdict.outcome == "Equivalent", (seed, verdict.reason)
         check = verify_witness_pure(phi, psi, verdict.witness)
         assert check.passed
@@ -175,15 +175,14 @@ def test_c09_bipartite_pairs_resolve_by_schmidt_rank():
         low = 1 + seed % (min(m, n) - 1)
         phi = _schmidt_state(m, n, low, 200 + 2 * seed)
         psi = _schmidt_state(m, n, low + 1, 201 + 2 * seed)
-        assert check_bipartite(phi, psi, seed=seed).outcome == "Inequivalent"
+        assert check_bipartite(phi, psi).outcome == "Inequivalent"
 
 
 def test_c10_inequivalent_entanglement_classes_never_verify():
     """The two fully entangled three-qubit classes must never be declared
     Equivalent; the honest answer is Inconclusive."""
-    for seed in range(5):
-        assert checked_pure(GHZ3, W3, seed=seed).outcome == "Inconclusive"
-        assert checked_pure(W3, GHZ3, seed=seed).outcome == "Inconclusive"
+    assert checked_pure(GHZ3, W3).outcome == "Inconclusive"
+    assert checked_pure(W3, GHZ3).outcome == "Inconclusive"
 
 
 def test_c08_every_equivalent_witness_reverifies():

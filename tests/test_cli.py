@@ -16,7 +16,7 @@ from statekit.linalg import SystemShape
 from statekit.mixed import MixedState
 from statekit.oracle import FixtureParams, fixtures
 from statekit.pure import PureState
-from util import GHZ3, W3
+from util import GHZ3, W3, random_complex
 
 EX2_PARAMS = "a=0.3,b=0.4,c=0.5,alpha=0.6,beta=1.6,gamma=4.0"
 
@@ -128,8 +128,6 @@ def test_unresolved_pair_exits_two(tmp_path, capsys):
     code, out, _ = _run(capsys, "check-pure", a, b)
     assert code == cli.EXIT_INCONCLUSIVE
     assert json.loads(out)["outcome"] == "Inconclusive"
-    code, out, _ = _run(capsys, "check-pure", a, b, "--all-cuts")
-    assert code == cli.EXIT_INCONCLUSIVE
 
 
 def test_corner_pair_exits_zero_with_kernel_ratio(tmp_path, capsys):
@@ -294,3 +292,55 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def _error_inputs(tmp_path) -> dict:
+    rng = np.random.default_rng(3)
+    pure3 = PureState(SystemShape((2, 2, 2)), np.ones(8) / np.sqrt(8.0))
+    pure2 = PureState(SystemShape((2, 2)), np.ones(4) / 2.0)
+    rho = np.eye(4, dtype=complex) / 4.0
+    nan_obj = cli.state_object(pure3)
+    nan_obj["data"][0] = [float("nan"), 0.0]
+    singular = FactorSet((np.ones((2, 2), dtype=complex), np.eye(2, dtype=complex)))
+    product = np.kron(random_complex(rng, 2, 2), random_complex(rng, 2, 2))
+    return {
+        "p3": _state_file(tmp_path, "p3.json", pure3),
+        "p2": _state_file(tmp_path, "p2.json", pure2),
+        "m": _state_file(tmp_path, "m.json", MixedState(SystemShape((2, 2)), rho)),
+        "wsing": _write(tmp_path, "wsing.json", cli.witness_object(singular)),
+        "k": _write(tmp_path, "k.json", {
+            "version": 1, "type": "matrix", "dims": [2, 2],
+            "data": [[z.real, z.imag] for z in product.reshape(-1)],
+        }),
+        "nan": _write_nan_state(tmp_path, "nan.json", nan_obj),
+    }
+
+
+def _write_nan_state(tmp_path, name, obj) -> str:
+    # json.dumps writes NaN, which the deterministic writer renders as null
+    path = tmp_path / name
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["gen", "--random", "pure", "--dims", "1,2", "--out", "{out}"], cli.EXIT_USAGE),
+    (["gen", "--random", "pure", "--dims", "a,2", "--out", "{out}"], cli.EXIT_USAGE),
+    (["factor", "{k}", "--dims", "x"], cli.EXIT_USAGE),
+    (["check-pure", "{p3}", "{p2}"], cli.EXIT_DATA),
+    (["verify", "{m}", "{m}", "{wsing}"], cli.EXIT_DATA),
+    (["check-pure", "{nan}", "{nan}"], cli.EXIT_DATA),
+], ids=["gen-dims-1", "gen-dims-a", "factor-dims-x", "shape-mismatch",
+        "singular-witness", "nan-state"])
+def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
+    paths = _error_inputs(tmp_path)
+    args = [a.format(out=str(tmp_path / "gen"), **paths) for a in argv]
+    src = str(Path(statekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "statekit.cli", *args], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode in {0, 1, 2, 64, 65, 66}
+    assert "Traceback" not in run.stderr
+    assert run.returncode == expected
+    assert len(run.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "gen").exists()

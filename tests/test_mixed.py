@@ -6,11 +6,9 @@ import pytest
 from statekit.factor import kron as kron_factors
 from statekit.linalg import SystemShape, kron_list
 from statekit.mixed import (
-    GaugeCandidate,
     MixedState,
     _rank1_project,
     _ratio_complete,
-    build_scaling,
     check_mixed_equivalence,
     cluster_pairings,
     gauge_search,
@@ -36,6 +34,13 @@ def test_state_validation():
         MixedState(TWO_QUBITS, np.eye(4, dtype=complex) / 2.0)
     with pytest.raises(ValueError):
         MixedState(TWO_QUBITS, np.eye(8, dtype=complex) / 8.0)
+
+
+def test_non_finite_density_is_rejected():
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[1, 2] = rho[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        MixedState(TWO_QUBITS, rho)
 
 
 def test_spectral_prep_full_corner_spectrum():
@@ -68,30 +73,34 @@ def test_spectral_prep_reconstructs_and_clusters():
     assert np.allclose(q @ np.diag(w) @ q.conj().T, rho)
 
 
-def test_build_scaling_satisfies_spectral_law():
-    s1 = spectral_prep(random_density((2, 2), 0))
-    s2 = spectral_prep(random_density((2, 2), 1))
-    gauge = build_scaling(s1, s2)
-    mags = np.array(gauge.magnitudes)
-    r = gauge.support_rank
-    assert np.allclose(mags[:r] * s2.eigvals[:r] * mags[:r], s1.eigvals[:r])
-    assert np.all(mags[r:] == 1.0)
-    assert gauge.phases == (0.0,) * len(mags)
-
-
-def test_build_scaling_rejects_support_mismatch():
-    full = spectral_prep(random_density((2, 2), 2))
-    deficient = spectral_prep(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex), (2, 2))
-    with pytest.raises(ValueError):
-        build_scaling(full, deficient)
+def test_gauge_search_result_satisfies_spectral_law():
+    # rho1 = A rho2 A^dag / tr with A = u diag(1, 1.1 i) u^dag (x) v diag(1, 1.2) v^dag
+    # keeps the eigenvalue order, so the raw eigenbases admit a diagonal
+    # connector; its entries must satisfy |d_i|^2 mu_pi(i) = lambda_i
+    rng = np.random.default_rng(5)
+    u, v = (np.linalg.qr(random_complex(rng, 2, 2))[0] for _ in range(2))
+    frame = np.kron(u, v)
+    rho2 = frame @ np.diag([0.6, 0.25, 0.1, 0.05]) @ frame.conj().T
+    a = np.kron(u @ np.diag([1.0, 1.1j]) @ u.conj().T, v @ np.diag([1.0, 1.2]) @ v.conj().T)
+    rho1 = a @ rho2 @ a.conj().T
+    s1 = spectral_prep(rho1 / np.trace(rho1).real, (2, 2))
+    s2 = spectral_prep(rho2, (2, 2))
+    result = gauge_search(
+        s1.eigvecs, s2.eigvecs, s1.support_rank, (2, 2),
+        eigvals=(s1.eigvals, s2.eigvals), pairings=cluster_pairings(s1.clusters),
+    )
+    assert result is not None and result.residual < 1e-14
+    d = np.abs(result.diagonal)
+    assert np.allclose(d * d * s2.eigvals[list(result.pairing)], s1.eigvals, rtol=1e-10)
 
 
 def test_gauge_search_identity_frames():
     lam = np.array([0.4, 0.3, 0.2, 0.1])
     s = spectral_prep(np.diag(lam).astype(complex), (2, 2))
-    gauge = build_scaling(s, s)
     eye = np.eye(4, dtype=complex)
-    result = gauge_search(eye, eye, gauge, (2, 2), eigvals=(s.eigvals, s.eigvals), seed=0)
+    result = gauge_search(
+        eye, eye, s.support_rank, (2, 2), eigvals=(s.eigvals, s.eigvals), seed=0
+    )
     assert result is not None
     assert result.residual <= 1e-12
     assert np.allclose(np.abs(result.diagonal), 1.0)
@@ -115,9 +124,9 @@ def test_gauge_search_is_deterministic():
     local = kron_list([np.linalg.qr(random_complex(rng, 2, 2))[0] for _ in dims])
     x = local * np.exp(2j * np.pi * rng.random(8))
     eye = np.eye(8, dtype=complex)
-    gauge = GaugeCandidate((1.0,) * 8, (0.0,) * 8, 8)
-    first = gauge_search(x, eye, gauge, dims, seed=3)
-    second = gauge_search(x, eye, gauge, dims, seed=3)
+    ones = np.ones(8)
+    first = gauge_search(x, eye, 8, dims, eigvals=(ones, ones), seed=3)
+    second = gauge_search(x, eye, 8, dims, eigvals=(ones, ones), seed=3)
     assert first is not None and first.residual < 1e-14
     assert not np.allclose(first.diagonal, 1.0)
     assert first.connector.tobytes() == second.connector.tobytes()

@@ -21,8 +21,8 @@ from statekit.pure import PureState, check_pure_equivalence
 EQUIVALENT_LOG: list[tuple] = []
 
 
-def checked_pure(phi, psi, seed=0, row_parties=None):
-    verdict = check_pure_equivalence(phi, psi, seed, row_parties=row_parties)
+def checked_pure(phi, psi):
+    verdict = check_pure_equivalence(phi, psi)
     if verdict.outcome == "Equivalent":
         assert verdict.witness is not None, "Equivalent verdict without witness"
         check = verify_witness_pure(phi, psi, verdict.witness)
