@@ -196,6 +196,8 @@ def parse_witness(src: str) -> FactorSet:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in scale)
     ):
         raise DataFormatError("scale must be a [re, im] pair")
+    if not (math.isfinite(scale[0]) and math.isfinite(scale[1])):
+        raise DataFormatError("scale is not finite")
     return FactorSet(tuple(mats), complex(scale[0], scale[1]))
 
 
@@ -251,15 +253,18 @@ def _print(obj: dict):
 
 
 def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("SLOCC_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError("SLOCC_SEED must be an integer") from None
+    """The --seed value, else SLOCC_SEED, else 0. numpy's generators take
+    only non-negative seeds."""
+    source = "--seed"
+    if value is None:
+        source = "SLOCC_SEED"
+        try:
+            value = int(os.environ.get(source, "0"))
+        except ValueError:
+            raise UsageError("SLOCC_SEED must be an integer") from None
+    if value < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {value}")
+    return value
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:

@@ -84,13 +84,25 @@ def kron(fs: FactorSet) -> np.ndarray:
     return fs.scale * kron_list(fs.factors)
 
 
+def cut_reports(a: np.ndarray, dims: tuple[int, ...]) -> list[RankReport]:
+    """Rank report of every single-party cut: the party-to-front view of `a`
+    realigned with block size (n_party, side / n_party)."""
+    side = int(np.prod(dims))
+    return [
+        rank_report(realign(bipartition_view(a, dims, party), d, side // d))
+        for party, d in enumerate(dims, start=1)
+    ]
+
+
 def decomposability(a: np.ndarray, shape) -> DecomposabilityReport:
     """Test whether `a` is a Kronecker product over the given shape.
 
-    For each party the party-to-front view is realigned with block size
-    (n_party, side / n_party) and its rank recorded; the matrix is
-    decomposable when every such realignment has rank one. Non-invertible
-    input is flagged and reported as not decomposable rather than raised.
+    The matrix is decomposable when it is invertible and the realignment of
+    every single-party cut is rank one, i.e. its rank-one residual
+    sigma_2 / sigma_1 is at most RANK1_ACCEPT, the threshold factor
+    extraction applies. Numerical ranks are reported alongside.
+    Non-invertible input is flagged and reported as not decomposable rather
+    than raised.
     """
     dims = as_dims(shape)
     side = int(np.prod(dims))
@@ -99,13 +111,12 @@ def decomposability(a: np.ndarray, shape) -> DecomposabilityReport:
         raise ValueError(f"expected shape {(side, side)}, got {a.shape}")
     s = np.linalg.svd(a, compute_uv=False)
     invertible = bool(s[-1] > side * s[0] * RANK_REL_TOL) if s[0] > 0 else False
-    rows = []
-    for party in range(1, len(dims) + 1):
-        view = bipartition_view(a, dims, party)
-        rep = rank_report(realign(view, dims[party - 1], side // dims[party - 1]))
-        rows.append((party, rep.rank1_residual, rep.numerical_rank))
-    ok = invertible and all(rank == 1 for _, _, rank in rows)
-    return DecomposabilityReport(tuple(rows), ok, invertible)
+    rows = tuple(
+        (party, rep.rank1_residual, rep.numerical_rank)
+        for party, rep in enumerate(cut_reports(a, dims), start=1)
+    )
+    ok = invertible and all(res <= RANK1_ACCEPT for _, res, _ in rows)
+    return DecomposabilityReport(rows, ok, invertible)
 
 
 def _peel(a: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:

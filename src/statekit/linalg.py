@@ -16,6 +16,9 @@ import numpy as np
 RANK_REL_TOL = 1e-10
 # A realignment counts as rank one when sigma_2 / sigma_1 is below this.
 RANK1_ACCEPT = 1e-8
+# Largest Hermiticity defect accepted by eigh_desc, relative to the largest
+# entry.
+HERM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -119,15 +122,15 @@ def svd(a: np.ndarray):
     return np.linalg.svd(np.asarray(a, dtype=complex), full_matrices=True)
 
 
-def eigh_desc(h: np.ndarray, herm_tol: float = 1e-10):
+def eigh_desc(h: np.ndarray):
     """Hermitian eigendecomposition with eigenvalues sorted nonincreasing.
 
     Returns (Q, w) with h = Q diag(w) Q^dag. Rejects inputs that are not
-    Hermitian within `herm_tol` relative to the largest entry.
+    Hermitian within HERM_TOL relative to the largest entry.
     """
     h = np.asarray(h, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(h))))
-    if float(np.max(np.abs(h - h.conj().T))) > herm_tol * scale:
+    if float(np.max(np.abs(h - h.conj().T))) > HERM_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, q = np.linalg.eigh((h + h.conj().T) / 2.0)
     order = np.argsort(-w, kind="stable")

@@ -6,14 +6,18 @@ The pipeline: rank screens that can prove inequivalence, spectral preparation,
 a gauge search for a tensor-decomposable connector between the two eigenbases,
 and an independent witness verification before any Equivalent verdict.
 
-The connector search runs in two frames. The direct route searches
-X diag(d) Y^dag over the raw eigenbases with support magnitudes pinned by the
-eigenvalue ratios. The filtering route first brings both states to the local
-form whose single-party reduced matrices are all maximally mixed; states
+The connector search runs in two frames, filtered first. Filtering brings
+both states to the local form whose single-party reduced matrices are all
+maximally mixed (Verstraete, Dehaene and De Moor, PRA 68, 012103); states
 equivalent under invertible local maps have unitarily related filtered forms,
-so the remaining search is over local unitaries and often collapses to the
-identity. Witnesses found in the filtered frame are composed with the filters
-and re-verified against the original inputs.
+so the search there is over local unitaries and often collapses to the
+identity. A witness found in the filtered frame is composed with the filters
+and verified against the original inputs. One search then runs over the raw
+eigenbases, X diag(d) Y^dag with support magnitudes pinned by the eigenvalue
+ratios: from the pairing and cluster frames a certified connector reveals,
+to report its diagonal presentation and kernel ratio, or, when filtering
+certified nothing, from the sorted eigenbases under every within-cluster
+pairing.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import oracle
-from .factor import NotDecomposable, extract_factors
+from .factor import NotDecomposable, cut_reports, extract_factors
 from .linalg import (
     SystemShape,
     as_dims,
@@ -56,6 +60,11 @@ CLUSTER_REL_GAP = 1e-8
 CLUSTER_PERM_LIMIT = 4
 # Cap on the total number of cluster pairings tried per frame.
 PAIRING_BUDGET = 1000
+# Local filtering: sweep cap, the deviation accepted at once, and the
+# plateau deviation accepted after 200 sweeps without a 10% gain.
+FILTER_SWEEPS = 20000
+FILTER_TOL = 1e-12
+FILTER_SOFT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,22 +127,14 @@ def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def spectral_prep(rho, shape=None) -> SpectralData:
+def spectral_prep(rho: np.ndarray) -> SpectralData:
     """Eigendecomposition sorted nonincreasing, eigenvalues clipped at zero,
     with support rank and relative-gap degeneracy clusters."""
-    if isinstance(rho, MixedState):
-        mat = rho.rho
-        side = rho.shape.side
-    else:
-        mat = np.asarray(rho, dtype=complex)
-        side = mat.shape[0]
-        if shape is not None:
-            side = SystemShape(as_dims(shape)).side
-    q, w = eigh_desc(mat)
+    q, w = eigh_desc(rho)
     w = np.clip(w, 0.0, None)
     q = _phase_fix_columns(q)
     top = float(w[0]) if w.size else 0.0
-    tol = side * top * 1e-10
+    tol = w.size * top * 1e-10
     support = int(np.sum(w > tol))
     clusters: list[list[int]] = []
     for i in range(w.size):
@@ -147,19 +148,6 @@ def spectral_prep(rho, shape=None) -> SpectralData:
                 continue
         clusters.append([i])
     return SpectralData(q, w, support, tuple(tuple(c) for c in clusters))
-
-
-def _objective(a: np.ndarray, dims: Sequence[int]) -> tuple[float, list[float]]:
-    """Sum of squared rank-one residuals of the realignments over every
-    single-party cut."""
-    n = int(np.prod(dims))
-    per = []
-    for party in range(1, len(dims) + 1):
-        view = bipartition_view(a, dims, party)
-        r = realign(view, dims[party - 1], n // dims[party - 1])
-        s = np.linalg.svd(r, compute_uv=False)
-        per.append(float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0)
-    return float(sum(x * x for x in per)), per
 
 
 def _ratio_complete(pinned: np.ndarray, dims: Sequence[int], kernel: Sequence[int]):
@@ -199,19 +187,17 @@ def _ratio_complete(pinned: np.ndarray, dims: Sequence[int], kernel: Sequence[in
     return filled, ratio
 
 
-def cluster_pairings(
-    clusters: Sequence[Sequence[int]], budget: int = PAIRING_BUDGET
-) -> Optional[list[tuple[int, ...]]]:
+def cluster_pairings(clusters: Sequence[Sequence[int]]) -> Optional[list[tuple[int, ...]]]:
     """All index permutations acting within degeneracy clusters, identity
     first. Returns None when a cluster exceeds the exhaustive-permutation
-    limit or the total count exceeds the budget."""
+    limit or the total count exceeds PAIRING_BUDGET."""
     total = 1
     for c in clusters:
         if len(c) > CLUSTER_PERM_LIMIT:
             return None
         for i in range(2, len(c) + 1):
             total *= i
-        if total > budget:
+        if total > PAIRING_BUDGET:
             return None
     per_cluster = [list(itertools.permutations(c)) for c in clusters]
     out = []
@@ -403,9 +389,9 @@ def gauge_search(
         def evaluate(d, kr) -> GaugeResult:
             nonlocal best
             a = (x * d) @ yp.conj().T
-            f, per = _objective(a, dims)
-            cand = GaugeResult(a, f, tuple(per), kr, d.copy(), pi)
-            if best is None or f < best.residual:
+            per = tuple(rep.rank1_residual for rep in cut_reports(a, dims))
+            cand = GaugeResult(a, float(sum(v * v for v in per)), per, kr, d.copy(), pi)
+            if best is None or cand.residual < best.residual:
                 best = cand
             return cand
 
@@ -470,17 +456,16 @@ def _real_ratio(value) -> Optional[float]:
     return None
 
 
-def normal_form(rho: np.ndarray, shape, iters: int = 20000, tol: float = 1e-12,
-                soft_tol: float = 1e-9):
+def normal_form(rho: np.ndarray, shape):
     """Iterative local filtering toward the form whose every single-party
     reduced matrix is maximally mixed.
 
     Cyclically applies f = (d * reduced)^(-1/2) on each party. Returns the
     filtered state and the per-party filters, or None when a reduced matrix
-    turns singular or the iteration cannot reach `soft_tol` (the hard `tol`
-    is accepted immediately; a plateau above `tol` but below `soft_tol` is
-    accepted after 200 sweeps without improvement, which is the double
-    precision floor for ill-conditioned inputs).
+    turns singular or FILTER_SWEEPS sweeps cannot reach FILTER_SOFT_TOL
+    (FILTER_TOL is accepted immediately; a plateau above FILTER_TOL but
+    below FILTER_SOFT_TOL is accepted after 200 sweeps without improvement,
+    which is the double precision floor for ill-conditioned inputs).
     """
     dims = as_dims(shape)
     k = len(dims)
@@ -489,7 +474,7 @@ def normal_form(rho: np.ndarray, shape, iters: int = 20000, tol: float = 1e-12,
     filters = [np.eye(d, dtype=complex) for d in dims]
     best = np.inf
     since_gain = 0
-    for _ in range(iters):
+    for _ in range(FILTER_SWEEPS):
         dev = 0.0
         for party in range(k):
             red = partial_trace_keep(r, dims, party + 1)
@@ -505,14 +490,14 @@ def normal_form(rho: np.ndarray, shape, iters: int = 20000, tol: float = 1e-12,
             r = t.reshape(r.shape)
             r = r / np.trace(r).real
             filters[party] = f @ filters[party]
-        if dev < tol:
+        if dev < FILTER_TOL:
             return r, filters
         if dev < 0.9 * best:
             best = dev
             since_gain = 0
         else:
             since_gain += 1
-            if since_gain > 200 and dev < soft_tol:
+            if since_gain > 200 and dev < FILTER_SOFT_TOL:
                 return r, filters
     return None
 
@@ -585,8 +570,15 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
     """Decide equivalence of two density matrices, or refuse honestly.
 
     Inequivalent only on decisive rank-invariant mismatches. Equivalent only
-    with an independently verified witness. Everything else is Inconclusive
-    with the best residual evidence found.
+    with an independently verified witness. After the rank screen both states
+    are filtered to their normal forms and a local-unitary connector is
+    sought between them; then one gauge search runs over the raw
+    eigenbases. When the filtered frames certified a connector, that search
+    starts from the pairing and cluster frames the connector reveals and
+    only replaces the verdict with the diagonal presentation it finds; it is
+    skipped when the connector reveals no pairing. Otherwise it tries the
+    sorted eigenbases under every within-cluster pairing. Everything else is
+    Inconclusive with the best residual evidence found.
     """
     if isinstance(rho1, MixedState):
         if not isinstance(rho2, MixedState) or rho1.shape != rho2.shape:
@@ -601,33 +593,22 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
     if mismatch is not None:
         return Verdict("Inequivalent", None, mismatch, ())
 
-    s1 = spectral_prep(r1, dims)
-    s2 = spectral_prep(r2, dims)
+    s1 = spectral_prep(r1)
+    s2 = spectral_prep(r2)
     diag_notes = []
     best_f = np.inf
-
-    # direct route: raw eigenbases, sorted pairing plus cluster permutations
-    if s1.support_rank == s2.support_rank:
-        pairings = cluster_pairings(s1.clusters)
-        if pairings is None:
-            diag_notes.append("degenerate spectrum beyond permutation budget")
-        else:
-            res = gauge_search(
-                s1.eigvecs, s2.eigvecs, s1.support_rank, dims,
-                eigvals=(s1.eigvals, s2.eigvals), pairings=pairings, seed=seed,
-            )
-            if res is not None:
-                verdict = _assemble(
-                    rho1, rho2, dims, res.connector, res.per_cut,
-                    res.kernel_ratio, "decomposable connector over eigenbases",
-                )
-                if verdict is not None:
-                    return verdict
-                best_f = min(best_f, res.residual)
-    else:
+    # the raw-eigenbasis search needs equal support ranks and a bounded set
+    # of within-cluster pairings
+    perms = None
+    if s1.support_rank != s2.support_rank:
         diag_notes.append("support ranks differ but spectra are borderline")
+    else:
+        perms = cluster_pairings(s1.clusters)
+        if perms is None:
+            diag_notes.append("degenerate spectrum beyond permutation budget")
 
-    # filtering route
+    # filtered frames
+    verdict = None
     nf1 = normal_form(r1, dims)
     nf2 = normal_form(r2, dims)
     if nf1 is not None and nf2 is not None:
@@ -637,22 +618,22 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
         if float(np.linalg.norm(f1t - f2t)) <= 1e-8 * float(np.linalg.norm(f1t)):
             u_factors = [np.eye(d, dtype=complex) for d in dims]
         else:
-            t1 = spectral_prep(f1t, dims)
-            t2 = spectral_prep(f2t, dims)
+            t1 = spectral_prep(f1t)
+            t2 = spectral_prep(f2t)
             if (
                 t1.support_rank == t2.support_rank
                 and float(np.max(np.abs(t1.eigvals - t2.eigvals))) <= 1e-8
             ):
-                pairings = cluster_pairings(t1.clusters)
-                if pairings is None:
+                # only the identity pairing is tried here; the raw search
+                # below pairs degenerate clusters
+                if cluster_pairings(t1.clusters) is None:
                     diag_notes.append("degenerate filtered spectrum")
                 else:
                     res = gauge_search(
                         t1.eigvecs, t2.eigvecs, t1.support_rank, dims,
-                        eigvals=(t1.eigvals, t2.eigvals), pairings=pairings,
-                        seed=seed,
+                        eigvals=(t1.eigvals, t2.eigvals), seed=seed,
                     )
-                    if res is not None and res.residual < F_ACCEPT:
+                    if res is not None:
                         try:
                             ufs = extract_factors(res.connector, dims)
                             u_factors = [np.array(f) for f in ufs.factors]
@@ -668,46 +649,41 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
                 for k in range(len(dims))
             ]
             connector = kron_list(composed)
-            f, per = _objective(connector, dims)
+            per = tuple(rep.rank1_residual for rep in cut_reports(connector, dims))
             verdict = _assemble(
                 rho1, rho2, dims, connector, per, None,
                 "connector composed through filtered frames",
             )
-            if verdict is not None:
-                # rerun the direct route with the pairing the connector
-                # reveals, to report the monomial presentation when one exists
-                refined = _refine_report(rho1, rho2, dims, s1, s2, connector, seed)
-                return refined if refined is not None else verdict
-            best_f = min(best_f, f)
+            if verdict is None:
+                best_f = min(best_f, sum(x * x for x in per))
     else:
         diag_notes.append("filtering did not converge (rank-deficient state)")
+
+    # one raw-eigenbasis search: in the frames and pairing a certified
+    # connector reveals, else over the sorted eigenbases
+    x = s1.eigvecs
+    if verdict is not None and perms is not None:
+        base = _connector_pairing(connector, x, s2.eigvecs)
+        if base is None:
+            return verdict
+        x = _resolve_frames(connector, x, s2.eigvecs, s1.clusters, base)
+        perms = [_compose_pairing(base, p) for p in perms]
+    if perms is not None:
+        res = gauge_search(
+            x, s2.eigvecs, s1.support_rank, dims,
+            eigvals=(s1.eigvals, s2.eigvals), pairings=perms, seed=seed,
+        )
+        if res is not None:
+            raw = _assemble(
+                rho1, rho2, dims, res.connector, res.per_cut, res.kernel_ratio,
+                "decomposable connector over eigenbases",
+            )
+            if raw is not None:
+                return raw
+            best_f = min(best_f, res.residual)
+    if verdict is not None:
+        return verdict
 
     reason = "; ".join(diag_notes) if diag_notes else "no decomposable connector found"
     residuals = () if not np.isfinite(best_f) else (float(best_f),)
     return Verdict("Inconclusive", None, reason, residuals)
-
-
-def _refine_report(rho1, rho2, dims, s1, s2, connector, seed):
-    """Search again in the raw frames with the pairing and cluster rotations
-    implied by a certified connector; on success this yields the canonical
-    diagonal presentation and its kernel ratio. Returns None when the raw
-    support ranks differ (no scaling links the raw spectra) or the connector
-    reveals no pairing, so the filtered-frame verdict stands."""
-    if s1.support_rank != s2.support_rank:
-        return None
-    base = _connector_pairing(connector, s1.eigvecs, s2.eigvecs)
-    perms = cluster_pairings(s1.clusters)
-    if base is None or perms is None:
-        return None
-    xr = _resolve_frames(connector, s1.eigvecs, s2.eigvecs, s1.clusters, base)
-    candidates = [_compose_pairing(base, p) for p in perms]
-    res = gauge_search(
-        xr, s2.eigvecs, s1.support_rank, dims,
-        eigvals=(s1.eigvals, s2.eigvals), pairings=candidates, seed=seed,
-    )
-    if res is None:
-        return None
-    return _assemble(
-        rho1, rho2, dims, res.connector, res.per_cut, res.kernel_ratio,
-        "decomposable connector over eigenbases",
-    )

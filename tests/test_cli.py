@@ -257,10 +257,11 @@ def test_seed_environment_fallback(tmp_path, capsys, monkeypatch):
     code, out, _ = _run(capsys, "check-pure", path, path)
     assert code == 0
     assert json.loads(out)["seed"] == 17
-    monkeypatch.setenv("SLOCC_SEED", "not-a-number")
-    code, _, err = _run(capsys, "check-pure", path, path)
-    assert code == cli.EXIT_USAGE
-    assert "SLOCC_SEED" in err
+    for bad in ("not-a-number", "-2"):
+        monkeypatch.setenv("SLOCC_SEED", bad)
+        code, _, err = _run(capsys, "check-pure", path, path)
+        assert code == cli.EXIT_USAGE
+        assert "SLOCC_SEED" in err
 
 
 def test_usage_and_io_errors(tmp_path, capsys):
@@ -302,6 +303,8 @@ def _error_inputs(tmp_path) -> dict:
     nan_obj = cli.state_object(pure3)
     nan_obj["data"][0] = [float("nan"), 0.0]
     singular = FactorSet((np.ones((2, 2), dtype=complex), np.eye(2, dtype=complex)))
+    nan_witness = cli.witness_object(FactorSet((np.eye(2, dtype=complex),) * 2))
+    nan_witness["scale"] = [float("nan"), 0.0]
     product = np.kron(random_complex(rng, 2, 2), random_complex(rng, 2, 2))
     return {
         "p3": _state_file(tmp_path, "p3.json", pure3),
@@ -313,6 +316,7 @@ def _error_inputs(tmp_path) -> dict:
             "data": [[z.real, z.imag] for z in product.reshape(-1)],
         }),
         "nan": _write_nan_state(tmp_path, "nan.json", nan_obj),
+        "wnan": _write_nan_state(tmp_path, "wnan.json", nan_witness),
     }
 
 
@@ -330,8 +334,13 @@ def _write_nan_state(tmp_path, name, obj) -> str:
     (["check-pure", "{p3}", "{p2}"], cli.EXIT_DATA),
     (["verify", "{m}", "{m}", "{wsing}"], cli.EXIT_DATA),
     (["check-pure", "{nan}", "{nan}"], cli.EXIT_DATA),
+    (["gen", "--random", "mixed", "--dims", "2,2", "--seed", "-1", "--out", "{out}"],
+     cli.EXIT_USAGE),
+    (["check-mixed", "{m}", "{m}", "--seed", "-1"], cli.EXIT_USAGE),
+    (["verify", "{m}", "{m}", "{wnan}"], cli.EXIT_DATA),
 ], ids=["gen-dims-1", "gen-dims-a", "factor-dims-x", "shape-mismatch",
-        "singular-witness", "nan-state"])
+        "singular-witness", "nan-state", "gen-negative-seed",
+        "check-mixed-negative-seed", "nan-witness-scale"])
 def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
     paths = _error_inputs(tmp_path)
     args = [a.format(out=str(tmp_path / "gen"), **paths) for a in argv]

@@ -11,7 +11,7 @@ from statekit.factor import (
     extract_factors,
     kron,
 )
-from statekit.linalg import kron_list
+from statekit.linalg import kron_list, realign_inverse
 from statekit.oracle import random_ilo
 from util import naive_kron, random_complex, traced_remainder
 
@@ -115,6 +115,22 @@ def test_report_exposes_residuals():
     rep = decomposability(kron(fs), (2, 2))
     assert len(rep.residuals) == 2
     assert all(r <= 1e-8 for r in rep.residuals)
+
+
+def test_near_product_within_rank1_accept_extracts():
+    # realignment sigma_2 / sigma_1 = 5e-9: numerical rank two (the cutoff
+    # is about 9e-10 for a (2,3) cut) but within RANK1_ACCEPT, the threshold
+    # extraction applies, so the report and the extraction agree
+    rng = np.random.default_rng(21)
+    u = np.linalg.qr(random_complex(rng, 4, 2))[0]
+    v = np.linalg.qr(random_complex(rng, 9, 2))[0]
+    a = realign_inverse(u @ np.diag([1.0, 5e-9]) @ v.T, 2, 3)
+    rep = decomposability(a, (2, 3))
+    assert rep.invertible and rep.decomposable
+    assert all(rank == 2 for _, _, rank in rep.per_party)
+    assert all(np.isclose(r, 5e-9, rtol=1e-3) for r in rep.residuals)
+    fs = extract_factors(a, (2, 3))
+    assert np.linalg.norm(kron(fs) - a) <= 1e-8 * np.linalg.norm(a)
 
 
 def test_shape_mismatch_raises():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from statekit import mixed
 from statekit.factor import kron as kron_factors
 from statekit.linalg import SystemShape, kron_list
 from statekit.mixed import (
@@ -48,7 +49,7 @@ def test_spectral_prep_full_corner_spectrum():
     state, _ = fixtures(2, FixtureParams(a=a, b=b, c=c, alpha=0.9, beta=0.8, gamma=0.6))
     k = 2 + a + b + c + 1 / a + 1 / b + 1 / c
     expected = np.array([1 / c, 1 / b, 1 / a, 2.0, a, b, c, 0.0]) / k
-    data = spectral_prep(state)
+    data = spectral_prep(state.rho)
     assert np.allclose(data.eigvals, expected, atol=1e-12)
     assert data.support_rank == 7
     assert np.all(np.diff(data.eigvals) <= 0)
@@ -59,14 +60,14 @@ def test_spectral_prep_half_corner_spectrum():
     state, _ = fixtures(3, FixtureParams(a=a, b=b, c=c))
     k = 2 + a + b + c + 1 / a + 1 / b + 1 / c
     expected = np.array([1 / c, 1 / b, 1 / a, 1.5, a, b, c, 0.5]) / k
-    data = spectral_prep(state)
+    data = spectral_prep(state.rho)
     assert np.allclose(data.eigvals, expected, atol=1e-12)
     assert data.support_rank == 8
 
 
 def test_spectral_prep_reconstructs_and_clusters():
     rho = np.diag([0.4, 0.4, 0.2, 0.0]).astype(complex)
-    data = spectral_prep(rho, (2, 2))
+    data = spectral_prep(rho)
     assert data.support_rank == 3
     assert data.clusters == ((0, 1), (2,), (3,))
     q, w = data.eigvecs, data.eigvals
@@ -83,8 +84,8 @@ def test_gauge_search_result_satisfies_spectral_law():
     rho2 = frame @ np.diag([0.6, 0.25, 0.1, 0.05]) @ frame.conj().T
     a = np.kron(u @ np.diag([1.0, 1.1j]) @ u.conj().T, v @ np.diag([1.0, 1.2]) @ v.conj().T)
     rho1 = a @ rho2 @ a.conj().T
-    s1 = spectral_prep(rho1 / np.trace(rho1).real, (2, 2))
-    s2 = spectral_prep(rho2, (2, 2))
+    s1 = spectral_prep(rho1 / np.trace(rho1).real)
+    s2 = spectral_prep(rho2)
     result = gauge_search(
         s1.eigvecs, s2.eigvecs, s1.support_rank, (2, 2),
         eigvals=(s1.eigvals, s2.eigvals), pairings=cluster_pairings(s1.clusters),
@@ -96,7 +97,7 @@ def test_gauge_search_result_satisfies_spectral_law():
 
 def test_gauge_search_identity_frames():
     lam = np.array([0.4, 0.3, 0.2, 0.1])
-    s = spectral_prep(np.diag(lam).astype(complex), (2, 2))
+    s = spectral_prep(np.diag(lam).astype(complex))
     eye = np.eye(4, dtype=complex)
     result = gauge_search(
         eye, eye, s.support_rank, (2, 2), eigvals=(s.eigvals, s.eigvals), seed=0
@@ -140,7 +141,8 @@ def test_cluster_pairings_identity_first():
 
 def test_cluster_pairings_refuses_large_clusters():
     assert cluster_pairings([tuple(range(5))]) is None
-    assert cluster_pairings([(0, 1, 2), (3, 4, 5), (6, 7, 8)], budget=100) is None
+    # 24^3 pairings exceed PAIRING_BUDGET
+    assert cluster_pairings([(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]) is None
 
 
 def test_ratio_completion_fills_kernel_entry():
@@ -288,3 +290,35 @@ def test_swapping_arguments_never_contradicts():
         fwd = checked_mixed(a, b).outcome
         rev = checked_mixed(b, a).outcome
         assert {fwd, rev} != {"Equivalent", "Inequivalent"}
+
+
+
+def test_search_count_per_verdict(monkeypatch):
+    calls = []
+    inner = mixed.gauge_search
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mixed, "gauge_search", counted)
+    # a random connector is not near monomial in the raw eigenbases, so the
+    # filtered-frame search is the only one
+    base = random_density((2, 2, 2), 17)
+    other, _ = make_equivalent_pair(base, 18)
+    verdict = checked_mixed(base, other)
+    assert verdict.reason == "connector composed through filtered frames"
+    assert len(calls) == 1
+    lam = (0.4, 0.3, 0.2, 0.1)
+    reference = [
+        fixtures(2, FixtureParams(a=0.3, b=0.4, c=0.5, alpha=0.6, beta=1.6, gamma=4.0)),
+        fixtures(2, FixtureParams(a=0.3, b=0.4, c=0.5, alpha=0.6, beta=1.6, gamma=4.05)),
+        fixtures(3, FixtureParams(a=0.7, b=0.8, c=1.2)),
+        fixtures(3, FixtureParams(a=0.3, b=1.8, c=0.9)),
+        fixtures(1, FixtureParams(lam=lam, mu=(0.2, 0.1, 0.4, 0.3))),
+        fixtures(1, FixtureParams(lam=lam, mu=(0.3, 0.4, 0.2, 0.1))),
+    ]
+    for pair in reference:
+        calls.clear()
+        checked_mixed(*pair)
+        assert len(calls) <= 2
