@@ -102,11 +102,16 @@ def _load_source(src: str) -> dict:
     """Accept a JSON document or a path to one."""
     text = src
     if not src.lstrip().startswith(("{", "[")):
-        with open(src, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(src, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"not UTF-8 text: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer literal beyond the digit limit of int(),
+        # or nesting deeper than the recursion limit
         raise DataFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DataFormatError("top-level JSON value must be an object")
@@ -131,6 +136,15 @@ def _check_header(obj: dict, expected_types: tuple[str, ...]) -> tuple[str, tupl
     return kind, tuple(dims)
 
 
+def _finite(x) -> bool:
+    """Whether a JSON number converts to a finite float; an integer beyond
+    the float range does not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _complex_array(data, count: int, what: str) -> np.ndarray:
     if not isinstance(data, list) or len(data) != count:
         raise DataFormatError(f"data must hold {count} entries for {what}")
@@ -144,7 +158,7 @@ def _complex_array(data, count: int, what: str) -> np.ndarray:
             raise DataFormatError(
                 f"data entry {i} must be a [re, im] pair of numbers"
             )
-        if not (math.isfinite(cell[0]) and math.isfinite(cell[1])):
+        if not (_finite(cell[0]) and _finite(cell[1])):
             raise DataFormatError(f"data entry {i} is not finite")
         out[i] = complex(cell[0], cell[1])
     return out
@@ -196,7 +210,7 @@ def parse_witness(src: str) -> FactorSet:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in scale)
     ):
         raise DataFormatError("scale must be a [re, im] pair")
-    if not (math.isfinite(scale[0]) and math.isfinite(scale[1])):
+    if not (_finite(scale[0]) and _finite(scale[1])):
         raise DataFormatError("scale is not finite")
     return FactorSet(tuple(mats), complex(scale[0], scale[1]))
 
@@ -381,9 +395,11 @@ def _cmd_verify(args) -> int:
         raise DataFormatError("witness dims do not match the states")
     verify = verify_witness_pure if isinstance(first, PureState) else verify_witness_mixed
     try:
-        check = verify(first, second, witness)
-    except ValueError as exc:
-        # a singular factor or a zero scale
+        with np.errstate(over="raise", invalid="raise"):
+            check = verify(first, second, witness)
+    except (ValueError, FloatingPointError) as exc:
+        # a singular factor, a zero scale, or entries whose substitution
+        # leaves the float range
         raise DataFormatError(f"invalid witness: {exc}") from None
     _print({
         "relative_residual": check.relative_residual,

@@ -9,13 +9,15 @@ and an independent witness verification before any Equivalent verdict.
 The connector search runs in two frames, filtered first. Filtering brings
 both states to the local form whose single-party reduced matrices are all
 maximally mixed (Verstraete, Dehaene and De Moor, PRA 68, 012103); states
-equivalent under invertible local maps have unitarily related filtered forms,
-so the search there is over local unitaries and often collapses to the
-identity. A witness found in the filtered frame is composed with the filters
-and verified against the original inputs. One search then runs over the raw
-eigenbases, X diag(d) Y^dag with support magnitudes pinned by the eigenvalue
-ratios: from the pairing and cluster frames a certified connector reveals,
-to report its diagonal presentation and kernel ratio, or, when filtering
+equivalent under invertible local maps have unitarily related filtered forms
+with equal spectra (a mismatch ends the verdict), so the search there is over
+local unitaries and often collapses to the identity; it is skipped when a
+degenerate cluster leaves the filtered eigenbasis free. A witness found in
+the filtered frame is composed with the filters and verified against the
+original inputs. One search then runs over the raw eigenbases,
+X diag(d) Y^dag with support magnitudes pinned by the eigenvalue ratios:
+from the pairing and cluster frames a certified connector reveals, to
+report its diagonal presentation and kernel ratio, or, when filtering
 certified nothing, from the sorted eigenbases under every within-cluster
 pairing.
 """
@@ -355,8 +357,8 @@ def gauge_search(
     reorderings), the identity when omitted. For each pairing pi the first
     `support_rank` entries are pinned to magnitude sqrt(lambda_i / mu_pi(i))
     from `eigvals` = (lambda, mu), and pairings that map support indices
-    outside the support are skipped. Returns the first candidate below
-    F_ACCEPT, else None.
+    outside the support are skipped. Returns the candidate the first
+    accepting stage picks, else None.
     """
     dims = as_dims(shape)
     n = int(np.prod(dims))
@@ -364,7 +366,6 @@ def gauge_search(
     lam, mu = eigvals
     if pairings is None:
         pairings = [tuple(range(n))]
-    best: Optional[GaugeResult] = None
     kernel_ratio_seen: Optional[float] = None
     real_frames = (
         float(np.max(np.abs(x.imag))) < 1e-12
@@ -387,13 +388,9 @@ def gauge_search(
         pin = np.where(supm, pinned, 0.0)
 
         def evaluate(d, kr) -> GaugeResult:
-            nonlocal best
             a = (x * d) @ yp.conj().T
             per = tuple(rep.rank1_residual for rep in cut_reports(a, dims))
-            cand = GaugeResult(a, float(sum(v * v for v in per)), per, kr, d.copy(), pi)
-            if best is None or cand.residual < best.residual:
-                best = cand
-            return cand
+            return GaugeResult(a, float(sum(v * v for v in per)), per, kr, d.copy(), pi)
 
         # stage (a): deterministic ratio completion
         if sup_idx.size:
@@ -401,8 +398,9 @@ def gauge_search(
             if d0 is not None:
                 if ratio is not None:
                     kernel_ratio_seen = _real_ratio(ratio)
-                if evaluate(d0, kernel_ratio_seen).residual < F_ACCEPT:
-                    return best
+                cand = evaluate(d0, kernel_ratio_seen)
+                if cand.residual < F_ACCEPT:
+                    return cand
 
         pencil, groups = _cut_pencil(x, yp, dims)
 
@@ -442,10 +440,9 @@ def gauge_search(
         starts[1:] *= np.exp(2j * np.pi * rng.random((N_STARTS - 1, n)))
         pinv_t = _lstsq_pinv(pencil.T).T
         for d in _als(starts, pencil, groups, pinv_t, supm, pin):
-            if evaluate(d, kernel_ratio_seen).residual < F_ACCEPT:
-                return best
-    if best is not None and best.residual < F_ACCEPT:
-        return best
+            cand = evaluate(d, kernel_ratio_seen)
+            if cand.residual < F_ACCEPT:
+                return cand
     return None
 
 
@@ -571,8 +568,9 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
 
     Inequivalent only on decisive rank-invariant mismatches. Equivalent only
     with an independently verified witness. After the rank screen both states
-    are filtered to their normal forms and a local-unitary connector is
-    sought between them; then one gauge search runs over the raw
+    are filtered to their normal forms; filtered spectra that differ end the
+    verdict Inconclusive, and one without degenerate clusters is searched
+    for a local-unitary connector. Then one gauge search runs over the raw
     eigenbases. When the filtered frames certified a connector, that search
     starts from the pairing and cluster frames the connector reveals and
     only replaces the verdict with the diagonal presentation it finds; it is
@@ -620,29 +618,29 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
         else:
             t1 = spectral_prep(f1t)
             t2 = spectral_prep(f2t)
-            if (
+            if not (
                 t1.support_rank == t2.support_rank
                 and float(np.max(np.abs(t1.eigvals - t2.eigvals))) <= 1e-8
             ):
-                # only the identity pairing is tried here; the raw search
-                # below pairs degenerate clusters
-                if cluster_pairings(t1.clusters) is None:
-                    diag_notes.append("degenerate filtered spectrum")
-                else:
-                    res = gauge_search(
-                        t1.eigvecs, t2.eigvecs, t1.support_rank, dims,
-                        eigvals=(t1.eigvals, t2.eigvals), seed=seed,
-                    )
-                    if res is not None:
-                        try:
-                            ufs = extract_factors(res.connector, dims)
-                            u_factors = [np.array(f) for f in ufs.factors]
-                            u_factors[0] = complex(ufs.scale) * u_factors[0]
-                        except NotDecomposable:
-                            u_factors = None
-                        best_f = min(best_f, res.residual)
-            else:
                 diag_notes.append("filtered spectra mismatch")
+                return Verdict("Inconclusive", None, "; ".join(diag_notes), ())
+            # only the identity pairing is tried here: a degenerate cluster
+            # leaves its eigenbasis free, and the raw search pairs such clusters
+            if any(len(c) > 1 for c in t1.clusters):
+                diag_notes.append("degenerate filtered spectrum")
+            else:
+                res = gauge_search(
+                    t1.eigvecs, t2.eigvecs, t1.support_rank, dims,
+                    eigvals=(t1.eigvals, t2.eigvals), seed=seed,
+                )
+                if res is not None:
+                    try:
+                        ufs = extract_factors(res.connector, dims)
+                        u_factors = [np.array(f) for f in ufs.factors]
+                        u_factors[0] = complex(ufs.scale) * u_factors[0]
+                    except NotDecomposable:
+                        u_factors = None
+                    best_f = min(best_f, res.residual)
         if u_factors is not None:
             composed = [
                 np.linalg.solve(filt1[k], u_factors[k] @ filt2[k])

@@ -42,7 +42,8 @@ class PureState:
             raise ValueError(f"expected {self.shape.side} amplitudes, got {amp.size}")
         if not np.all(np.isfinite(amp)):
             raise ValueError("amplitudes must be finite")
-        nrm = float(np.linalg.norm(amp))
+        with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+            nrm = float(np.linalg.norm(amp))
         if abs(nrm - 1.0) > 1e-6:
             raise ValueError(f"state norm {nrm:.6g} is not 1")
         object.__setattr__(self, "amplitudes", amp / nrm)
@@ -96,8 +97,11 @@ def _canonical_cut(cut: tuple[int, ...], k: int) -> tuple[int, ...]:
 
 def rank_signature(psi: PureState) -> RankSignature:
     """Ranks of the coefficient matrices over every single-party cut and,
-    for up to six parties, over all cuts up to complementation."""
+    for up to six parties, over all cuts up to complementation. One party
+    has no bipartition, so its signature is empty."""
     k = psi.shape.nparties
+    if k == 1:
+        return RankSignature(1, {})
     cuts = {_canonical_cut((p,), k) for p in range(1, k + 1)}
     if 2 <= k <= 6:
         for mask in range(1, 2 ** k - 1):

@@ -1,5 +1,7 @@
 """Tests for the command-line surface: file formats, reports, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import statekit
 from statekit import cli
@@ -19,6 +23,7 @@ from statekit.pure import PureState
 from util import GHZ3, W3, random_complex
 
 EX2_PARAMS = "a=0.3,b=0.4,c=0.5,alpha=0.6,beta=1.6,gamma=4.0"
+ONE_PARTY_PURE = '{"version":1,"type":"pure","dims":[2],"data":[[1,0],[0,0]]}'
 
 
 def _write(tmp_path, name, obj) -> str:
@@ -251,6 +256,12 @@ def test_classify_subcommand(tmp_path, capsys):
     assert {"cut": [1], "rank": 2} in report["signature"]
 
 
+def test_classify_one_party_state(capsys):
+    code, out, err = _run(capsys, "classify", ONE_PARTY_PURE)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"dims": [2], "signature": []}
+
+
 def test_seed_environment_fallback(tmp_path, capsys, monkeypatch):
     path = _state_file(tmp_path, "ghz.json", GHZ3)
     monkeypatch.setenv("SLOCC_SEED", "17")
@@ -317,7 +328,22 @@ def _error_inputs(tmp_path) -> dict:
         }),
         "nan": _write_nan_state(tmp_path, "nan.json", nan_obj),
         "wnan": _write_nan_state(tmp_path, "wnan.json", nan_witness),
+        "latin1": _write_bytes(tmp_path, "latin1.json", b"\xff\xfe"),
+        "huge": _write_bytes(tmp_path, "huge.json", HUGE_ENTRY_STATE.encode()),
+        "deep": _write_bytes(tmp_path, "deep.json", b"[" * 100_000),
     }
+
+
+# an integer entry beyond the float range
+HUGE_ENTRY_STATE = (
+    '{"version":1,"type":"pure","dims":[2],"data":[[1' + "0" * 400 + ',0],[0,0]]}'
+)
+
+
+def _write_bytes(tmp_path, name, data: bytes) -> str:
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
 
 
 def _write_nan_state(tmp_path, name, obj) -> str:
@@ -338,9 +364,13 @@ def _write_nan_state(tmp_path, name, obj) -> str:
      cli.EXIT_USAGE),
     (["check-mixed", "{m}", "{m}", "--seed", "-1"], cli.EXIT_USAGE),
     (["verify", "{m}", "{m}", "{wnan}"], cli.EXIT_DATA),
+    (["check-pure", "{latin1}", "{latin1}"], cli.EXIT_DATA),
+    (["check-pure", "{huge}", "{huge}"], cli.EXIT_DATA),
+    (["check-pure", "{deep}", "{deep}"], cli.EXIT_DATA),
 ], ids=["gen-dims-1", "gen-dims-a", "factor-dims-x", "shape-mismatch",
         "singular-witness", "nan-state", "gen-negative-seed",
-        "check-mixed-negative-seed", "nan-witness-scale"])
+        "check-mixed-negative-seed", "nan-witness-scale", "not-utf8",
+        "huge-integer-entry", "deep-nesting"])
 def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
     paths = _error_inputs(tmp_path)
     args = [a.format(out=str(tmp_path / "gen"), **paths) for a in argv]
@@ -353,3 +383,151 @@ def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
     assert run.returncode == expected
     assert len(run.stderr.strip().splitlines()) == 1
     assert not (tmp_path / "gen").exists()
+
+
+# ------------------------------------------------------------------ fuzzing
+
+# entries that break a [re, im] pair: non-finite, beyond the float range,
+# near its edge, or not a number at all
+BAD_VALUES = st.sampled_from(
+    [float("nan"), float("inf"), 10**400, 1e300, "1", None, True, [1.0]]
+)
+# --dims values with few enough states that every verdict stays fast
+DIMS_TEXT = st.sampled_from(
+    ["2", "3", "2,2", "2,3", "3,2", "2,2,2", "1,2", "a,2", "", "2,,2", "-2,2"]
+)
+PARAMS_TEXT = st.sampled_from([
+    EX2_PARAMS, "a=0.5,b=0.6,c=0.7", "a=0.7,b=0.8,c=1.2", "bogus", "a=x", "zz=1",
+    "lam=0.4:0.3:0.2:0.1,mu=0.2:0.1:0.4:0.3", "lam=1:0:0:0", "a=0", "a=nan",
+])
+SEED_TEXT = st.sampled_from(["0", "3", "-1", "x", str(2**70)])
+
+
+@st.composite
+def _documents(draw, dims, kind):
+    """One input file as (bytes, whether it is passed as a path): a state,
+    matrix or witness document, mostly of the kind and dims asked for, well
+    formed or broken in its header, its data, its encoding or its syntax."""
+    kind = draw(st.sampled_from([kind] * 9 + ["pure", "mixed", "matrix", "witness"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = int(np.prod(dims))
+    obj = {"version": 1, "type": kind, "dims": list(dims)}
+    if kind == "witness":
+        obj["factors"] = [cli._vector_pairs(random_complex(rng, d, d)) for d in dims]
+        obj["scale"] = [1.0, 0.0]
+        entries = obj["factors"][0]
+    elif kind == "pure":
+        v = random_complex(rng, n)
+        entries = obj["data"] = cli._vector_pairs(v / np.linalg.norm(v))
+    else:
+        rho = random_complex(rng, n, n)
+        rho = rho @ rho.conj().T
+        entries = obj["data"] = cli._vector_pairs(rho / np.trace(rho).real)
+    flaw = draw(st.sampled_from(
+        [None] * 20 + ["version", "type", "dims", "length", "entry", "pair", "scale"]
+    ))
+    if flaw == "version":
+        obj["version"] = draw(st.sampled_from([2, "1", None]))
+    elif flaw == "type":
+        obj["type"] = draw(st.sampled_from(["spin", "pure", "mixed", "witness"]))
+    elif flaw == "dims":
+        obj["dims"] = draw(st.sampled_from([[], [1], ["2"], [True, 2], 2, [2] * 4]))
+    elif flaw == "length":
+        entries.pop()
+    elif flaw == "entry":
+        entries[0] = [draw(BAD_VALUES), 0.0]
+    elif flaw == "pair":
+        entries[-1] = draw(st.sampled_from([[1.0], [1.0, 0.0, 0.0], "x", 1.0]))
+    elif flaw == "scale":
+        obj["scale"] = [draw(BAD_VALUES), 0.0]
+    text = json.dumps(obj)
+    syntax = draw(st.sampled_from([None] * 30 + ["cut", "array", "deep", "digits"]))
+    if syntax == "cut":
+        text = text[: len(text) // 2]
+    elif syntax == "array":
+        text = '["not","an","object"]'
+    elif syntax == "deep":
+        text = "[" * 100_000
+    elif syntax == "digits":
+        text = text[:-1] + ', "pad": 1' + "0" * 5000 + "}"
+    as_file = draw(st.booleans())
+    if as_file and draw(st.integers(0, 9)) == 0:
+        return b"\xff\xfe" + text.encode(), True
+    return text.encode(), as_file
+
+
+@st.composite
+def _invocations(draw):
+    """An argv template for any subcommand, with {0}-{2} standing for the
+    drawn documents and {out} for an output directory, and the documents."""
+    command = draw(st.sampled_from([
+        "realign", "factor", "classify", "check-pure", "check-mixed", "verify",
+        "gen-random", "gen-example", "help", "version", "bogus",
+    ]))
+    seed = draw(st.one_of(st.just([]), SEED_TEXT.map(lambda s: ["--seed", s])))
+    second = draw(st.sampled_from(["{0}", "{1}"]))
+    argv = {
+        "realign": ["realign", "{0}", "--party", str(draw(st.integers(-1, 4)))],
+        "factor": ["factor", "{0}"]
+        + draw(st.one_of(st.just([]), DIMS_TEXT.map(lambda d: ["--dims", d]))),
+        "classify": ["classify", "{0}"],
+        "check-pure": ["check-pure", "{0}", second] + seed,
+        "check-mixed": ["check-mixed", "{0}", second] + seed,
+        "verify": ["verify", "{0}", second, "{2}"],
+        "gen-random": ["gen", "--random", draw(st.sampled_from(["pure", "mixed"])),
+                       "--dims", draw(DIMS_TEXT), "--out", "{out}"] + seed
+        + draw(st.sampled_from([[], ["--equivalent-pair"]])),
+        "gen-example": ["gen", "--example", draw(st.sampled_from("12345x")),
+                        "--out", "{out}"]
+        + draw(st.one_of(st.just([]), PARAMS_TEXT.map(lambda p: ["--params", p]))),
+        "help": draw(st.sampled_from([["--help"], ["check-mixed", "--help"]])),
+        "version": ["--version"],
+        "bogus": [draw(st.sampled_from(["", "check", "--seed"]))],
+    }[command]
+    dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)
+                .filter(lambda d: int(np.prod(d)) <= 12))
+    kinds = {"check-pure": "pure", "classify": "pure", "realign": "matrix",
+             "factor": "matrix"}.get(command, "mixed")
+    docs = (draw(_documents(dims, kinds)), draw(_documents(dims, kinds)),
+            draw(_documents(dims, "witness")))
+    return argv, docs
+
+
+# finite entries whose norm or substitution leaves the float range
+NEAR_OVERFLOW_PURE = b'{"version":1,"type":"pure","dims":[2],"data":[[1e300,0],[0,0]]}'
+NEAR_OVERFLOW_WITNESS = (
+    b'{"version":1,"type":"witness","dims":[2],"factors":[[[1,0],[0,0],[0,0],[1,0]]],'
+    b'"scale":[1e300,0]}'
+)
+
+
+@settings(max_examples=150)
+@given(spec=_invocations())
+@example(spec=(["check-pure", "{0}", "{0}"], ((b"\xff\xfe", True),)))
+@example(spec=(["check-pure", "{0}", "{0}"], ((HUGE_ENTRY_STATE.encode(), True),)))
+@example(spec=(["check-pure", "{0}", "{0}"], ((b"[" * 100_000, True),)))
+@example(spec=(["classify", "{0}"], ((ONE_PARTY_PURE.encode(), False),)))
+@example(spec=(["check-pure", "{0}", "{0}"], ((NEAR_OVERFLOW_PURE, False),)))
+@example(spec=(["verify", "{0}", "{0}", "{1}"],
+               ((ONE_PARTY_PURE.encode(), False), (NEAR_OVERFLOW_WITNESS, False))))
+def test_any_invocation_exits_with_a_documented_code(tmp_path_factory, spec):
+    argv, docs = spec
+    # a fresh folder per example, so no example sees another's files
+    folder = tmp_path_factory.mktemp("fuzz")
+    sources = []
+    for i, (payload, as_file) in enumerate(docs):
+        if as_file:
+            path = folder / f"doc{i}.json"
+            path.write_bytes(payload)
+            payload = str(path).encode()
+        sources.append(payload.decode())
+    args = [a.format(*sources, out=str(folder / "out")) for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            # only argparse's --help and --version leave through SystemExit
+            assert {"--help", "--version"} & set(args) and exc.code == 0
+            return
+    assert code in {0, 1, 2, 64, 65, 66}

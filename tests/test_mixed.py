@@ -322,3 +322,14 @@ def test_search_count_per_verdict(monkeypatch):
         calls.clear()
         checked_mixed(*pair)
         assert len(calls) <= 2
+    # a filtered-spectrum mismatch ends the verdict before any search
+    calls.clear()
+    verdict = checked_mixed(*reference[1])
+    assert verdict.reason == "filtered spectra mismatch"
+    assert len(calls) == 0
+    # a degenerate filtered spectrum skips the filtered-frame search, and the
+    # raw-eigenbasis search certifies the pair
+    calls.clear()
+    verdict = checked_mixed(*reference[2])
+    assert verdict.reason == "decomposable connector over eigenbases"
+    assert len(calls) == 1

@@ -77,6 +77,13 @@ def test_rank_signature_fully_entangled_three_qubits():
     assert sig.entries == {(1,): 2, (2,): 2, (3,): 2}
 
 
+def test_rank_signature_of_one_party_is_empty():
+    # one party has no bipartition to take a rank over
+    sig = rank_signature(PureState(SystemShape((3,)), np.array([0.0, 1.0, 0.0])))
+    assert sig.nparties == 1
+    assert sig.entries == {}
+
+
 def test_rank_signature_complement_symmetry():
     psi = random_pure((2, 2, 3), 3)
     sig = rank_signature(psi)
