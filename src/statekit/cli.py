@@ -245,7 +245,7 @@ def witness_object(fs: FactorSet) -> dict:
     }
 
 
-def _verdict_report(verdict: Verdict, seed: int) -> dict:
+def _verdict_report(verdict: Verdict) -> dict:
     report = {
         "outcome": verdict.outcome,
         "reason": verdict.reason,
@@ -258,7 +258,6 @@ def _verdict_report(verdict: Verdict, seed: int) -> dict:
     if verdict.witness is not None:
         report["witness"] = witness_object(verdict.witness)
     report["version"] = __version__
-    report["seed"] = seed
     return report
 
 
@@ -361,14 +360,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check_pure(args) -> int:
-    seed = _resolve_seed(args.seed)
     phi = parse_state(args.first)
     psi = parse_state(args.second)
     if not isinstance(phi, PureState) or not isinstance(psi, PureState):
         raise DataFormatError("check-pure requires two pure state files")
     _require_same_shape(phi, psi)
     verdict = check_pure_equivalence(phi, psi)
-    _print(_verdict_report(verdict, seed))
+    _print(_verdict_report(verdict))
     return _OUTCOME_CODES[verdict.outcome]
 
 
@@ -380,7 +378,7 @@ def _cmd_check_mixed(args) -> int:
         raise DataFormatError("check-mixed requires two mixed state files")
     _require_same_shape(rho1, rho2)
     verdict = check_mixed_equivalence(rho1, rho2, seed)
-    _print(_verdict_report(verdict, seed))
+    _print({**_verdict_report(verdict), "seed": seed})
     return _OUTCOME_CODES[verdict.outcome]
 
 
@@ -496,8 +494,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check-pure", help="equivalence verdict for two pure states")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--seed", type=int, default=None,
-                   help="echoed in the report; no pure verdict depends on it")
     p.set_defaults(func=_cmd_check_pure)
 
     p = sub.add_parser("check-mixed", help="equivalence verdict for two mixed states")

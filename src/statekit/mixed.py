@@ -4,7 +4,9 @@ Two density matrices are equivalent when some Kronecker product of invertible
 per-party factors conjugates one into the other (up to trace normalization).
 The pipeline: rank screens that can prove inequivalence, spectral preparation,
 a gauge search for a tensor-decomposable connector between the two eigenbases,
-and an independent witness verification before any Equivalent verdict.
+and an independent witness verification before any Equivalent verdict. One
+rank-one rule runs from search to witness: the search accepts a connector
+only when extract_factors does, and returns the factors with it.
 
 The connector search runs in two frames, filtered first. Filtering brings
 both states to the local form whose single-party reduced matrices are all
@@ -31,8 +33,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import oracle
-from .factor import NotDecomposable, cut_reports, extract_factors
+from .factor import FactorSet, NotDecomposable, cut_reports, extract_factors
 from .linalg import (
+    RANK1_ACCEPT,
     SystemShape,
     as_dims,
     bipartition_view,
@@ -44,8 +47,6 @@ from .linalg import (
 )
 from .oracle import Verdict
 
-# Acceptance threshold on the summed squared rank-one residuals.
-F_ACCEPT = 1e-14
 # Stage (b) of the gauge search: random-phase starts per pairing, the
 # iteration cap per start, and the run of iterations without a 30% gain
 # after which a start stops.
@@ -106,10 +107,10 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class GaugeResult:
-    """Accepted connector with its residual evidence."""
+    """Accepted connector with the factors extract_factors gives for it."""
 
     connector: np.ndarray
-    residual: float
+    factors: FactorSet
     per_cut: tuple[float, ...]
     kernel_ratio: Optional[float]
     diagonal: np.ndarray
@@ -339,6 +340,10 @@ def gauge_search(
     """Search connector candidates x diag(d) y^dag for one whose realignment
     is rank one on every single-party cut.
 
+    A candidate is accepted exactly when extract_factors accepts its
+    connector: every cut's rank-one residual is at most RANK1_ACCEPT, the
+    connector is invertible, and its factors rebuild it.
+
     Stage (a) completes free entries deterministically when the pinned
     entries already fit a rank-one diagonal pattern. Stage (a2), for real
     frames, enumerates support sign patterns with kernel entries fit
@@ -350,15 +355,15 @@ def gauge_search(
     `seed`, all starts iterate as one (N_STARTS, n) batch against a
     pseudo-inverse computed once per pairing, and each start stops on its
     own. Starts are scored in start order, each as soon as it and every
-    earlier start have stopped, and the first one below F_ACCEPT is
-    returned without waiting for the later starts.
+    earlier start have stopped, and the first accepted one is returned
+    without waiting for the later starts.
 
     `pairings` lists column permutations of y to try (within-degeneracy
     reorderings), the identity when omitted. For each pairing pi the first
     `support_rank` entries are pinned to magnitude sqrt(lambda_i / mu_pi(i))
     from `eigvals` = (lambda, mu), and pairings that map support indices
     outside the support are skipped. Returns the candidate the first
-    accepting stage picks, else None.
+    accepting stage picks, with its extracted factors, else None.
     """
     dims = as_dims(shape)
     n = int(np.prod(dims))
@@ -387,10 +392,17 @@ def gauge_search(
         ker_idx = np.nonzero(~supm)[0]
         pin = np.where(supm, pinned, 0.0)
 
-        def evaluate(d, kr) -> GaugeResult:
+        def evaluate(d, kr) -> Optional[GaugeResult]:
             a = (x * d) @ yp.conj().T
             per = tuple(rep.rank1_residual for rep in cut_reports(a, dims))
-            return GaugeResult(a, float(sum(v * v for v in per)), per, kr, d.copy(), pi)
+            # most candidates fail here, before extraction's own SVDs
+            if max(per) > RANK1_ACCEPT:
+                return None
+            try:
+                fs = extract_factors(a, dims)
+            except NotDecomposable:
+                return None
+            return GaugeResult(a, fs, per, kr, d.copy(), pi)
 
         # stage (a): deterministic ratio completion
         if sup_idx.size:
@@ -399,7 +411,7 @@ def gauge_search(
                 if ratio is not None:
                     kernel_ratio_seen = _real_ratio(ratio)
                 cand = evaluate(d0, kernel_ratio_seen)
-                if cand.residual < F_ACCEPT:
+                if cand is not None:
                     return cand
 
         pencil, groups = _cut_pencil(x, yp, dims)
@@ -424,12 +436,8 @@ def gauge_search(
             certified = []
             for b, d in zip(bits, ds):
                 cand = evaluate(d, kernel_ratio_seen)
-                if cand.residual < F_ACCEPT:
-                    try:
-                        factors = extract_factors(cand.connector, dims).factors
-                        cost = _negativity_cost(factors)
-                    except NotDecomposable:
-                        cost = np.inf
+                if cand is not None:
+                    cost = _negativity_cost(cand.factors.factors)
                     certified.append((round(cost, 9), int(b), cand))
             if certified:
                 return min(certified, key=lambda t: t[:2])[2]
@@ -441,7 +449,7 @@ def gauge_search(
         pinv_t = _lstsq_pinv(pencil.T).T
         for d in _als(starts, pencil, groups, pinv_t, supm, pin):
             cand = evaluate(d, kernel_ratio_seen)
-            if cand.residual < F_ACCEPT:
+            if cand is not None:
                 return cand
     return None
 
@@ -551,18 +559,6 @@ def _resolve_frames(t: np.ndarray, x: np.ndarray, y: np.ndarray,
     return _phase_fix_columns(xr)
 
 
-def _assemble(rho1, rho2, shape, connector, per_cut, kernel_ratio, reason):
-    """Extract witness factors from a connector and gate the verdict on the
-    oracle."""
-    try:
-        fs = extract_factors(connector, as_dims(shape))
-    except NotDecomposable:
-        return None
-    return oracle.witness_verdict(
-        oracle.verify_witness_mixed, rho1, rho2, fs, reason, per_cut, kernel_ratio
-    )
-
-
 def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
     """Decide equivalence of two density matrices, or refuse honestly.
 
@@ -576,7 +572,7 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
     only replaces the verdict with the diagonal presentation it finds; it is
     skipped when the connector reveals no pairing. Otherwise it tries the
     sorted eigenbases under every within-cluster pairing. Everything else is
-    Inconclusive with the best residual evidence found.
+    Inconclusive.
     """
     if isinstance(rho1, MixedState):
         if not isinstance(rho2, MixedState) or rho1.shape != rho2.shape:
@@ -594,7 +590,6 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
     s1 = spectral_prep(r1)
     s2 = spectral_prep(r2)
     diag_notes = []
-    best_f = np.inf
     # the raw-eigenbasis search needs equal support ranks and a bounded set
     # of within-cluster pairings
     perms = None
@@ -634,13 +629,8 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
                     eigvals=(t1.eigvals, t2.eigvals), seed=seed,
                 )
                 if res is not None:
-                    try:
-                        ufs = extract_factors(res.connector, dims)
-                        u_factors = [np.array(f) for f in ufs.factors]
-                        u_factors[0] = complex(ufs.scale) * u_factors[0]
-                    except NotDecomposable:
-                        u_factors = None
-                    best_f = min(best_f, res.residual)
+                    u_factors = [np.array(f) for f in res.factors.factors]
+                    u_factors[0] = complex(res.factors.scale) * u_factors[0]
         if u_factors is not None:
             composed = [
                 np.linalg.solve(filt1[k], u_factors[k] @ filt2[k])
@@ -648,12 +638,14 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
             ]
             connector = kron_list(composed)
             per = tuple(rep.rank1_residual for rep in cut_reports(connector, dims))
-            verdict = _assemble(
-                rho1, rho2, dims, connector, per, None,
-                "connector composed through filtered frames",
-            )
-            if verdict is None:
-                best_f = min(best_f, sum(x * x for x in per))
+            try:
+                verdict = oracle.witness_verdict(
+                    oracle.verify_witness_mixed, rho1, rho2,
+                    extract_factors(connector, dims),
+                    "connector composed through filtered frames", per,
+                )
+            except NotDecomposable:
+                pass
     else:
         diag_notes.append("filtering did not converge (rank-deficient state)")
 
@@ -672,16 +664,14 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
             eigvals=(s1.eigvals, s2.eigvals), pairings=perms, seed=seed,
         )
         if res is not None:
-            raw = _assemble(
-                rho1, rho2, dims, res.connector, res.per_cut, res.kernel_ratio,
-                "decomposable connector over eigenbases",
+            raw = oracle.witness_verdict(
+                oracle.verify_witness_mixed, rho1, rho2, res.factors,
+                "decomposable connector over eigenbases", res.per_cut, res.kernel_ratio,
             )
             if raw is not None:
                 return raw
-            best_f = min(best_f, res.residual)
     if verdict is not None:
         return verdict
 
     reason = "; ".join(diag_notes) if diag_notes else "no decomposable connector found"
-    residuals = () if not np.isfinite(best_f) else (float(best_f),)
-    return Verdict("Inconclusive", None, reason, residuals)
+    return Verdict("Inconclusive", None, reason, ())

@@ -112,7 +112,7 @@ def test_identical_pure_states_exit_zero(tmp_path, capsys, monkeypatch):
     report = json.loads(out)
     assert report["outcome"] == "Equivalent"
     assert "witness" in report
-    assert report["seed"] == 0
+    assert "seed" not in report
 
 
 def test_biseparable_pair_exits_one(tmp_path, capsys):
@@ -154,8 +154,8 @@ def test_reports_are_deterministic_bytes(tmp_path, capsys):
     phi, psi = fixtures(4)
     a = _state_file(tmp_path, "a.json", phi)
     b = _state_file(tmp_path, "b.json", psi)
-    _, first, _ = _run(capsys, "check-pure", a, b, "--seed", "3")
-    _, second, _ = _run(capsys, "check-pure", a, b, "--seed", "3")
+    _, first, _ = _run(capsys, "check-pure", a, b)
+    _, second, _ = _run(capsys, "check-pure", a, b)
     assert first == second
     lam = "lam=0.4:0.3:0.2:0.1,mu=0.2:0.1:0.4:0.3"
     _run(capsys, "gen", "--example", "1", "--params", lam, "--out", str(tmp_path))
@@ -263,16 +263,22 @@ def test_classify_one_party_state(capsys):
 
 
 def test_seed_environment_fallback(tmp_path, capsys, monkeypatch):
-    path = _state_file(tmp_path, "ghz.json", GHZ3)
+    rho = MixedState(SystemShape((2, 2)), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    path = _state_file(tmp_path, "rho.json", rho)
     monkeypatch.setenv("SLOCC_SEED", "17")
-    code, out, _ = _run(capsys, "check-pure", path, path)
+    code, out, _ = _run(capsys, "check-mixed", path, path)
     assert code == 0
     assert json.loads(out)["seed"] == 17
     for bad in ("not-a-number", "-2"):
         monkeypatch.setenv("SLOCC_SEED", bad)
-        code, _, err = _run(capsys, "check-pure", path, path)
+        code, _, err = _run(capsys, "check-mixed", path, path)
         assert code == cli.EXIT_USAGE
         assert "SLOCC_SEED" in err
+    # no pure verdict depends on a seed, so check-pure never reads one
+    ghz = _state_file(tmp_path, "ghz.json", GHZ3)
+    code, out, _ = _run(capsys, "check-pure", ghz, ghz)
+    assert code == 0
+    assert "seed" not in json.loads(out)
 
 
 def test_usage_and_io_errors(tmp_path, capsys):
@@ -363,13 +369,14 @@ def _write_nan_state(tmp_path, name, obj) -> str:
     (["gen", "--random", "mixed", "--dims", "2,2", "--seed", "-1", "--out", "{out}"],
      cli.EXIT_USAGE),
     (["check-mixed", "{m}", "{m}", "--seed", "-1"], cli.EXIT_USAGE),
+    (["check-pure", "{p3}", "{p3}", "--seed", "3"], cli.EXIT_USAGE),
     (["verify", "{m}", "{m}", "{wnan}"], cli.EXIT_DATA),
     (["check-pure", "{latin1}", "{latin1}"], cli.EXIT_DATA),
     (["check-pure", "{huge}", "{huge}"], cli.EXIT_DATA),
     (["check-pure", "{deep}", "{deep}"], cli.EXIT_DATA),
 ], ids=["gen-dims-1", "gen-dims-a", "factor-dims-x", "shape-mismatch",
         "singular-witness", "nan-state", "gen-negative-seed",
-        "check-mixed-negative-seed", "nan-witness-scale", "not-utf8",
+        "check-mixed-negative-seed", "check-pure-seed", "nan-witness-scale", "not-utf8",
         "huge-integer-entry", "deep-nesting"])
 def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
     paths = _error_inputs(tmp_path)

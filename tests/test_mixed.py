@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from statekit import mixed
+from statekit.factor import NotDecomposable, extract_factors
 from statekit.factor import kron as kron_factors
-from statekit.linalg import SystemShape, kron_list
+from statekit.linalg import SystemShape, kron_list, realign_inverse
 from statekit.mixed import (
     MixedState,
     _rank1_project,
@@ -90,7 +91,7 @@ def test_gauge_search_result_satisfies_spectral_law():
         s1.eigvecs, s2.eigvecs, s1.support_rank, (2, 2),
         eigvals=(s1.eigvals, s2.eigvals), pairings=cluster_pairings(s1.clusters),
     )
-    assert result is not None and result.residual < 1e-14
+    assert result is not None and max(result.per_cut) <= 1e-8
     d = np.abs(result.diagonal)
     assert np.allclose(d * d * s2.eigvals[list(result.pairing)], s1.eigvals, rtol=1e-10)
 
@@ -103,7 +104,7 @@ def test_gauge_search_identity_frames():
         eye, eye, s.support_rank, (2, 2), eigvals=(s.eigvals, s.eigvals), seed=0
     )
     assert result is not None
-    assert result.residual <= 1e-12
+    assert max(result.per_cut) <= 1e-8
     assert np.allclose(np.abs(result.diagonal), 1.0)
     assert np.allclose(result.connector, eye)
 
@@ -128,9 +129,27 @@ def test_gauge_search_is_deterministic():
     ones = np.ones(8)
     first = gauge_search(x, eye, 8, dims, eigvals=(ones, ones), seed=3)
     second = gauge_search(x, eye, 8, dims, eigvals=(ones, ones), seed=3)
-    assert first is not None and first.residual < 1e-14
+    assert first is not None and max(first.per_cut) <= 1e-8
     assert not np.allclose(first.diagonal, 1.0)
     assert first.connector.tobytes() == second.connector.tobytes()
+
+
+def test_gauge_search_accepts_only_connectors_that_extract():
+    # realignment sigma_2 / sigma_1 = 5e-8 on both cuts: small enough for a
+    # summed-squares rule to pass, above RANK1_ACCEPT, so extraction refuses
+    # it; the search may only return a connector whose factors extract
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(random_complex(rng, 4, 2))[0]
+    v = np.linalg.qr(random_complex(rng, 9, 2))[0]
+    a = realign_inverse(u @ np.diag([1.0, 5e-8]) @ v.T, 2, 3)
+    with pytest.raises(NotDecomposable):
+        extract_factors(a, (2, 3))
+    ones = np.ones(6)
+    result = gauge_search(a, np.eye(6, dtype=complex), 6, (2, 3), eigvals=(ones, ones))
+    if result is not None:
+        fs = extract_factors(result.connector, (2, 3))
+        assert fs.scale == result.factors.scale
+        assert all(np.array_equal(f, g) for f, g in zip(fs.factors, result.factors.factors))
 
 
 def test_cluster_pairings_identity_first():
@@ -260,6 +279,34 @@ def test_raw_support_mismatch_with_converging_filter_is_equivalent():
     assert spectral_prep(other.rho).support_rank == 3
     verdict = checked_mixed(base, other)
     assert verdict.outcome == "Equivalent", verdict.reason
+
+
+def _conjugated(rho, a):
+    image = a @ rho @ a.conj().T
+    return MixedState(TWO_QUBITS, image / np.trace(image).real)
+
+
+def test_product_state_without_normal_form_is_decided_over_eigenbases():
+    # |0><0| (x) diag(0.7, 0.3) has a singular reduced matrix, so neither
+    # state filters, and only the raw-eigenbasis search can certify the pair
+    rho = np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex)
+    base = MixedState(TWO_QUBITS, rho)
+    other = _conjugated(rho, np.kron(np.diag([1.0, 2.0]), np.diag([1.0, 0.5j])))
+    assert normal_form(base.rho, (2, 2)) is None
+    assert normal_form(other.rho, (2, 2)) is None
+    for first, second in ((base, other), (other, base)):
+        verdict = checked_mixed(first, second)
+        assert verdict.outcome == "Equivalent", verdict.reason
+        assert verdict.reason == "decomposable connector over eigenbases"
+    # a map that is not diagonal in the eigenbases is not found there; the
+    # pair must still never be called Inequivalent, and a refusal names the
+    # failed filtering
+    other = _conjugated(rho, np.kron(np.eye(2), np.array([[1.0, 0.4], [0.2, 1.0]])))
+    for first, second in ((base, other), (other, base)):
+        verdict = checked_mixed(first, second)
+        assert verdict.outcome != "Inequivalent", verdict.reason
+        if verdict.outcome == "Inconclusive":
+            assert verdict.reason == "filtering did not converge (rank-deficient state)"
 
 
 def test_rank_mismatch_is_inequivalent():

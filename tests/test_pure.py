@@ -143,6 +143,41 @@ def test_product_factor_splits_off():
     assert "factors out" in verdict.reason
 
 
+def _bell_pairs(pairs, k):
+    """|0> on qubit 0 and |Phi+> on each listed pair of the other qubits."""
+    amp = np.zeros(2 ** k, dtype=complex)
+    for bits in range(2 ** len(pairs)):
+        idx = [0] * k
+        for j, (p, q) in enumerate(pairs):
+            idx[p] = idx[q] = (bits >> j) & 1
+        amp[int("".join(map(str, idx)), 2)] = 1.0
+    return PureState(SystemShape((2,) * k), amp / np.linalg.norm(amp))
+
+
+def test_remainder_inequivalent_after_factoring():
+    # beyond six parties only single-party cuts are screened, and those
+    # agree here; the two-qubit cut of the six-qubit remainder tells the
+    # pairings apart
+    phi = _bell_pairs([(1, 2), (3, 4), (5, 6)], 7)
+    psi = _bell_pairs([(1, 3), (2, 4), (5, 6)], 7)
+    for first, second, ranks in ((phi, psi, "1 vs 4"), (psi, phi, "4 vs 1")):
+        verdict = checked_pure(first, second)
+        assert verdict.outcome == "Inequivalent"
+        assert verdict.reason == (
+            f"after factoring party 1: rank signature differs on cut (1, 2) ({ranks})"
+        )
+
+
+def test_product_with_undecided_remainder_is_inconclusive():
+    rest = random_pure((2, 2, 3), 0)
+    psi = PureState(SystemShape((2, 2, 2, 3)), np.kron([1.0, 0.0], rest.amplitudes))
+    phi, _ = make_equivalent_pair(psi, 100)
+    for first, second in ((phi, psi), (psi, phi)):
+        verdict = checked_pure(first, second)
+        assert verdict.outcome == "Inconclusive"
+        assert verdict.reason == "party 1 factors out but the remainder is inconclusive"
+
+
 def test_ghz_w_guard():
     assert checked_pure(GHZ3, W3).outcome == "Inconclusive"
     assert checked_pure(W3, GHZ3).outcome == "Inconclusive"
