@@ -7,6 +7,7 @@ plain numpy arrays; all functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -183,15 +184,11 @@ def rank_mismatch(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int]]:
 def partial_trace_keep(rho: np.ndarray, shape, party: int) -> np.ndarray:
     """Reduced matrix of `party` (1-based): trace out all other parties."""
     dims = as_dims(shape)
-    k = len(dims)
-    side = int(np.prod(dims))
-    rho = np.asarray(rho).reshape(dims + dims)
     keep = party - 1
-    rest = side // dims[keep]
-    perm = [keep] + [p for p in range(k) if p != keep]
-    t = rho.transpose(perm + [k + p for p in perm])
-    t = t.reshape(dims[keep], rest, dims[keep], rest)
-    return np.trace(t, axis1=1, axis2=3)
+    before = math.prod(dims[:keep])
+    after = math.prod(dims[keep + 1:])
+    t = np.asarray(rho).reshape(before, dims[keep], after, before, dims[keep], after)
+    return np.einsum("aibajb->ij", t)
 
 
 def kron_list(mats: Sequence[np.ndarray]) -> np.ndarray:

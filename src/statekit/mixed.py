@@ -350,13 +350,15 @@ def gauge_search(
     linearly, keeping the certified candidate closest to entrywise
     nonnegativity. Stage (b) runs alternating least squares over the
     diagonal coefficients with support magnitudes projected back to their
-    pinned values, from N_STARTS starts at once: the support phases of every
+    pinned values, from up to N_STARTS starts: the support phases of every
     start but the first are drawn in one call from a generator seeded with
-    `seed`, all starts iterate as one (N_STARTS, n) batch against a
-    pseudo-inverse computed once per pairing, and each start stops on its
-    own. Starts are scored in start order, each as soon as it and every
-    earlier start have stopped, and the first accepted one is returned
-    without waiting for the later starts.
+    `seed`, and the starts iterate in consecutive batches of 1, 1, 2, 4, 8
+    and 16 rows against a pseudo-inverse computed once per pairing. Each
+    start stops on its own, and no row of a batch affects another, so a
+    start's iterate does not depend on its batch. Starts are scored in start
+    order, each as soon as it and every earlier start of its batch have
+    stopped, and the first accepted one is returned without running the
+    later starts; a pairing that accepts none runs all N_STARTS.
 
     `pairings` lists column permutations of y to try (within-degeneracy
     reorderings), the identity when omitted. For each pairing pi the first
@@ -447,10 +449,16 @@ def gauge_search(
         starts = np.tile(np.where(supm, pin, 1.0), (N_STARTS, 1))
         starts[1:] *= np.exp(2j * np.pi * rng.random((N_STARTS - 1, n)))
         pinv_t = _lstsq_pinv(pencil.T).T
-        for d in _als(starts, pencil, groups, pinv_t, supm, pin):
-            cand = evaluate(d, kernel_ratio_seen)
-            if cand is not None:
-                return cand
+        lo = 0
+        while lo < N_STARTS:
+            # batches of 1, 1, 2, 4, 8 and 16 starts: most pairs accept an
+            # early start, and each row iterates alone whatever its batch
+            hi = min(N_STARTS, max(1, 2 * lo))
+            for d in _als(starts[lo:hi], pencil, groups, pinv_t, supm, pin):
+                cand = evaluate(d, kernel_ratio_seen)
+                if cand is not None:
+                    return cand
+            lo = hi
     return None
 
 
@@ -465,7 +473,11 @@ def normal_form(rho: np.ndarray, shape):
     """Iterative local filtering toward the form whose every single-party
     reduced matrix is maximally mixed.
 
-    Cyclically applies f = (d * reduced)^(-1/2) on each party. Returns the
+    Cyclically applies f = (d * reduced)^(-1/2) on each party: the reduced
+    matrix comes from one einsum (partial_trace_keep), f from its
+    eigendecomposition, and the conjugation by f on the party's row and
+    column indices from two broadcast matmuls over reshaped views, after
+    which the trace is renormalized. Returns the
     filtered state and the per-party filters, or None when a reduced matrix
     turns singular or FILTER_SWEEPS sweeps cannot reach FILTER_SOFT_TOL
     (FILTER_TOL is accepted immediately; a plateau above FILTER_TOL but
@@ -474,6 +486,8 @@ def normal_form(rho: np.ndarray, shape):
     """
     dims = as_dims(shape)
     k = len(dims)
+    n = int(np.prod(dims))
+    before = [int(np.prod(dims[:party])) for party in range(k)]
     r = np.asarray(rho, dtype=complex)
     r = r / np.trace(r).real
     filters = [np.eye(d, dtype=complex) for d in dims]
@@ -487,12 +501,12 @@ def normal_form(rho: np.ndarray, shape):
             w, v = np.linalg.eigh(red)
             if float(w.min()) < 1e-14:
                 return None
-            f = v @ np.diag((dims[party] * w) ** -0.5) @ v.conj().T
-            # conjugate by the filter on this party's row and column axes
-            t = r.reshape(dims + dims)
-            t = np.moveaxis(np.tensordot(f, t, axes=(1, party)), 0, party)
-            t = np.moveaxis(np.tensordot(t, f.conj(), axes=(k + party, 1)), -1, k + party)
-            r = t.reshape(r.shape)
+            f = (v * (dims[party] * w) ** -0.5) @ v.conj().T
+            # conjugate by the filter: rows split as (before, party, after),
+            # then columns split the same way behind all n rows
+            t = f @ r.reshape(before[party], dims[party], -1)
+            t = f.conj() @ t.reshape(n * before[party], dims[party], -1)
+            r = t.reshape(n, n)
             r = r / np.trace(r).real
             filters[party] = f @ filters[party]
         if dev < FILTER_TOL:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .factor import FactorSet, canonicalize, kron
-from .linalg import as_dims
+from .linalg import as_dims, kron_list
 
 # A witness passes when its substitution residual is at most this.
 ORACLE_TOL = 1e-7
@@ -102,7 +102,8 @@ def verify_witness_pure(phi, psi, w: FactorSet) -> WitnessCheck:
     """
     _require_invertible(w)
     target = _amplitudes(phi)
-    image = kron(w) @ _amplitudes(psi)
+    # the scale cancels in the normalization, so it never enters the product
+    image = kron_list(w.factors) @ _amplitudes(psi)
     nrm = float(np.linalg.norm(image))
     if nrm == 0.0:
         return _decide(np.inf)
@@ -121,7 +122,8 @@ def verify_witness_mixed(rho1, rho2, w: FactorSet) -> WitnessCheck:
     comparison quotients out the overall scale.
     """
     _require_invertible(w)
-    a = kron(w)
+    # the scale cancels in the trace renormalization
+    a = kron_list(w.factors)
     m1 = _density(rho1)
     image = a @ _density(rho2) @ a.conj().T
     tr = float(np.trace(image).real)

@@ -183,6 +183,22 @@ def test_gen_random_equivalent_pair_verifies(tmp_path, capsys):
     assert result["relative_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_verify_accepts_a_valid_witness_with_a_huge_scale(tmp_path, capsys, kind):
+    code, out, _ = _run(
+        capsys, "gen", "--random", kind, "--dims", "2,2", "--seed", "11",
+        "--equivalent-pair", "--out", str(tmp_path),
+    )
+    assert code == 0
+    first, second, witness_path = json.loads(out)["written"]
+    witness = cli.parse_witness(witness_path)
+    huge = FactorSet(witness.factors, witness.scale * 1e200)
+    w = _write(tmp_path, "huge.json", cli.witness_object(huge))
+    code, out, _ = _run(capsys, "verify", second, first, w)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_verify_rejects_wrong_witness(tmp_path, capsys):
     phi, psi = fixtures(4)
     a = _state_file(tmp_path, "a.json", phi)

@@ -192,6 +192,25 @@ def test_partial_trace_keep_product_state():
         assert np.isclose(np.trace(red).real, 1.0)
 
 
+def test_partial_trace_keep_entangled_state():
+    dims = (2, 3, 2)
+    g = random_complex(np.random.default_rng(7), 12, 12)
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    t = rho.reshape(dims + dims)
+    for party in (1, 2, 3):
+        keep = party - 1
+        expected = np.zeros((dims[keep], dims[keep]), dtype=complex)
+        for i in range(dims[keep]):
+            for j in range(dims[keep]):
+                for rest in np.ndindex(*(d for p, d in enumerate(dims) if p != keep)):
+                    row = list(rest)
+                    row.insert(keep, i)
+                    col = list(rest)
+                    col.insert(keep, j)
+                    expected[i, j] += t[tuple(row) + tuple(col)]
+        assert np.allclose(partial_trace_keep(rho, dims, party), expected, atol=1e-14)
+
+
 def test_kron_list_matches_pairwise():
     rng = np.random.default_rng(6)
     mats = [random_complex(rng, d, d) for d in (2, 3, 2)]

@@ -6,7 +6,7 @@ import pytest
 from statekit import mixed
 from statekit.factor import NotDecomposable, extract_factors
 from statekit.factor import kron as kron_factors
-from statekit.linalg import SystemShape, kron_list, realign_inverse
+from statekit.linalg import SystemShape, kron_list, partial_trace_keep, realign_inverse
 from statekit.mixed import (
     MixedState,
     _rank1_project,
@@ -217,8 +217,6 @@ def test_normal_form_reaches_maximally_mixed_marginals():
     big = kron_list(filters)
     image = big @ base.rho @ big.conj().T
     assert np.allclose(filtered, image / np.trace(image).real)
-    from statekit.linalg import partial_trace_keep
-
     for party in (1, 2):
         red = partial_trace_keep(filtered, (2, 2), party)
         assert np.linalg.norm(2.0 * red - np.eye(2)) <= 1e-9
@@ -233,6 +231,63 @@ def test_normal_form_fixed_point_of_balanced_state():
     for f in filters:
         scaled = f / np.linalg.norm(f) * np.sqrt(2.0)
         assert np.allclose(scaled, np.eye(2))
+
+
+def _normal_form_reference(rho, dims):
+    """normal_form with the filter built through np.diag and applied by
+    tensordot over the party's row and column axes of the full tensor."""
+    k = len(dims)
+    r = np.asarray(rho, dtype=complex)
+    r = r / np.trace(r).real
+    filters = [np.eye(d, dtype=complex) for d in dims]
+    best = np.inf
+    since_gain = 0
+    for _ in range(mixed.FILTER_SWEEPS):
+        dev = 0.0
+        for party in range(k):
+            red = partial_trace_keep(r, dims, party + 1)
+            dev = max(dev, float(np.linalg.norm(dims[party] * red - np.eye(dims[party]))))
+            w, v = np.linalg.eigh(red)
+            if float(w.min()) < 1e-14:
+                return None
+            f = v @ np.diag((dims[party] * w) ** -0.5) @ v.conj().T
+            t = r.reshape(dims + dims)
+            t = np.moveaxis(np.tensordot(f, t, axes=(1, party)), 0, party)
+            t = np.moveaxis(np.tensordot(t, f.conj(), axes=(k + party, 1)), -1, k + party)
+            r = t.reshape(r.shape)
+            r = r / np.trace(r).real
+            filters[party] = f @ filters[party]
+        if dev < mixed.FILTER_TOL:
+            return r, filters
+        if dev < 0.9 * best:
+            best = dev
+            since_gain = 0
+        else:
+            since_gain += 1
+            if since_gain > 200 and dev < mixed.FILTER_SOFT_TOL:
+                return r, filters
+    return None
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2)])
+def test_normal_form_matches_tensordot_reference(dims):
+    n = int(np.prod(dims))
+    rng = np.random.default_rng(n)
+    states = [random_density(dims, 800 + i).rho for i in range(3)]
+    g = random_complex(rng, n, 2)
+    states.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    # a pure first party leaves its reduced matrix singular: no normal form
+    rest = random_density(dims[1:], 810).rho
+    states.append(np.kron(np.diag([1.0, 0.0]), rest).astype(complex))
+    for rho in states:
+        got = normal_form(rho, dims)
+        want = _normal_form_reference(rho, dims)
+        assert (got is None) == (want is None)
+        if want is None:
+            continue
+        for a, b in zip((got[0], *got[1]), (want[0], *want[1])):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+    assert normal_form(states[-1], dims) is None
 
 
 def test_normal_form_refuses_singular_marginal():
@@ -380,3 +435,73 @@ def test_search_count_per_verdict(monkeypatch):
     verdict = checked_mixed(*reference[2])
     assert verdict.reason == "decomposable connector over eigenbases"
     assert len(calls) == 1
+
+
+def _recorded_als(monkeypatch):
+    """Patch mixed._als to record the number of rows of every batch."""
+    sizes = []
+    inner = mixed._als
+
+    def recorded(d, *args):
+        sizes.append(d.shape[0])
+        return inner(d, *args)
+
+    monkeypatch.setattr(mixed, "_als", recorded)
+    return sizes
+
+
+def test_stage_b_starts_with_one_start(monkeypatch):
+    sizes = _recorded_als(monkeypatch)
+    base = random_density((2, 2, 2), 17)
+    other, _ = make_equivalent_pair(base, 18)
+    verdict = checked_mixed(base, other)
+    assert verdict.reason == "connector composed through filtered frames"
+    assert sizes and sizes[0] == 1
+
+
+def test_later_start_matches_one_batch_of_every_start(monkeypatch):
+    # filtered frames of a (2,3) pair whose first starts all miss
+    dims = (2, 3)
+    n = 6
+    base = random_density(dims, 900)
+    other, _ = make_equivalent_pair(base, 950)
+    t1, t2 = (spectral_prep(normal_form(s.rho, dims)[0]) for s in (base, other))
+    assert t1.support_rank == n
+    full_als = mixed._als
+    sizes = _recorded_als(monkeypatch)
+    result = gauge_search(
+        t1.eigvecs, t2.eigvecs, n, dims, eigvals=(t1.eigvals, t2.eigvals), seed=0,
+    )
+    assert result is not None and sum(sizes) > 2
+    # the same starts as one (N_STARTS, n) batch, first accepted in start order
+    pin = np.sqrt(t1.eigvals / t2.eigvals).astype(complex)
+    rng = np.random.default_rng(0)
+    starts = np.tile(pin, (mixed.N_STARTS, 1))
+    starts[1:] *= np.exp(2j * np.pi * rng.random((mixed.N_STARTS - 1, n)))
+    pencil, groups = mixed._cut_pencil(t1.eigvecs, t2.eigvecs, dims)
+    pinv_t = mixed._lstsq_pinv(pencil.T).T
+    supm = np.ones(n, dtype=bool)
+    for d in full_als(starts, pencil, groups, pinv_t, supm, pin):
+        try:
+            extract_factors((t1.eigvecs * d) @ t2.eigvecs.conj().T, dims)
+        except NotDecomposable:
+            continue
+        break
+    else:
+        pytest.fail("no start of the full batch is accepted")
+    assert result.pairing == tuple(range(n))
+    assert np.max(np.abs(result.diagonal - d)) <= 1e-10
+
+
+def test_missed_search_runs_every_start_per_pairing(monkeypatch):
+    # a generic unitary is no product of local factors behind any diagonal
+    sizes = _recorded_als(monkeypatch)
+    x = np.linalg.qr(random_complex(np.random.default_rng(3), 4, 4))[0]
+    ones = np.ones(4)
+    pairings = [(0, 1, 2, 3), (1, 0, 2, 3)]
+    result = gauge_search(
+        x, np.eye(4, dtype=complex), 4, (2, 2), eigvals=(ones, ones), pairings=pairings,
+    )
+    assert result is None
+    assert sizes == [1, 1, 2, 4, 8, 16] * len(pairings)
+    assert sum(sizes) == mixed.N_STARTS * len(pairings)

@@ -91,6 +91,23 @@ def test_inverse_witness_reverses_the_pair():
     assert verify_witness_mixed(rho, other, inverse).passed
 
 
+def test_huge_witness_scale_still_verifies():
+    # both checks quotient the scale out, so a valid witness stays valid
+    # whatever its scale, even where the scaled product would overflow
+    psi = random_pure((2, 2, 2), 12)
+    phi, witness = make_equivalent_pair(psi, 13)
+    huge = FactorSet(witness.factors, witness.scale * 1e200)
+    with np.errstate(over="raise", invalid="raise"):
+        check = verify_witness_pure(phi, psi, huge)
+    assert check.passed and check.relative_residual <= 1e-10
+    rho = random_density((2, 2), 14)
+    other, witness = make_equivalent_pair(rho, 15)
+    huge = FactorSet(witness.factors, witness.scale * 1e200)
+    with np.errstate(over="raise", invalid="raise"):
+        check = verify_witness_mixed(other, rho, huge)
+    assert check.passed and check.relative_residual <= 1e-10
+
+
 def test_singular_witness_is_rejected():
     singular = FactorSet((np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex)))
     psi = random_pure((2, 2), 8)
