@@ -27,6 +27,7 @@ pairing.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,6 +40,7 @@ from .linalg import (
     SystemShape,
     as_dims,
     bipartition_view,
+    decisive_rank,
     eigh_desc,
     kron_list,
     partial_trace_keep,
@@ -121,12 +123,13 @@ def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
     """Deterministic eigenvector gauge: largest-magnitude entry of each
     column made real positive."""
     v = np.array(v, dtype=complex)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        i = int(np.argmax(np.abs(col)))
-        piv = col[i]
-        if abs(piv) > 0.0:
-            v[:, j] = col * (abs(piv) / piv)
+    piv = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # hypot, not np.abs, is abs() of one complex scalar to the last bit; and
+    # each column is multiplied as a row of the transpose by its own scalar,
+    # the product numpy forms for one column times one scalar
+    mag = np.hypot(piv.real, piv.imag)
+    live = mag > 0.0
+    v[:, live] = (v.T[live] * (mag[live] / piv[live])[:, None]).T
     return v
 
 
@@ -271,11 +274,11 @@ def _rank1_project(r: np.ndarray) -> np.ndarray:
 
 def _rank1_stack(y: np.ndarray, groups) -> np.ndarray:
     """Nearest rank-one realignment on every cut, for each row of y."""
-    out = np.empty_like(y)
-    for lo, hi, shp in groups:
-        r = y[:, lo:hi].reshape((y.shape[0],) + shp)
-        out[:, lo:hi] = _rank1_project(r).reshape(y.shape[0], -1)
-    return out
+    rows = y.shape[0]
+    parts = [_rank1_project(y[:, lo:hi].reshape((rows,) + shp)).reshape(rows, -1)
+             for lo, hi, shp in groups]
+    # one group, as when all parties have the same dimension, needs no copy
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _lstsq_pinv(a: np.ndarray) -> np.ndarray:
@@ -296,34 +299,44 @@ def _als(d: np.ndarray, pencil: np.ndarray, groups, pinv_t: np.ndarray,
     rank-one matrices, solves for the diagonal that best reproduces them
     (pinv_t is the transposed pseudo-inverse of pencil^T), and projects the
     pinned support magnitudes back. A row stops on its own when its gap
-    falls below 1e-13 of the target, after more than STALL_LIMIT iterations
-    without a 30% gain, or when the solve returns zero; stopped rows keep
-    their last iterate and leave the batch.
+    falls below 1e-13 of the target, on the rounding floor (its gap is at
+    most RANK1_ACCEPT of the target and no smaller than its best gap so
+    far), after more than STALL_LIMIT iterations without a 30% gain, or when
+    the solve returns zero; stopped rows keep their last iterate and leave
+    the batch.
     """
     d = d.copy()
-    prev = np.full(d.shape[0], np.inf)
-    stall = np.zeros(d.shape[0], dtype=int)
     live = np.arange(d.shape[0])
+    # the iterate, best gap and stall count of each live row, in live order
+    cur = d
+    best = np.full(live.size, np.inf)
+    stall = np.zeros(live.size, dtype=int)
     done = 0
     for _ in range(ALS_ITERS):
         if live.size == 0:
             break
-        y = d[live] @ pencil
+        y = cur @ pencil
         target = _rank1_stack(y, groups)
         gap = np.linalg.norm(y - target, axis=1)
-        stop = gap < 1e-13 * np.maximum(np.linalg.norm(target, axis=1), 1e-300)
-        stall[live] = np.where(gap > 0.7 * prev[live], stall[live] + 1, 0)
-        prev[live] = np.minimum(prev[live], gap)
+        size = np.linalg.norm(target, axis=1)
+        stop = (gap < 1e-13 * np.maximum(size, 1e-300)) | (
+            (gap <= RANK1_ACCEPT * size) & (gap >= best))
+        stall = np.where(gap > 0.7 * best, stall + 1, 0)
+        best = np.minimum(best, gap)
         dn = target @ pinv_t
-        stop |= (stall[live] > STALL_LIMIT) | (np.linalg.norm(dn, axis=1) < 1e-300)
-        live, dn = live[~stop], dn[~stop]
+        stop |= (stall > STALL_LIMIT) | (np.linalg.norm(dn, axis=1) < 1e-300)
+        if stop.any():
+            d[live[stop]] = cur[stop]
+            keep = ~stop
+            live, dn, best, stall = live[keep], dn[keep], best[keep], stall[keep]
         mag = np.abs(dn)
         ph = np.divide(dn, mag, out=np.ones_like(dn), where=mag > 1e-300)
-        d[live] = np.where(supm, pin * ph, dn)
+        cur = np.where(supm, pin * ph, dn)
         first_live = live[0] if live.size else d.shape[0]
         while done < first_live:
             yield d[done]
             done += 1
+    d[live] = cur
     yield from d[done:]
 
 
@@ -474,20 +487,23 @@ def normal_form(rho: np.ndarray, shape):
     reduced matrix is maximally mixed.
 
     Cyclically applies f = (d * reduced)^(-1/2) on each party: the reduced
-    matrix comes from one einsum (partial_trace_keep), f from its
-    eigendecomposition, and the conjugation by f on the party's row and
-    column indices from two broadcast matmuls over reshaped views, after
-    which the trace is renormalized. Returns the
-    filtered state and the per-party filters, or None when a reduced matrix
-    turns singular or FILTER_SWEEPS sweeps cannot reach FILTER_SOFT_TOL
-    (FILTER_TOL is accepted immediately; a plateau above FILTER_TOL but
-    below FILTER_SOFT_TOL is accepted after 200 sweeps without improvement,
-    which is the double precision floor for ill-conditioned inputs).
+    matrix comes from one einsum over a (before, d, after)^2 view whose
+    shape is fixed once per call, f from its eigendecomposition, and the
+    conjugation by f on the party's row and column indices from two
+    broadcast matmuls over reshaped views. The deviation of a reduced
+    matrix from I/d is read off its eigenvalues w as ||d w - 1||. Each step
+    keeps the trace at 1 in exact arithmetic, so the trace is renormalized
+    once per sweep. Returns the filtered state and the per-party filters,
+    or None when a reduced matrix turns singular, when 200 sweeps without
+    a 10% gain end above FILTER_SOFT_TOL (a state without a normal form,
+    such as the W class, stalls so while its filters grow without bound),
+    or after FILTER_SWEEPS sweeps. FILTER_TOL is accepted at once, and a
+    plateau between FILTER_TOL and FILTER_SOFT_TOL after those 200 sweeps,
+    which is the double precision floor for ill-conditioned inputs.
     """
     dims = as_dims(shape)
-    k = len(dims)
-    n = int(np.prod(dims))
-    before = [int(np.prod(dims[:party])) for party in range(k)]
+    n = math.prod(dims)
+    views = [(math.prod(dims[:p]), d, math.prod(dims[p + 1:])) for p, d in enumerate(dims)]
     r = np.asarray(rho, dtype=complex)
     r = r / np.trace(r).real
     filters = [np.eye(d, dtype=complex) for d in dims]
@@ -495,20 +511,22 @@ def normal_form(rho: np.ndarray, shape):
     since_gain = 0
     for _ in range(FILTER_SWEEPS):
         dev = 0.0
-        for party in range(k):
-            red = partial_trace_keep(r, dims, party + 1)
-            dev = max(dev, float(np.linalg.norm(dims[party] * red - np.eye(dims[party]))))
+        for party, (before, d, after) in enumerate(views):
+            red = np.einsum("aibajb->ij", r.reshape(before, d, after, before, d, after))
             w, v = np.linalg.eigh(red)
-            if float(w.min()) < 1e-14:
+            if w[0] < 1e-14:  # eigh sorts ascending
                 return None
-            f = (v * (dims[party] * w) ** -0.5) @ v.conj().T
+            dw = d * w
+            e = dw - 1.0
+            dev = max(dev, math.sqrt(e @ e))
+            f = (v * dw ** -0.5) @ v.conj().T
             # conjugate by the filter: rows split as (before, party, after),
             # then columns split the same way behind all n rows
-            t = f @ r.reshape(before[party], dims[party], -1)
-            t = f.conj() @ t.reshape(n * before[party], dims[party], -1)
+            t = f @ r.reshape(before, d, -1)
+            t = f.conj() @ t.reshape(n * before, d, -1)
             r = t.reshape(n, n)
-            r = r / np.trace(r).real
             filters[party] = f @ filters[party]
+        r = r / np.trace(r).real
         if dev < FILTER_TOL:
             return r, filters
         if dev < 0.9 * best:
@@ -516,8 +534,8 @@ def normal_form(rho: np.ndarray, shape):
             since_gain = 0
         else:
             since_gain += 1
-            if since_gain > 200 and dev < FILTER_SOFT_TOL:
-                return r, filters
+            if since_gain > 200:
+                return (r, filters) if dev < FILTER_SOFT_TOL else None
     return None
 
 
@@ -661,7 +679,15 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
             except NotDecomposable:
                 pass
     else:
-        diag_notes.append("filtering did not converge (rank-deficient state)")
+        # a singular reduced matrix stops the filtering at once; with
+        # full-rank ones the marginals stalled (no normal form, as for the
+        # W class) or were still gaining at FILTER_SWEEPS
+        singular = any(
+            decisive_rank(partial_trace_keep(r, dims, p))[0] < dims[p - 1]
+            for r in (r1, r2) for p in range(1, len(dims) + 1)
+        )
+        cause = "rank-deficient state" if singular else "marginals stay short of maximally mixed"
+        diag_notes.append(f"filtering did not converge ({cause})")
 
     # one raw-eigenbasis search: in the frames and pairing a certified
     # connector reveals, else over the sorted eigenbases

@@ -9,6 +9,7 @@ from statekit.factor import kron as kron_factors
 from statekit.linalg import SystemShape, kron_list, partial_trace_keep, realign_inverse
 from statekit.mixed import (
     MixedState,
+    _phase_fix_columns,
     _rank1_project,
     _ratio_complete,
     check_mixed_equivalence,
@@ -19,7 +20,7 @@ from statekit.mixed import (
     spectral_prep,
 )
 from statekit.oracle import FixtureParams, fixtures, make_equivalent_pair
-from util import checked_mixed, random_complex, random_density
+from util import W3, checked_mixed, random_complex, random_density
 
 TWO_QUBITS = SystemShape((2, 2))
 THREE_QUBITS = SystemShape((2, 2, 2))
@@ -73,6 +74,32 @@ def test_spectral_prep_reconstructs_and_clusters():
     assert data.clusters == ((0, 1), (2,), (3,))
     q, w = data.eigvecs, data.eigvals
     assert np.allclose(q @ np.diag(w) @ q.conj().T, rho)
+
+
+def _phase_fix_loop(v):
+    """The column gauge one column at a time, as a reference."""
+    v = np.array(v, dtype=complex)
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        piv = col[int(np.argmax(np.abs(col)))]
+        if abs(piv) > 0.0:
+            v[:, j] = col * (abs(piv) / piv)
+    return v
+
+
+def test_phase_fix_matches_the_column_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for trial in range(400):
+        rows, cols = rng.integers(1, 17, size=2)
+        v = random_complex(rng, rows, cols)
+        if trial % 3 == 0:
+            v *= 10.0 ** rng.uniform(-300, 300, size=(rows, cols))
+        if trial % 4 == 0:
+            v = v.real.astype(complex)
+        # zero columns, one of negative zeros, keep their bits
+        v[:, rng.integers(cols)] = 0.0
+        v[:, rng.integers(cols)] = complex(-0.0, -0.0)
+        assert _phase_fix_columns(v).tobytes() == _phase_fix_loop(v).tobytes()
 
 
 def test_gauge_search_result_satisfies_spectral_law():
@@ -290,6 +317,63 @@ def test_normal_form_matches_tensordot_reference(dims):
     assert normal_form(states[-1], dims) is None
 
 
+def _counted_eigh(monkeypatch):
+    """Patch np.linalg.eigh to count its calls: one per party per sweep in
+    normal_form and in its reference."""
+    calls = [0]
+    inner = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def _slow_two_qubit_state():
+    # a rank-two state plus a little of the identity filters slowly
+    g = random_complex(np.random.default_rng(1), 4, 2)
+    rho = g @ g.conj().T + 0.03 * np.eye(4)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2), (2, 2)], ids=lambda d: "x".join(map(str, d)))
+def test_normal_form_runs_the_reference_sweeps(monkeypatch, dims):
+    # the deviation read off the eigenvalues, the fixed reshape shapes and
+    # one trace renormalization per sweep stop on the same sweep as the
+    # reference and agree with it
+    if dims == (2, 2):
+        states = [_slow_two_qubit_state()]
+    else:
+        states = [random_density(dims, 820 + i).rho for i in range(3)]
+    calls = _counted_eigh(monkeypatch)
+    for rho in states:
+        calls[0] = 0
+        got = normal_form(rho, dims)
+        steps = calls[0]
+        calls[0] = 0
+        want = _normal_form_reference(rho, dims)
+        assert got is not None and want is not None
+        assert steps == calls[0]
+        if dims == (2, 2):
+            assert steps > 80 * len(dims)
+        for a, b in zip((got[0], *got[1]), (want[0], *want[1])):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_w_projector_has_no_normal_form_and_warns_nothing():
+    # W's marginals stay 0.87 from maximally mixed while its filters grow
+    # without bound; the filtering ends at the no-gain plateau, before the
+    # filters overflow (pytest turns any warning into an error)
+    w = MixedState(THREE_QUBITS, np.outer(W3.amplitudes, W3.amplitudes.conj()))
+    assert normal_form(w.rho, (2, 2, 2)) is None
+    verdict = checked_mixed(w, w)
+    assert verdict.outcome == "Inconclusive"
+    assert "filtering did not converge (marginals stay short of maximally mixed)" in verdict.reason
+    assert "rank-deficient" not in verdict.reason
+
+
 def test_normal_form_refuses_singular_marginal():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
@@ -505,3 +589,76 @@ def test_missed_search_runs_every_start_per_pairing(monkeypatch):
     assert result is None
     assert sizes == [1, 1, 2, 4, 8, 16] * len(pairings)
     assert sum(sizes) == mixed.N_STARTS * len(pairings)
+
+
+def _recorded_gaps(monkeypatch):
+    """Patch mixed._rank1_stack to record, per ALS iteration, each row's gap
+    relative to its rank-one target."""
+    gaps = []
+    inner = mixed._rank1_stack
+
+    def recorded(y, groups):
+        target = inner(y, groups)
+        gaps.append(np.linalg.norm(y - target, axis=1) / np.linalg.norm(target, axis=1))
+        return target
+
+    monkeypatch.setattr(mixed, "_rank1_stack", recorded)
+    return gaps
+
+
+@pytest.mark.parametrize("dims,seeds,iters", [
+    pytest.param((2, 2, 2), (17, 18), 33, id="2x2x2"),
+    pytest.param((2, 2), (20, 21), 3, id="2x2"),
+])
+def test_accepted_row_stops_on_the_rounding_floor(monkeypatch, dims, seeds, iters):
+    # start 0 is accepted, so every iteration is its row's. The (2,2,2) row
+    # gains about 60% per iteration inside the acceptance band and runs down
+    # to the 1e-13 stop; the (2,2) row lands on the floor at its second
+    # iteration and must stop at the next, where the stall rule alone would
+    # idle to 28 iterations
+    sizes = _recorded_als(monkeypatch)
+    gaps = _recorded_gaps(monkeypatch)
+    base = random_density(dims, seeds[0])
+    other, _ = make_equivalent_pair(base, seeds[1])
+    verdict = checked_mixed(base, other)
+    assert verdict.reason == "connector composed through filtered frames"
+    assert sizes == [1]
+    run = np.array([g[0] for g in gaps])
+    assert run.size == iters
+    enter = int(np.argmax(run <= mixed.RANK1_ACCEPT))
+    assert run[enter] <= mixed.RANK1_ACCEPT
+    best = np.minimum.accumulate(run)
+    idle = int(np.sum(run[enter + 1:] >= best[enter:-1]))
+    assert idle <= 1
+    if dims == (2, 2):
+        assert run.size - 1 - enter <= 2
+
+
+# ALS iterations and filtering steps over four pairs per shape, as counted
+# with numpy 2.4.6 and one OpenBLAS thread; an iteration or sweep that does
+# nothing shows as a higher count. Without the rounding-floor stop the ALS
+# runs (112, 392, 305) iterations.
+WORK_BUDGET = {(2, 2): (15, 468), (2, 3): (357, 488), (2, 2, 2): (272, 420)}
+
+
+@pytest.mark.parametrize("dims", sorted(WORK_BUDGET), ids=lambda d: "x".join(map(str, d)))
+def test_work_counts_stay_within_budget(monkeypatch, dims):
+    gaps = _recorded_gaps(monkeypatch)
+    steps = _counted_eigh(monkeypatch)
+    filtering = [0]
+    inner = mixed.normal_form
+
+    def counted_normal_form(*args):
+        before = steps[0]
+        out = inner(*args)
+        filtering[0] += steps[0] - before
+        return out
+
+    monkeypatch.setattr(mixed, "normal_form", counted_normal_form)
+    for s in range(4):
+        base = random_density(dims, 1100 + s)
+        other, _ = make_equivalent_pair(base, 1200 + s)
+        assert checked_mixed(base, other).outcome == "Equivalent"
+    als_budget, filter_budget = WORK_BUDGET[dims]
+    assert len(gaps) <= als_budget
+    assert filtering[0] <= filter_budget
