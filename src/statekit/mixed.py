@@ -11,12 +11,16 @@ only when extract_factors does, and returns the factors with it.
 The connector search runs in two frames, filtered first. Filtering brings
 both states to the local form whose single-party reduced matrices are all
 maximally mixed (Verstraete, Dehaene and De Moor, PRA 68, 012103); states
-equivalent under invertible local maps have unitarily related filtered forms
-with equal spectra (a mismatch ends the verdict), so the search there is over
-local unitaries and often collapses to the identity; it is skipped when a
-degenerate cluster leaves the filtered eigenbasis free. A witness found in
-the filtered frame is composed with the filters and verified against the
-original inputs. One search then runs over the raw eigenbases,
+equivalent under invertible local maps have filtered forms related by a
+local unitary U = (x)U_k, with equal spectra (a mismatch ends the verdict).
+U is read off in closed form from one-copy covariants: reduced matrices of
+powers of the filtered state, which U conjugates party by party (the mixed
+analogue of Kraus's local-unitary standard form, PRL 104, 020504). Where
+the covariants fix no U, as in every two-qubit normal form, the gauge search
+looks for U over the filtered eigenbases, unless a degenerate cluster
+leaves them free. A unitary found in the filtered frame is composed with
+the filters and verified against the original inputs. One search then runs
+over the raw eigenbases,
 X diag(d) Y^dag with support magnitudes pinned by the eigenvalue ratios:
 from the pairing and cluster frames a certified connector reveals, to
 report its diagonal presentation and kernel ratio, or, when filtering
@@ -70,6 +74,11 @@ PAIRING_BUDGET = 1000
 FILTER_SWEEPS = 20000
 FILTER_TOL = 1e-12
 FILTER_SOFT_TOL = 1e-9
+# Filtered-frame covariant solve: the least relative eigengap, and the least
+# relative (0, j) entry, that fix a party's eigenbasis and column phases, and
+# the relative distance within which two covariant spectra agree.
+COVARIANT_GAP = 1e-6
+COVARIANT_MATCH = 1e-8
 
 
 @dataclass(frozen=True)
@@ -539,6 +548,60 @@ def normal_form(rho: np.ndarray, shape):
     return None
 
 
+def _party_covariants(f: np.ndarray, dims: Sequence[int], party: int) -> np.ndarray:
+    """The (4, d, d) stack Tr_rest of f^2, f^3, f E and f E^2 for `party`
+    (0-based), where E = I_party (x) Tr_party(f^2) and rest is every other
+    party. Each is Hermitian, since a partial trace is cyclic in operators
+    on the parties it traces out."""
+    d = dims[party]
+    m = math.prod(dims) // d
+    sq = f @ f
+    one, two, three = bipartition_view(np.stack([f, sq, sq @ f]), dims, party + 1).reshape(
+        3, d, m, d, m)
+    g = np.einsum("arat->rt", two)
+    fe = one @ g
+    return np.einsum("xarbr->xab", np.stack([two, three, fe, fe @ g]))
+
+
+def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
+                         dims: Sequence[int]) -> Optional[list[np.ndarray]]:
+    """Local unitaries U_k with (x)U_k f2 (x)U_k^dag = f1 for two filtered
+    states, read off one-copy covariants, or None when they fix no U.
+
+    Conjugating f by U = (x)U_k conjugates every covariant of party k by
+    U_k. So the covariant whose relative eigengap is widest gives eigenbases
+    A (of f1's) and B (of f2's) with U_k = A diag(phase) B^dag, and the
+    largest relative (0, j) entry of the covariants in those bases fixes the
+    phase of column j. None when that gap is under COVARIANT_GAP, the two
+    spectra differ by more than COVARIANT_MATCH, or no entry reaches
+    COVARIANT_GAP. A two-qubit normal form always gives None: its
+    correlation tensor maps to O_A T O_B^T, whose sign-flip stabilizer fixes
+    no vector, so every one-copy covariant is a multiple of I.
+    """
+    out = []
+    for k in range(len(dims)):
+        c1, c2 = _party_covariants(f1, dims, k), _party_covariants(f2, dims, k)
+        w1, a = np.linalg.eigh(c1)
+        w2, b = np.linalg.eigh(c2)
+        scale = np.maximum(np.max(np.abs(w1), axis=1), 1e-300)
+        gap = np.min(np.diff(w1, axis=1), axis=1) / scale
+        x = int(np.argmax(gap))
+        if gap[x] < COVARIANT_GAP or np.max(np.abs(w1[x] - w2[x])) > COVARIANT_MATCH * scale[x]:
+            return None
+        a, b = a[x], b[x]
+        m1 = (a.conj().T @ c1 @ a)[:, 0, 1:]
+        m2 = (b.conj().T @ c2 @ b)[:, 0, 1:]
+        pick = np.argmax(np.abs(m1) / scale[:, None], axis=0)
+        cols = np.arange(m1.shape[1])
+        p1, p2 = m1[pick, cols], m2[pick, cols]
+        if np.any(np.minimum(np.abs(p1), np.abs(p2)) < COVARIANT_GAP * scale[pick]):
+            return None
+        phase = np.ones(dims[k], dtype=complex)
+        phase[1:] = p2 * p1.conj() / np.abs(p2 * p1)
+        out.append((a * phase) @ b.conj().T)
+    return out
+
+
 def invariant_screen(rho1: np.ndarray, rho2: np.ndarray, shape) -> Optional[str]:
     """Rank invariants that prove inequivalence when they differ.
 
@@ -597,7 +660,9 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
     Inequivalent only on decisive rank-invariant mismatches. Equivalent only
     with an independently verified witness. After the rank screen both states
     are filtered to their normal forms; filtered spectra that differ end the
-    verdict Inconclusive, and one without degenerate clusters is searched
+    verdict Inconclusive. Otherwise the local unitary between the normal
+    forms is solved from their covariants; when they fix none or the oracle
+    refuses it, a filtered spectrum without degenerate clusters is searched
     for a local-unitary connector. Then one gauge search runs over the raw
     eigenbases. When the filtered frames certified a connector, that search
     starts from the pairing and cluster frames the connector reveals and
@@ -639,9 +704,27 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
     if nf1 is not None and nf2 is not None:
         f1t, filt1 = nf1
         f2t, filt2 = nf2
-        u_factors = None
+
+        def through_filters(u_factors):
+            """The verdict for local unitaries between the normal forms,
+            composed with the filters, and its connector."""
+            composed = [
+                np.linalg.solve(filt1[k], u_factors[k] @ filt2[k])
+                for k in range(len(dims))
+            ]
+            connector = kron_list(composed)
+            per = tuple(rep.rank1_residual for rep in cut_reports(connector, dims))
+            try:
+                return oracle.witness_verdict(
+                    oracle.verify_witness_mixed, rho1, rho2,
+                    extract_factors(connector, dims),
+                    "connector composed through filtered frames", per,
+                ), connector
+            except NotDecomposable:
+                return None, connector
+
         if float(np.linalg.norm(f1t - f2t)) <= 1e-8 * float(np.linalg.norm(f1t)):
-            u_factors = [np.eye(d, dtype=complex) for d in dims]
+            verdict, connector = through_filters([np.eye(d, dtype=complex) for d in dims])
         else:
             t1 = spectral_prep(f1t)
             t2 = spectral_prep(f2t)
@@ -651,33 +734,23 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
             ):
                 diag_notes.append("filtered spectra mismatch")
                 return Verdict("Inconclusive", None, "; ".join(diag_notes), ())
-            # only the identity pairing is tried here: a degenerate cluster
+            u_factors = _covariant_unitaries(f1t, f2t, dims)
+            if u_factors is not None:
+                verdict, connector = through_filters(u_factors)
+            # the search tries the identity pairing only: a degenerate cluster
             # leaves its eigenbasis free, and the raw search pairs such clusters
-            if any(len(c) > 1 for c in t1.clusters):
-                diag_notes.append("degenerate filtered spectrum")
-            else:
-                res = gauge_search(
-                    t1.eigvecs, t2.eigvecs, t1.support_rank, dims,
-                    eigvals=(t1.eigvals, t2.eigvals), seed=seed,
-                )
-                if res is not None:
-                    u_factors = [np.array(f) for f in res.factors.factors]
-                    u_factors[0] = complex(res.factors.scale) * u_factors[0]
-        if u_factors is not None:
-            composed = [
-                np.linalg.solve(filt1[k], u_factors[k] @ filt2[k])
-                for k in range(len(dims))
-            ]
-            connector = kron_list(composed)
-            per = tuple(rep.rank1_residual for rep in cut_reports(connector, dims))
-            try:
-                verdict = oracle.witness_verdict(
-                    oracle.verify_witness_mixed, rho1, rho2,
-                    extract_factors(connector, dims),
-                    "connector composed through filtered frames", per,
-                )
-            except NotDecomposable:
-                pass
+            if verdict is None:
+                if any(len(c) > 1 for c in t1.clusters):
+                    diag_notes.append("degenerate filtered spectrum")
+                else:
+                    res = gauge_search(
+                        t1.eigvecs, t2.eigvecs, t1.support_rank, dims,
+                        eigvals=(t1.eigvals, t2.eigvals), seed=seed,
+                    )
+                    if res is not None:
+                        u_factors = [np.array(f) for f in res.factors.factors]
+                        u_factors[0] = complex(res.factors.scale) * u_factors[0]
+                        verdict, connector = through_filters(u_factors)
     else:
         # a singular reduced matrix stops the filtering at once; with
         # full-rank ones the marginals stalled (no normal form, as for the

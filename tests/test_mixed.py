@@ -9,6 +9,8 @@ from statekit.factor import kron as kron_factors
 from statekit.linalg import SystemShape, kron_list, partial_trace_keep, realign_inverse
 from statekit.mixed import (
     MixedState,
+    _covariant_unitaries,
+    _party_covariants,
     _phase_fix_columns,
     _rank1_project,
     _ratio_complete,
@@ -488,13 +490,17 @@ def test_search_count_per_verdict(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(mixed, "gauge_search", counted)
-    # a random connector is not near monomial in the raw eigenbases, so the
-    # filtered-frame search is the only one
-    base = random_density((2, 2, 2), 17)
-    other, _ = make_equivalent_pair(base, 18)
-    verdict = checked_mixed(base, other)
-    assert verdict.reason == "connector composed through filtered frames"
-    assert len(calls) == 1
+    # the covariant solve certifies a (2,2,2) pair with no search; a (2,2)
+    # normal form has no covariant that fixes the local unitary, so the
+    # filtered-frame search runs, and a random connector is not near monomial
+    # in the raw eigenbases, so it is the only one
+    for dims, seeds, searches in (((2, 2, 2), (17, 18), 0), ((2, 2), (20, 21), 1)):
+        calls.clear()
+        base = random_density(dims, seeds[0])
+        other, _ = make_equivalent_pair(base, seeds[1])
+        verdict = checked_mixed(base, other)
+        assert verdict.reason == "connector composed through filtered frames"
+        assert len(calls) == searches
     lam = (0.4, 0.3, 0.2, 0.1)
     reference = [
         fixtures(2, FixtureParams(a=0.3, b=0.4, c=0.5, alpha=0.6, beta=1.6, gamma=4.0)),
@@ -534,12 +540,25 @@ def _recorded_als(monkeypatch):
     return sizes
 
 
+def _filtered_frames(dims, seeds):
+    """Spectral data of the normal forms of random_density(dims, seeds[0])
+    and of its image under make_equivalent_pair(..., seeds[1]): the frames
+    of the filtered-frame search in check_mixed_equivalence."""
+    base = random_density(dims, seeds[0])
+    other, _ = make_equivalent_pair(base, seeds[1])
+    return [spectral_prep(normal_form(s.rho, dims)[0]) for s in (base, other)]
+
+
+def _filtered_search(dims, seeds):
+    t1, t2 = _filtered_frames(dims, seeds)
+    return gauge_search(
+        t1.eigvecs, t2.eigvecs, t1.support_rank, dims, eigvals=(t1.eigvals, t2.eigvals), seed=0,
+    )
+
+
 def test_stage_b_starts_with_one_start(monkeypatch):
     sizes = _recorded_als(monkeypatch)
-    base = random_density((2, 2, 2), 17)
-    other, _ = make_equivalent_pair(base, 18)
-    verdict = checked_mixed(base, other)
-    assert verdict.reason == "connector composed through filtered frames"
+    assert _filtered_search((2, 2, 2), (17, 18)) is not None
     assert sizes and sizes[0] == 1
 
 
@@ -547,9 +566,7 @@ def test_later_start_matches_one_batch_of_every_start(monkeypatch):
     # filtered frames of a (2,3) pair whose first starts all miss
     dims = (2, 3)
     n = 6
-    base = random_density(dims, 900)
-    other, _ = make_equivalent_pair(base, 950)
-    t1, t2 = (spectral_prep(normal_form(s.rho, dims)[0]) for s in (base, other))
+    t1, t2 = _filtered_frames(dims, (900, 950))
     assert t1.support_rank == n
     full_als = mixed._als
     sizes = _recorded_als(monkeypatch)
@@ -611,17 +628,16 @@ def _recorded_gaps(monkeypatch):
     pytest.param((2, 2), (20, 21), 3, id="2x2"),
 ])
 def test_accepted_row_stops_on_the_rounding_floor(monkeypatch, dims, seeds, iters):
-    # start 0 is accepted, so every iteration is its row's. The (2,2,2) row
-    # gains about 60% per iteration inside the acceptance band and runs down
-    # to the 1e-13 stop; the (2,2) row lands on the floor at its second
-    # iteration and must stop at the next, where the stall rule alone would
-    # idle to 28 iterations
+    # the filtered-frame search of each pair, called directly since the
+    # covariant solve certifies the (2,2,2) pair without it. Start 0 is
+    # accepted, so every iteration is its row's. The (2,2,2) row gains about
+    # 60% per iteration inside the acceptance band and runs down to the
+    # 1e-13 stop; the (2,2) row lands on the floor at its second iteration
+    # and must stop at the next, where the stall rule alone would idle to 28
+    # iterations
     sizes = _recorded_als(monkeypatch)
     gaps = _recorded_gaps(monkeypatch)
-    base = random_density(dims, seeds[0])
-    other, _ = make_equivalent_pair(base, seeds[1])
-    verdict = checked_mixed(base, other)
-    assert verdict.reason == "connector composed through filtered frames"
+    assert _filtered_search(dims, seeds) is not None
     assert sizes == [1]
     run = np.array([g[0] for g in gaps])
     assert run.size == iters
@@ -636,9 +652,10 @@ def test_accepted_row_stops_on_the_rounding_floor(monkeypatch, dims, seeds, iter
 
 # ALS iterations and filtering steps over four pairs per shape, as counted
 # with numpy 2.4.6 and one OpenBLAS thread; an iteration or sweep that does
-# nothing shows as a higher count. Without the rounding-floor stop the ALS
-# runs (112, 392, 305) iterations.
-WORK_BUDGET = {(2, 2): (15, 468), (2, 3): (357, 488), (2, 2, 2): (272, 420)}
+# nothing shows as a higher count. The covariant solve certifies the (2,3)
+# and (2,2,2) pairs with no ALS at all (a search there ran 357 and 272
+# iterations); without the rounding-floor stop the (2,2) ALS runs 112.
+WORK_BUDGET = {(2, 2): (15, 468), (2, 3): (0, 488), (2, 2, 2): (0, 420)}
 
 
 @pytest.mark.parametrize("dims", sorted(WORK_BUDGET), ids=lambda d: "x".join(map(str, d)))
@@ -662,3 +679,76 @@ def test_work_counts_stay_within_budget(monkeypatch, dims):
     als_budget, filter_budget = WORK_BUDGET[dims]
     assert len(gaps) <= als_budget
     assert filtering[0] <= filter_budget
+
+
+def _local_unitary_image(f, dims, rng):
+    local = kron_list([np.linalg.qr(random_complex(rng, d, d))[0] for d in dims])
+    return local @ f @ local.conj().T
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (2, 2, 2, 2)],
+                         ids=lambda d: "x".join(map(str, d)))
+def test_covariant_solve_recovers_the_local_unitary(dims):
+    rng = np.random.default_rng(len(dims) * 100 + sum(dims))
+    for seed in range(3):
+        f1 = normal_form(random_density(dims, 1300 + seed).rho, dims)[0]
+        f2 = _local_unitary_image(f1, dims, rng)
+        u = kron_list(_covariant_unitaries(f1, f2, dims))
+        assert np.linalg.norm(u @ f2 @ u.conj().T - f1) <= 1e-9 * np.linalg.norm(f1)
+
+
+def test_covariant_solve_refuses_two_qubits():
+    # every one-copy covariant of a two-qubit normal form is a multiple of I
+    dims = (2, 2)
+    f1 = normal_form(random_density(dims, 1310).rho, dims)[0]
+    for party in range(2):
+        for c in _party_covariants(f1, dims, party):
+            assert np.linalg.norm(c - np.trace(c) / 2.0 * np.eye(2)) <= 1e-12 * np.linalg.norm(c)
+    f2 = _local_unitary_image(f1, dims, np.random.default_rng(1311))
+    assert _covariant_unitaries(f1, f2, dims) is None
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)], ids=lambda d: "x".join(map(str, d)))
+def test_covariant_solve_refuses_unrelated_states(dims):
+    f1, f2 = (normal_form(random_density(dims, s).rho, dims)[0] for s in (1320, 1321))
+    assert _covariant_unitaries(f1, f2, dims) is None
+
+
+def test_seed_nine_r23_pair_is_equivalent():
+    # pair r23-3 of the mixed-random benchmark workload at seed 9, drawn as
+    # there: a random full-rank (2,3) state and its image under complex
+    # Gaussian local factors with condition number at most 100. The
+    # filtered-frame search missed it at every start
+    dims = (2, 3)
+    rng = np.random.default_rng([9, 3, 2])
+    g = random_complex(rng, 6, 6)
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    factors = []
+    for d in dims:
+        while True:
+            f = random_complex(rng, d, d)
+            s = np.linalg.svd(f, compute_uv=False)
+            if s[0] / s[-1] <= 100.0:
+                factors.append(f)
+                break
+    a = kron_list(factors)
+    image = a @ rho @ a.conj().T
+    base = MixedState(SystemShape(dims), rho)
+    other = MixedState(SystemShape(dims), image / np.trace(image).real)
+    for first, second in ((base, other), (other, base)):
+        verdict = checked_mixed(first, second)
+        assert verdict.outcome == "Equivalent", verdict.reason
+        assert verdict.reason == "connector composed through filtered frames"
+
+
+def test_rank_six_three_qubit_pair_is_equivalent():
+    # a rank-6 (2,2,2) state has a degenerate (zero) filtered eigenvalue
+    # pair, which leaves the filtered eigenbasis free; the covariants still
+    # fix the local unitary
+    g = random_complex(np.random.default_rng(1330), 8, 6)
+    base = MixedState(THREE_QUBITS, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    other, _ = make_equivalent_pair(base, 1331)
+    for first, second in ((base, other), (other, base)):
+        verdict = checked_mixed(first, second)
+        assert verdict.outcome == "Equivalent", verdict.reason
+        assert verdict.oracle_residual <= 1e-9
