@@ -19,20 +19,20 @@ analogue of Kraus's local-unitary standard form, PRL 104, 020504). Where
 the covariants fix no U, as in every two-qubit normal form, the gauge search
 looks for U over the filtered eigenbases, unless a degenerate cluster
 leaves them free. A unitary found in the filtered frame is composed with
-the filters and verified against the original inputs. One search then runs
-over the raw eigenbases,
-X diag(d) Y^dag with support magnitudes pinned by the eigenvalue ratios:
-from the pairing and cluster frames a certified connector reveals, to
-report its diagonal presentation and kernel ratio, or, when filtering
-certified nothing, from the sorted eigenbases under every within-cluster
-pairing.
+the filters, verified against the original inputs, and is the verdict.
+Only when filtering certifies nothing does one search run over the raw
+eigenbases, X diag(d) Y^dag with support magnitudes pinned by the
+eigenvalue ratios, under every within-cluster pairing. Whichever route
+certifies a connector, one rule reads its kernel ratio: the pairing the
+connector reveals in the raw eigenbases pins the support, and ratio
+completion fills the one kernel entry.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -123,7 +123,6 @@ class GaugeResult:
     connector: np.ndarray
     factors: FactorSet
     per_cut: tuple[float, ...]
-    kernel_ratio: Optional[float]
     diagonal: np.ndarray
     pairing: tuple[int, ...]
 
@@ -200,6 +199,19 @@ def _ratio_complete(pinned: np.ndarray, dims: Sequence[int], kernel: Sequence[in
     if len(kernel) == 1 and len(ratios) == 1:
         ratio = ratios[0]
     return filled, ratio
+
+
+def _pinned(eigvals: tuple[np.ndarray, np.ndarray], pi: tuple[int, ...],
+            r: int) -> Optional[np.ndarray]:
+    """The diagonal pairing pi pins: magnitude sqrt(lambda_i / mu_pi(i)) for
+    i < r, from eigvals = (lambda, mu), and NaN (free) on the kernel. None
+    when pi moves an index across the support boundary."""
+    if any((i < r) != (p < r) for i, p in enumerate(pi)):
+        return None
+    lam, mu = eigvals
+    pinned = np.full(lam.size, np.nan, dtype=complex)
+    pinned[:r] = np.sqrt(lam[:r] / mu[list(pi[:r])])
+    return pinned
 
 
 def cluster_pairings(clusters: Sequence[Sequence[int]]) -> Optional[list[tuple[int, ...]]]:
@@ -383,19 +395,18 @@ def gauge_search(
     later starts; a pairing that accepts none runs all N_STARTS.
 
     `pairings` lists column permutations of y to try (within-degeneracy
-    reorderings), the identity when omitted. For each pairing pi the first
-    `support_rank` entries are pinned to magnitude sqrt(lambda_i / mu_pi(i))
-    from `eigvals` = (lambda, mu), and pairings that map support indices
-    outside the support are skipped. Returns the candidate the first
-    accepting stage picks, with its extracted factors, else None.
+    reorderings), the identity when omitted. For each pairing pi, _pinned
+    fixes the first `support_rank` entries to magnitude
+    sqrt(lambda_i / mu_pi(i)) from `eigvals` = (lambda, mu), the same rule
+    that reads a certified connector's kernel ratio; pairings that map
+    support indices outside the support are skipped. Returns the candidate
+    the first accepting stage picks, with its extracted factors, else None.
     """
     dims = as_dims(shape)
     n = int(np.prod(dims))
     r = support_rank
-    lam, mu = eigvals
     if pairings is None:
         pairings = [tuple(range(n))]
-    kernel_ratio_seen: Optional[float] = None
     real_frames = (
         float(np.max(np.abs(x.imag))) < 1e-12
         and float(np.max(np.abs(y.imag))) < 1e-12
@@ -405,18 +416,16 @@ def gauge_search(
         pi = tuple(pi)
         if sorted(pi) != list(range(n)):
             raise ValueError("pairing is not a permutation")
-        if any((i < r) != (pi[i] < r) for i in range(n)):
+        pinned = _pinned(eigvals, pi, r)
+        if pinned is None:
             continue
-        pinned = np.full(n, np.nan, dtype=complex)
-        for i in range(r):
-            pinned[i] = np.sqrt(lam[i] / mu[pi[i]])
         yp = y[:, pi]
         supm = ~np.isnan(pinned.real)
         sup_idx = np.nonzero(supm)[0]
         ker_idx = np.nonzero(~supm)[0]
         pin = np.where(supm, pinned, 0.0)
 
-        def evaluate(d, kr) -> Optional[GaugeResult]:
+        def evaluate(d) -> Optional[GaugeResult]:
             a = (x * d) @ yp.conj().T
             per = tuple(rep.rank1_residual for rep in cut_reports(a, dims))
             # most candidates fail here, before extraction's own SVDs
@@ -426,15 +435,13 @@ def gauge_search(
                 fs = extract_factors(a, dims)
             except NotDecomposable:
                 return None
-            return GaugeResult(a, fs, per, kr, d.copy(), pi)
+            return GaugeResult(a, fs, per, d.copy(), pi)
 
         # stage (a): deterministic ratio completion
         if sup_idx.size:
-            d0, ratio = _ratio_complete(pinned, dims, ker_idx)
+            d0, _ = _ratio_complete(pinned, dims, ker_idx)
             if d0 is not None:
-                if ratio is not None:
-                    kernel_ratio_seen = _real_ratio(ratio)
-                cand = evaluate(d0, kernel_ratio_seen)
+                cand = evaluate(d0)
                 if cand is not None:
                     return cand
 
@@ -459,7 +466,7 @@ def gauge_search(
                         blk[:, ker_idx] = rhs @ ker_pinv_t
             certified = []
             for b, d in zip(bits, ds):
-                cand = evaluate(d, kernel_ratio_seen)
+                cand = evaluate(d)
                 if cand is not None:
                     cost = _negativity_cost(cand.factors.factors)
                     certified.append((round(cost, 9), int(b), cand))
@@ -477,17 +484,10 @@ def gauge_search(
             # early start, and each row iterates alone whatever its batch
             hi = min(N_STARTS, max(1, 2 * lo))
             for d in _als(starts[lo:hi], pencil, groups, pinv_t, supm, pin):
-                cand = evaluate(d, kernel_ratio_seen)
+                cand = evaluate(d)
                 if cand is not None:
                     return cand
             lo = hi
-    return None
-
-
-def _real_ratio(value) -> Optional[float]:
-    v = complex(value)
-    if abs(v.imag) <= 1e-9 * max(1.0, abs(v.real)):
-        return float(v.real)
     return None
 
 
@@ -624,10 +624,6 @@ def invariant_screen(rho1: np.ndarray, rho2: np.ndarray, shape) -> Optional[str]
     return None
 
 
-def _compose_pairing(base: tuple[int, ...], extra: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(base[extra[i]] for i in range(len(base)))
-
-
 def _connector_pairing(t: np.ndarray, x: np.ndarray,
                        y: np.ndarray) -> Optional[tuple[int, ...]]:
     """Pair eigenvector columns through a certified connector: index i of x
@@ -640,18 +636,23 @@ def _connector_pairing(t: np.ndarray, x: np.ndarray,
     return tuple(int(c) for c in cols)
 
 
-def _resolve_frames(t: np.ndarray, x: np.ndarray, y: np.ndarray,
-                    clusters, pairing: tuple[int, ...]) -> np.ndarray:
-    """Rotate x inside each degeneracy cluster onto the connector image of
-    the paired y columns, fixing the eigenbasis freedom that blocks a
-    diagonal presentation."""
-    xr = x.astype(complex).copy()
-    for cluster in clusters:
-        if len(cluster) > 1:
-            cols = [pairing[i] for i in cluster]
-            q, _ = np.linalg.qr(t @ y[:, cols])
-            xr[:, list(cluster)] = q
-    return _phase_fix_columns(xr)
+def _kernel_ratio(t: np.ndarray, s1: SpectralData, s2: SpectralData,
+                  dims: Sequence[int]) -> Optional[float]:
+    """The real ratio that completes the one kernel entry (both support
+    ranks n - 1) of the diagonal pinned under the pairing a certified
+    connector t reveals in the eigenbases; None without such an entry,
+    pairing or real ratio."""
+    r = s1.support_rank
+    if s2.support_rank != r or r != s1.eigvals.size - 1:
+        return None
+    pi = _connector_pairing(t, s1.eigvecs, s2.eigvecs)
+    pinned = None if pi is None else _pinned((s1.eigvals, s2.eigvals), pi, r)
+    if pinned is None:
+        return None
+    _, ratio = _ratio_complete(pinned, dims, (r,))
+    if ratio is None or abs(ratio.imag) > 1e-9 * max(1.0, abs(ratio.real)):
+        return None
+    return float(ratio.real)
 
 
 def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
@@ -663,22 +664,18 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
     verdict Inconclusive. Otherwise the local unitary between the normal
     forms is solved from their covariants; when they fix none or the oracle
     refuses it, a filtered spectrum without degenerate clusters is searched
-    for a local-unitary connector. Then one gauge search runs over the raw
-    eigenbases. When the filtered frames certified a connector, that search
-    starts from the pairing and cluster frames the connector reveals and
-    only replaces the verdict with the diagonal presentation it finds; it is
-    skipped when the connector reveals no pairing. Otherwise it tries the
-    sorted eigenbases under every within-cluster pairing. Everything else is
-    Inconclusive.
+    for a local-unitary connector. A connector certified in the filtered
+    frames is the verdict. Only when filtering certified nothing does one
+    gauge search run over the raw eigenbases, under every within-cluster
+    pairing. Every Equivalent verdict reports the kernel ratio of its
+    connector (see _kernel_ratio). Everything else is Inconclusive.
     """
-    if isinstance(rho1, MixedState):
-        if not isinstance(rho2, MixedState) or rho1.shape != rho2.shape:
-            raise ValueError("states have different shapes")
-        shape = rho1.shape
-        r1, r2 = rho1.rho, rho2.rho
-    else:
+    if not (isinstance(rho1, MixedState) and isinstance(rho2, MixedState)):
         raise ValueError("check_mixed_equivalence expects MixedState inputs")
-    dims = shape.dims
+    if rho1.shape != rho2.shape:
+        raise ValueError("states have different shapes")
+    r1, r2 = rho1.rho, rho2.rho
+    dims = rho1.shape.dims
 
     mismatch = invariant_screen(r1, r2, dims)
     if mismatch is not None:
@@ -762,29 +759,20 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
         cause = "rank-deficient state" if singular else "marginals stay short of maximally mixed"
         diag_notes.append(f"filtering did not converge ({cause})")
 
-    # one raw-eigenbasis search: in the frames and pairing a certified
-    # connector reveals, else over the sorted eigenbases
-    x = s1.eigvecs
-    if verdict is not None and perms is not None:
-        base = _connector_pairing(connector, x, s2.eigvecs)
-        if base is None:
-            return verdict
-        x = _resolve_frames(connector, x, s2.eigvecs, s1.clusters, base)
-        perms = [_compose_pairing(base, p) for p in perms]
-    if perms is not None:
+    # the raw-eigenbasis search, only when filtering certified nothing
+    if verdict is None and perms is not None:
         res = gauge_search(
-            x, s2.eigvecs, s1.support_rank, dims,
+            s1.eigvecs, s2.eigvecs, s1.support_rank, dims,
             eigvals=(s1.eigvals, s2.eigvals), pairings=perms, seed=seed,
         )
         if res is not None:
-            raw = oracle.witness_verdict(
+            verdict = oracle.witness_verdict(
                 oracle.verify_witness_mixed, rho1, rho2, res.factors,
-                "decomposable connector over eigenbases", res.per_cut, res.kernel_ratio,
+                "decomposable connector over eigenbases", res.per_cut,
             )
-            if raw is not None:
-                return raw
+            connector = res.connector
     if verdict is not None:
-        return verdict
+        return replace(verdict, kernel_ratio=_kernel_ratio(connector, s1, s2, dims))
 
     reason = "; ".join(diag_notes) if diag_notes else "no decomposable connector found"
     return Verdict("Inconclusive", None, reason, ())

@@ -252,7 +252,8 @@ def fixtures(example_id: int, params: Optional[FixtureParams] = None):
 
     1: two Bell-diagonal two-qubit states with weights `lam` and `mu`.
     2: the full-corner three-qubit family with parameter triples (a, b, c)
-       and (alpha, beta, gamma), each entry outside {0, 1, 1/2, 2}.
+       and (alpha, beta, gamma), each entry positive and not 1, each triple
+       pairwise distinct.
     3: the half-corner three-qubit family and its entrywise local-unitary
        partner; (a, b, c) distinct and outside {0, 1, 2/3, 3/2, 2, 1/2}.
     4: the biseparable pure pair (|001> + |010>)/sqrt(2) and

@@ -254,6 +254,8 @@ def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
     constructive routes cover two parties, product factors and three qubits,
     so finding no witness proves nothing.
     """
+    if not (isinstance(phi, PureState) and isinstance(psi, PureState)):
+        raise ValueError("check_pure_equivalence expects PureState inputs")
     if phi.shape != psi.shape:
         raise ValueError("states have different shapes")
     dims = phi.shape.dims

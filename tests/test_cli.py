@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from util import GHZ3, W3, random_complex
 
 EX2_PARAMS = "a=0.3,b=0.4,c=0.5,alpha=0.6,beta=1.6,gamma=4.0"
 ONE_PARTY_PURE = '{"version":1,"type":"pure","dims":[2],"data":[[1,0],[0,0]]}'
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _write(tmp_path, name, obj) -> str:
@@ -148,6 +150,42 @@ def test_corner_pair_exits_zero_with_kernel_ratio(tmp_path, capsys):
     assert abs(report["kernel_ratio"] - 0.25) <= 1e-9
     assert report["witness"]["type"] == "witness"
     assert report["seed"] == 7
+
+
+def _readme_sessions():
+    """The README's example shell sessions that make their own inputs (those
+    opening with `statekit gen`), each a list of steps [argv, output]: the
+    statekit arguments, or ["echo", "$?"], and the line shown after them."""
+    sessions = []
+    for block in README.read_text(encoding="utf-8").split("```")[1::2]:
+        steps = []
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                argv = shlex.split(line[2:])
+                steps.append([argv[1:] if argv[0] == "statekit" else argv, None])
+            elif steps and line:
+                steps[-1][1] = line
+        if steps and steps[0][0][0] == "gen":
+            sessions.append(steps)
+    return sessions
+
+
+@pytest.mark.parametrize("steps", _readme_sessions(), ids=lambda s: " ".join(s[0][0][:3]))
+def test_readme_examples_match_the_real_output(steps, tmp_path, capsys, monkeypatch):
+    # each "..."-separated fragment of a shown output line appears in the
+    # real output, in order, and a shown "echo $?" is the last exit code
+    monkeypatch.chdir(tmp_path)
+    code = None
+    for argv, shown in steps:
+        if argv == ["echo", "$?"]:
+            assert shown == str(code)
+            continue
+        code, out, _ = _run(capsys, *argv)
+        pos = 0
+        for fragment in (shown or "").split("..."):
+            found = out.find(fragment, pos)
+            assert found >= 0, (fragment, out)
+            pos = found + len(fragment)
 
 
 def test_reports_are_deterministic_bytes(tmp_path, capsys):

@@ -384,10 +384,11 @@ def test_normal_form_refuses_singular_marginal():
 
 def test_check_requires_tagged_states():
     rho = random_density((2, 2), 9)
-    with pytest.raises(ValueError):
-        check_mixed_equivalence(rho.rho, rho.rho)
+    for args in ((rho.rho, rho.rho), (rho, rho.rho), (rho.rho, rho)):
+        with pytest.raises(ValueError, match="expects MixedState inputs"):
+            check_mixed_equivalence(*args)
     other = random_density((2, 2, 2), 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different shapes"):
         check_mixed_equivalence(rho, other)
 
 
@@ -490,41 +491,45 @@ def test_search_count_per_verdict(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(mixed, "gauge_search", counted)
+    filtered = "connector composed through filtered frames"
+    raw = "decomposable connector over eigenbases"
     # the covariant solve certifies a (2,2,2) pair with no search; a (2,2)
     # normal form has no covariant that fixes the local unitary, so the
-    # filtered-frame search runs, and a random connector is not near monomial
-    # in the raw eigenbases, so it is the only one
+    # filtered-frame search runs once
     for dims, seeds, searches in (((2, 2, 2), (17, 18), 0), ((2, 2), (20, 21), 1)):
         calls.clear()
         base = random_density(dims, seeds[0])
         other, _ = make_equivalent_pair(base, seeds[1])
         verdict = checked_mixed(base, other)
-        assert verdict.reason == "connector composed through filtered frames"
+        assert verdict.reason == filtered
         assert len(calls) == searches
     lam = (0.4, 0.3, 0.2, 0.1)
+    # (pair, searches, reason): a connector certified in the filtered frames
+    # is the verdict, so the raw-eigenbasis search runs only where filtering
+    # certified nothing, and at most once
     reference = [
-        fixtures(2, FixtureParams(a=0.3, b=0.4, c=0.5, alpha=0.6, beta=1.6, gamma=4.0)),
-        fixtures(2, FixtureParams(a=0.3, b=0.4, c=0.5, alpha=0.6, beta=1.6, gamma=4.05)),
-        fixtures(3, FixtureParams(a=0.7, b=0.8, c=1.2)),
-        fixtures(3, FixtureParams(a=0.3, b=1.8, c=0.9)),
-        fixtures(1, FixtureParams(lam=lam, mu=(0.2, 0.1, 0.4, 0.3))),
-        fixtures(1, FixtureParams(lam=lam, mu=(0.3, 0.4, 0.2, 0.1))),
+        # the covariant solve certifies the matched corner pair with no search
+        (fixtures(2, FixtureParams(a=0.3, b=0.4, c=0.5, alpha=0.6, beta=1.6, gamma=4.0)),
+         0, filtered),
+        # a filtered-spectrum mismatch ends the verdict before any search
+        (fixtures(2, FixtureParams(a=0.3, b=0.4, c=0.5, alpha=0.6, beta=1.6, gamma=4.05)),
+         0, "filtered spectra mismatch"),
+        # a degenerate filtered spectrum skips the filtered-frame search, and
+        # the raw-eigenbasis search certifies the pair
+        (fixtures(3, FixtureParams(a=0.7, b=0.8, c=1.2)), 1, raw),
+        (fixtures(3, FixtureParams(a=0.3, b=1.8, c=0.9)), 1, raw),
+        # two-qubit covariants fix no unitary, so the filtered-frame search runs
+        (fixtures(1, FixtureParams(lam=lam, mu=(0.2, 0.1, 0.4, 0.3))), 1, filtered),
+        (fixtures(1, FixtureParams(lam=lam, mu=(0.3, 0.4, 0.2, 0.1))), 1, filtered),
     ]
-    for pair in reference:
+    verdicts = []
+    for pair, searches, reason in reference:
         calls.clear()
-        checked_mixed(*pair)
-        assert len(calls) <= 2
-    # a filtered-spectrum mismatch ends the verdict before any search
-    calls.clear()
-    verdict = checked_mixed(*reference[1])
-    assert verdict.reason == "filtered spectra mismatch"
-    assert len(calls) == 0
-    # a degenerate filtered spectrum skips the filtered-frame search, and the
-    # raw-eigenbasis search certifies the pair
-    calls.clear()
-    verdict = checked_mixed(*reference[2])
-    assert verdict.reason == "decomposable connector over eigenbases"
-    assert len(calls) == 1
+        verdicts.append(checked_mixed(*pair))
+        assert verdicts[-1].reason == reason
+        assert len(calls) == searches
+    # the matched corner pair's kernel ratio is read off the filtered connector
+    assert abs(verdicts[0].kernel_ratio - 0.25) <= 1e-9
 
 
 def _recorded_als(monkeypatch):
@@ -752,3 +757,40 @@ def test_rank_six_three_qubit_pair_is_equivalent():
         verdict = checked_mixed(first, second)
         assert verdict.outcome == "Equivalent", verdict.reason
         assert verdict.oracle_residual <= 1e-9
+
+
+@pytest.mark.parametrize("dims, corners", [((2, 3), (0, 4)), ((2, 2, 2), (0, 7))],
+                         ids=["2x3", "2x2x2"])
+def test_phase_symmetric_pairs_are_certified_by_the_filtered_search(monkeypatch, dims, corners):
+    # rho = diag(u) + |v><v| with v on |0...0> and |1...1> commutes with a
+    # family of diagonal local phases, and so do its normal form and every
+    # one-copy covariant: the covariants are diagonal, no entry fixes a
+    # column phase, and the covariant solve returns None. The filtered
+    # spectrum is not degenerate, so the filtered-frame search runs, and its
+    # stage (b) connects the pair
+    calls = []
+    inner = mixed.gauge_search
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mixed, "gauge_search", counted)
+    n = int(np.prod(dims))
+    for s in range(10):
+        rng = np.random.default_rng(s)
+        v = np.zeros(n, dtype=complex)
+        rho = np.diag(rng.uniform(0.1, 1.0, n)).astype(complex)
+        v[list(corners)] = random_complex(rng, 2)
+        rho += np.outer(v, v.conj())
+        base = MixedState(SystemShape(dims), rho / np.trace(rho).real)
+        other, _ = make_equivalent_pair(base, 100 + s)
+        f1, f2 = (normal_form(x.rho, dims)[0] for x in (base, other))
+        assert _covariant_unitaries(f1, f2, dims) is None
+        assert all(len(c) == 1 for c in spectral_prep(f1).clusters)
+        for first, second in ((base, other), (other, base)):
+            calls.clear()
+            verdict = checked_mixed(first, second)
+            assert verdict.outcome == "Equivalent", (s, verdict.reason)
+            assert verdict.reason == "connector composed through filtered frames"
+            assert len(calls) == 1

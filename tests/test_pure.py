@@ -279,6 +279,13 @@ def test_shape_mismatch_is_rejected():
         check_pure_equivalence(a, b)
 
 
+def test_check_requires_tagged_states():
+    psi = random_pure((2, 2), 62)
+    for args in ((psi.amplitudes, psi.amplitudes), (psi, psi.amplitudes), (psi.amplitudes, psi)):
+        with pytest.raises(ValueError, match="expects PureState inputs"):
+            check_pure_equivalence(*args)
+
+
 def _schmidt_state(m: int, n: int, rank: int, seed: int) -> PureState:
     rng = np.random.default_rng(7000 + seed)
     u = np.linalg.qr(random_complex(rng, m, m))[0]
