@@ -35,11 +35,9 @@ from .factor import (
     kron,
 )
 from .mixed import (
-    GaugeResult,
     MixedState,
     SpectralData,
     check_mixed_equivalence,
-    gauge_search,
     invariant_screen,
     normal_form,
     spectral_prep,
@@ -94,9 +92,7 @@ __all__ = [
     "extract_factors",
     "MixedState",
     "SpectralData",
-    "GaugeResult",
     "spectral_prep",
-    "gauge_search",
     "normal_form",
     "invariant_screen",
     "check_mixed_equivalence",

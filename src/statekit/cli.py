@@ -371,14 +371,13 @@ def _cmd_check_pure(args) -> int:
 
 
 def _cmd_check_mixed(args) -> int:
-    seed = _resolve_seed(args.seed)
     rho1 = parse_state(args.first)
     rho2 = parse_state(args.second)
     if not isinstance(rho1, MixedState) or not isinstance(rho2, MixedState):
         raise DataFormatError("check-mixed requires two mixed state files")
     _require_same_shape(rho1, rho2)
-    verdict = check_mixed_equivalence(rho1, rho2, seed)
-    _print({**_verdict_report(verdict), "seed": seed})
+    verdict = check_mixed_equivalence(rho1, rho2)
+    _print(_verdict_report(verdict))
     return _OUTCOME_CODES[verdict.outcome]
 
 
@@ -499,7 +498,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check-mixed", help="equivalence verdict for two mixed states")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_check_mixed)
 
     p = sub.add_parser("verify", help="check a claimed witness by substitution")

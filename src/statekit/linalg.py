@@ -157,7 +157,7 @@ def decisive_rank(a: np.ndarray) -> tuple[int, bool]:
     decisive only if every remaining value is at or below
     1e-11 * len(s) * sigma_1, i.e. there is a clear spectral gap. Callers
     that turn rank mismatches into irreversible verdicts must only act on
-    decisive ranks; borderline spectra fall through to the search instead.
+    decisive ranks; borderline spectra fall through to the rest of the check.
     """
     a = np.atleast_2d(np.asarray(a))
     s = np.linalg.svd(a, compute_uv=False)
@@ -192,8 +192,11 @@ def partial_trace_keep(rho: np.ndarray, shape, party: int) -> np.ndarray:
 
 
 def kron_list(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
+    """Kronecker product of a sequence of matrices, left to right: the
+    products np.kron forms, by one broadcast multiply per factor."""
     out = np.array([[1.0 + 0.0j]])
     for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        m = np.asarray(m, dtype=complex)
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
+            out.shape[0] * m.shape[0], out.shape[1] * m.shape[1])
     return out

@@ -2,30 +2,29 @@
 
 Two density matrices are equivalent when some Kronecker product of invertible
 per-party factors conjugates one into the other (up to trace normalization).
-The pipeline: rank screens that can prove inequivalence, spectral preparation,
-a gauge search for a tensor-decomposable connector between the two eigenbases,
-and an independent witness verification before any Equivalent verdict. One
-rank-one rule runs from search to witness: the search accepts a connector
-only when extract_factors does, and returns the factors with it.
+The pipeline: rank screens that can prove inequivalence, filtering to a
+normal form, a local unitary between the normal forms in closed form, and an
+independent witness verification before any Equivalent verdict. No stage
+draws a random number.
 
-The connector search runs in two frames, filtered first. Filtering brings
-both states to the local form whose single-party reduced matrices are all
-maximally mixed (Verstraete, Dehaene and De Moor, PRA 68, 012103); states
-equivalent under invertible local maps have filtered forms related by a
-local unitary U = (x)U_k, with equal spectra (a mismatch ends the verdict).
-U is read off in closed form from one-copy covariants: reduced matrices of
-powers of the filtered state, which U conjugates party by party (the mixed
-analogue of Kraus's local-unitary standard form, PRL 104, 020504). Where
-the covariants fix no U, as in every two-qubit normal form, the gauge search
-looks for U over the filtered eigenbases, unless a degenerate cluster
-leaves them free. A unitary found in the filtered frame is composed with
-the filters, verified against the original inputs, and is the verdict.
-Only when filtering certifies nothing does one search run over the raw
-eigenbases, X diag(d) Y^dag with support magnitudes pinned by the
-eigenvalue ratios, under every within-cluster pairing. Whichever route
-certifies a connector, one rule reads its kernel ratio: the pairing the
-connector reveals in the raw eigenbases pins the support, and ratio
-completion fills the one kernel entry.
+Filtering brings both states to the local form whose single-party reduced
+matrices are all maximally mixed (Verstraete, Dehaene and De Moor, PRA 68,
+012103); states equivalent under invertible local maps have filtered forms
+related by a local unitary U = (x)U_k, with equal spectra (a mismatch ends
+the verdict). One-copy covariants, reduced matrices of powers of the
+filtered state, are conjugated by U party by party (the mixed analogue of
+Kraus's local-unitary standard form, PRL 104, 020504). Their eigenbases fix
+U up to one diagonal phase per party, and those phases are solved on the
+torus from the normal forms' entries in the eigenbases. Where symmetry
+leaves every covariant a multiple of I, the phases of the eigenvectors of
+a non-degenerate filtered spectrum are solved instead. Two-qubit normal
+forms use their correlation tensors (Verstraete, Dehaene and De Moor, PRA
+64, 010101(R)). States with a singular reduced matrix have no normal form
+and are first compressed to the supports of their reduced matrices. The
+unitary, composed with the filters and verified against the inputs, is the
+verdict. One rule reads its kernel ratio: the pairing the connector reveals
+in the raw eigenbases pins the support, and ratio completion fills the one
+kernel entry.
 """
 
 from __future__ import annotations
@@ -38,9 +37,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import oracle
-from .factor import FactorSet, NotDecomposable, cut_reports, extract_factors
+from .factor import NotDecomposable, cut_reports, extract_factors
 from .linalg import (
-    RANK1_ACCEPT,
     SystemShape,
     as_dims,
     bipartition_view,
@@ -49,36 +47,21 @@ from .linalg import (
     kron_list,
     partial_trace_keep,
     rank_mismatch,
-    realign,
 )
 from .oracle import Verdict
 
-# Stage (b) of the gauge search: random-phase starts per pairing, the
-# iteration cap per start, and the run of iterations without a 30% gain
-# after which a start stops.
-N_STARTS = 32
-ALS_ITERS = 300
-STALL_LIMIT = 25
-# Stage (a2): kernel refits per sign pattern, and the sign patterns refit
-# together in one batch.
-KERNEL_FIT_ITERS = 40
-SIGN_BATCH = 128
-# Relative eigenvalue gap below which indices join one degeneracy cluster.
-CLUSTER_REL_GAP = 1e-8
-# Largest cluster handled by exhaustive permutation search.
-CLUSTER_PERM_LIMIT = 4
-# Cap on the total number of cluster pairings tried per frame.
-PAIRING_BUDGET = 1000
 # Local filtering: sweep cap, the deviation accepted at once, and the
 # plateau deviation accepted after 200 sweeps without a 10% gain.
 FILTER_SWEEPS = 20000
 FILTER_TOL = 1e-12
 FILTER_SOFT_TOL = 1e-9
-# Filtered-frame covariant solve: the least relative eigengap, and the least
-# relative (0, j) entry, that fix a party's eigenbasis and column phases, and
-# the relative distance within which two covariant spectra agree.
+# Filtered-frame solve: the least relative eigengap that fixes a basis, and
+# the least relative entry that enters a phase solve; and the relative
+# distance within which two spectra or magnitude tables agree.
 COVARIANT_GAP = 1e-6
 COVARIANT_MATCH = 1e-8
+# The Pauli matrices x, y and z.
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass(frozen=True)
@@ -108,23 +91,11 @@ class MixedState:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition with support and degeneracy bookkeeping."""
+    """Eigendecomposition with support bookkeeping."""
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
     support_rank: int
-    clusters: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class GaugeResult:
-    """Accepted connector with the factors extract_factors gives for it."""
-
-    connector: np.ndarray
-    factors: FactorSet
-    per_cut: tuple[float, ...]
-    diagonal: np.ndarray
-    pairing: tuple[int, ...]
 
 
 def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
@@ -143,25 +114,13 @@ def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
 
 def spectral_prep(rho: np.ndarray) -> SpectralData:
     """Eigendecomposition sorted nonincreasing, eigenvalues clipped at zero,
-    with support rank and relative-gap degeneracy clusters."""
+    with support rank."""
     q, w = eigh_desc(rho)
     w = np.clip(w, 0.0, None)
     q = _phase_fix_columns(q)
     top = float(w[0]) if w.size else 0.0
-    tol = w.size * top * 1e-10
-    support = int(np.sum(w > tol))
-    clusters: list[list[int]] = []
-    for i in range(w.size):
-        on = i < support
-        if clusters:
-            prev = clusters[-1][-1]
-            same_side = (prev < support) == on
-            close = (w[prev] - w[i]) < CLUSTER_REL_GAP * max(top, 1e-300)
-            if same_side and close:
-                clusters[-1].append(i)
-                continue
-        clusters.append([i])
-    return SpectralData(q, w, support, tuple(tuple(c) for c in clusters))
+    support = int(np.sum(w > w.size * top * 1e-10))
+    return SpectralData(q, w, support)
 
 
 def _ratio_complete(pinned: np.ndarray, dims: Sequence[int], kernel: Sequence[int]):
@@ -214,31 +173,6 @@ def _pinned(eigvals: tuple[np.ndarray, np.ndarray], pi: tuple[int, ...],
     return pinned
 
 
-def cluster_pairings(clusters: Sequence[Sequence[int]]) -> Optional[list[tuple[int, ...]]]:
-    """All index permutations acting within degeneracy clusters, identity
-    first. Returns None when a cluster exceeds the exhaustive-permutation
-    limit or the total count exceeds PAIRING_BUDGET."""
-    total = 1
-    for c in clusters:
-        if len(c) > CLUSTER_PERM_LIMIT:
-            return None
-        for i in range(2, len(c) + 1):
-            total *= i
-        if total > PAIRING_BUDGET:
-            return None
-    per_cluster = [list(itertools.permutations(c)) for c in clusters]
-    out = []
-    for combo in itertools.product(*per_cluster):
-        perm = list(range(sum(len(c) for c in clusters)))
-        for orig, img in zip(clusters, combo):
-            for src, dst in zip(orig, img):
-                perm[src] = dst
-        out.append(tuple(perm))
-    ident = tuple(range(len(out[0])))
-    out.sort(key=lambda p: p != ident)
-    return out
-
-
 def _negativity_cost(factors: Sequence[np.ndarray]) -> float:
     """Distance of phase-fixed unit factors from entrywise nonnegativity;
     used to pick the canonical representative among certified candidates."""
@@ -252,243 +186,6 @@ def _negativity_cost(factors: Sequence[np.ndarray]) -> float:
             f = f * (abs(lead) / lead)
         cost += float(np.sum(np.abs(f - np.abs(f)) ** 2))
     return cost
-
-
-def _cut_pencil(x: np.ndarray, yp: np.ndarray, dims: Sequence[int]):
-    """Coefficient pencil of the connector x diag(d) yp^dag.
-
-    Row i holds the realignments of the rank-one term x_i yp_i^dag over
-    every single-party cut, flattened and concatenated, so d @ pencil lists
-    all realignments of the connector at once. Cuts with equal realignment
-    shape sit next to each other; the second value lists each such group as
-    (start, stop, (cuts, rows, cols)) over the pencil's columns.
-    """
-    n = int(np.prod(dims))
-    terms = x.T[:, :, None] * yp.conj().T[:, None, :]
-    shapes = [(d * d, (n // d) ** 2) for d in dims]
-    blocks, groups, lo = [], [], 0
-    for shp in dict.fromkeys(shapes):
-        parties = [k for k in range(len(dims)) if shapes[k] == shp]
-        for k in parties:
-            view = bipartition_view(terms, dims, k + 1)
-            blocks.append(realign(view, dims[k], n // dims[k]).reshape(n, -1))
-        hi = lo + len(parties) * shp[0] * shp[1]
-        groups.append((lo, hi, (len(parties),) + shp))
-        lo = hi
-    return np.concatenate(blocks, axis=1), groups
-
-
-def _rank1_project(r: np.ndarray) -> np.ndarray:
-    """Nearest rank-one matrix to every matrix of a (..., p, q) stack.
-
-    Projects onto the top eigenvector of the smaller Gram matrix (R R^dag
-    when p <= q, else R^dag R), which equals truncating the SVD to its
-    leading term, with one batched eigh in place of one SVD per matrix.
-    """
-    rh = r.conj().swapaxes(-1, -2)
-    if r.shape[-2] <= r.shape[-1]:
-        u = np.linalg.eigh(r @ rh)[1][..., -1:]
-        return u @ (u.conj().swapaxes(-1, -2) @ r)
-    v = np.linalg.eigh(rh @ r)[1][..., -1:]
-    return (r @ v) @ v.conj().swapaxes(-1, -2)
-
-
-def _rank1_stack(y: np.ndarray, groups) -> np.ndarray:
-    """Nearest rank-one realignment on every cut, for each row of y."""
-    rows = y.shape[0]
-    parts = [_rank1_project(y[:, lo:hi].reshape((rows,) + shp)).reshape(rows, -1)
-             for lo, hi, shp in groups]
-    # one group, as when all parties have the same dimension, needs no copy
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
-def _lstsq_pinv(a: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse with the default cutoff of np.linalg.lstsq (singular
-    values at most eps * max(a.shape) * sigma_1 count as zero), so that
-    pinv @ b is the least-squares solution lstsq(a, b) for every b."""
-    return np.linalg.pinv(a, rcond=np.finfo(float).eps * max(a.shape))
-
-
-def _als(d: np.ndarray, pencil: np.ndarray, groups, pinv_t: np.ndarray,
-         supm: np.ndarray, pin: np.ndarray):
-    """Alternating least squares from every row of d at once; yields the
-    final iterate of each row in row order, as soon as it and every row
-    before it have stopped, so a caller that accepts an early row ends the
-    batch there.
-
-    Each iteration replaces the realignments d @ pencil by their nearest
-    rank-one matrices, solves for the diagonal that best reproduces them
-    (pinv_t is the transposed pseudo-inverse of pencil^T), and projects the
-    pinned support magnitudes back. A row stops on its own when its gap
-    falls below 1e-13 of the target, on the rounding floor (its gap is at
-    most RANK1_ACCEPT of the target and no smaller than its best gap so
-    far), after more than STALL_LIMIT iterations without a 30% gain, or when
-    the solve returns zero; stopped rows keep their last iterate and leave
-    the batch.
-    """
-    d = d.copy()
-    live = np.arange(d.shape[0])
-    # the iterate, best gap and stall count of each live row, in live order
-    cur = d
-    best = np.full(live.size, np.inf)
-    stall = np.zeros(live.size, dtype=int)
-    done = 0
-    for _ in range(ALS_ITERS):
-        if live.size == 0:
-            break
-        y = cur @ pencil
-        target = _rank1_stack(y, groups)
-        gap = np.linalg.norm(y - target, axis=1)
-        size = np.linalg.norm(target, axis=1)
-        stop = (gap < 1e-13 * np.maximum(size, 1e-300)) | (
-            (gap <= RANK1_ACCEPT * size) & (gap >= best))
-        stall = np.where(gap > 0.7 * best, stall + 1, 0)
-        best = np.minimum(best, gap)
-        dn = target @ pinv_t
-        stop |= (stall > STALL_LIMIT) | (np.linalg.norm(dn, axis=1) < 1e-300)
-        if stop.any():
-            d[live[stop]] = cur[stop]
-            keep = ~stop
-            live, dn, best, stall = live[keep], dn[keep], best[keep], stall[keep]
-        mag = np.abs(dn)
-        ph = np.divide(dn, mag, out=np.ones_like(dn), where=mag > 1e-300)
-        cur = np.where(supm, pin * ph, dn)
-        first_live = live[0] if live.size else d.shape[0]
-        while done < first_live:
-            yield d[done]
-            done += 1
-    d[live] = cur
-    yield from d[done:]
-
-
-def gauge_search(
-    x: np.ndarray,
-    y: np.ndarray,
-    support_rank: int,
-    shape,
-    *,
-    eigvals: tuple[np.ndarray, np.ndarray],
-    pairings: Optional[Sequence[tuple[int, ...]]] = None,
-    seed: int = 0,
-) -> Optional[GaugeResult]:
-    """Search connector candidates x diag(d) y^dag for one whose realignment
-    is rank one on every single-party cut.
-
-    A candidate is accepted exactly when extract_factors accepts its
-    connector: every cut's rank-one residual is at most RANK1_ACCEPT, the
-    connector is invertible, and its factors rebuild it.
-
-    Stage (a) completes free entries deterministically when the pinned
-    entries already fit a rank-one diagonal pattern. Stage (a2), for real
-    frames, enumerates support sign patterns with kernel entries fit
-    linearly, keeping the certified candidate closest to entrywise
-    nonnegativity. Stage (b) runs alternating least squares over the
-    diagonal coefficients with support magnitudes projected back to their
-    pinned values, from up to N_STARTS starts: the support phases of every
-    start but the first are drawn in one call from a generator seeded with
-    `seed`, and the starts iterate in consecutive batches of 1, 1, 2, 4, 8
-    and 16 rows against a pseudo-inverse computed once per pairing. Each
-    start stops on its own, and no row of a batch affects another, so a
-    start's iterate does not depend on its batch. Starts are scored in start
-    order, each as soon as it and every earlier start of its batch have
-    stopped, and the first accepted one is returned without running the
-    later starts; a pairing that accepts none runs all N_STARTS.
-
-    `pairings` lists column permutations of y to try (within-degeneracy
-    reorderings), the identity when omitted. For each pairing pi, _pinned
-    fixes the first `support_rank` entries to magnitude
-    sqrt(lambda_i / mu_pi(i)) from `eigvals` = (lambda, mu), the same rule
-    that reads a certified connector's kernel ratio; pairings that map
-    support indices outside the support are skipped. Returns the candidate
-    the first accepting stage picks, with its extracted factors, else None.
-    """
-    dims = as_dims(shape)
-    n = int(np.prod(dims))
-    r = support_rank
-    if pairings is None:
-        pairings = [tuple(range(n))]
-    real_frames = (
-        float(np.max(np.abs(x.imag))) < 1e-12
-        and float(np.max(np.abs(y.imag))) < 1e-12
-    )
-
-    for pi in pairings:
-        pi = tuple(pi)
-        if sorted(pi) != list(range(n)):
-            raise ValueError("pairing is not a permutation")
-        pinned = _pinned(eigvals, pi, r)
-        if pinned is None:
-            continue
-        yp = y[:, pi]
-        supm = ~np.isnan(pinned.real)
-        sup_idx = np.nonzero(supm)[0]
-        ker_idx = np.nonzero(~supm)[0]
-        pin = np.where(supm, pinned, 0.0)
-
-        def evaluate(d) -> Optional[GaugeResult]:
-            a = (x * d) @ yp.conj().T
-            per = tuple(rep.rank1_residual for rep in cut_reports(a, dims))
-            # most candidates fail here, before extraction's own SVDs
-            if max(per) > RANK1_ACCEPT:
-                return None
-            try:
-                fs = extract_factors(a, dims)
-            except NotDecomposable:
-                return None
-            return GaugeResult(a, fs, per, d.copy(), pi)
-
-        # stage (a): deterministic ratio completion
-        if sup_idx.size:
-            d0, _ = _ratio_complete(pinned, dims, ker_idx)
-            if d0 is not None:
-                cand = evaluate(d0)
-                if cand is not None:
-                    return cand
-
-        pencil, groups = _cut_pencil(x, yp, dims)
-
-        # stage (a2): sign enumeration for real frames
-        if real_frames and 0 < sup_idx.size <= 11:
-            bits = np.arange(2 ** (sup_idx.size - 1))
-            signs = np.ones((bits.size, sup_idx.size))
-            signs[:, 1:] = 1 - 2 * ((bits[:, None] >> np.arange(sup_idx.size - 1)) & 1)
-            ds = np.ones((bits.size, n), dtype=complex)
-            ds[:, sup_idx] = pinned[sup_idx] * signs
-            if ker_idx.size:
-                # kernel entries refit linearly against the rank-one targets,
-                # SIGN_BATCH patterns at a time to bound the working set
-                ker_pinv_t = _lstsq_pinv(pencil[ker_idx].T).T
-                for lo in range(0, bits.size, SIGN_BATCH):
-                    blk = ds[lo:lo + SIGN_BATCH]
-                    fixed = blk[:, sup_idx] @ pencil[sup_idx]
-                    for _ in range(KERNEL_FIT_ITERS):
-                        rhs = _rank1_stack(blk @ pencil, groups) - fixed
-                        blk[:, ker_idx] = rhs @ ker_pinv_t
-            certified = []
-            for b, d in zip(bits, ds):
-                cand = evaluate(d)
-                if cand is not None:
-                    cost = _negativity_cost(cand.factors.factors)
-                    certified.append((round(cost, 9), int(b), cand))
-            if certified:
-                return min(certified, key=lambda t: t[:2])[2]
-
-        # stage (b): batched multi-start alternating least squares
-        rng = np.random.default_rng(seed)
-        starts = np.tile(np.where(supm, pin, 1.0), (N_STARTS, 1))
-        starts[1:] *= np.exp(2j * np.pi * rng.random((N_STARTS - 1, n)))
-        pinv_t = _lstsq_pinv(pencil.T).T
-        lo = 0
-        while lo < N_STARTS:
-            # batches of 1, 1, 2, 4, 8 and 16 starts: most pairs accept an
-            # early start, and each row iterates alone whatever its batch
-            hi = min(N_STARTS, max(1, 2 * lo))
-            for d in _als(starts[lo:hi], pencil, groups, pinv_t, supm, pin):
-                cand = evaluate(d)
-                if cand is not None:
-                    return cand
-            lo = hi
-    return None
 
 
 def normal_form(rho: np.ndarray, shape):
@@ -563,22 +260,105 @@ def _party_covariants(f: np.ndarray, dims: Sequence[int], party: int) -> np.ndar
     return np.einsum("xarbr->xab", np.stack([two, three, fe, fe @ g]))
 
 
-def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
-                         dims: Sequence[int]) -> Optional[list[np.ndarray]]:
-    """Local unitaries U_k with (x)U_k f2 (x)U_k^dag = f1 for two filtered
-    states, read off one-copy covariants, or None when they fix no U.
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g = gcd(a, b) > 0."""
+    if b == 0:
+        return abs(a), (1 if a > 0 else -1), 0
+    g, x, y = _egcd(b, a % b)
+    return g, y, x - (a // b) * y
 
-    Conjugating f by U = (x)U_k conjugates every covariant of party k by
-    U_k. So the covariant whose relative eigengap is widest gives eigenbases
-    A (of f1's) and B (of f2's) with U_k = A diag(phase) B^dag, and the
-    largest relative (0, j) entry of the covariants in those bases fixes the
-    phase of column j. None when that gap is under COVARIANT_GAP, the two
-    spectra differ by more than COVARIANT_MATCH, or no entry reaches
-    COVARIANT_GAP. A two-qubit normal form always gives None: its
-    correlation tensor maps to O_A T O_B^T, whose sign-flip stabilizer fixes
-    no vector, so every one-copy covariant is a multiple of I.
+
+def _torus_phases(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Angles theta with rows @ theta = rhs (mod 2 pi), for integer rows.
+
+    Rows enter in order into an echelon form kept by unimodular row
+    operations, which keep the solution set: a row meeting a pivot row at
+    its leading column is replaced, with it, by their extended-Euclid
+    combinations, and the remainder is reduced again at its own leading
+    column. Rows stop entering once every variable has a pivot of +-1; back
+    substitution takes the principal branch of any other pivot and 0 for
+    free variables. The oracle checks the rows left out.
     """
+    nvars = rows.shape[1]
+    pivots: dict[int, tuple[list[int], float]] = {}
+    for row, b in zip(rows.tolist(), rhs.tolist()):
+        while any(row):
+            lead = next(c for c, x in enumerate(row) if x)
+            if lead not in pivots:
+                pivots[lead] = (row, b)
+                break
+            prow, pb = pivots[lead]
+            g, x, y = _egcd(prow[lead], row[lead])
+            p, q = prow[lead] // g, row[lead] // g
+            pivots[lead] = ([x * u + y * v for u, v in zip(prow, row)], x * pb + y * b)
+            row, b = [q * u - p * v for u, v in zip(prow, row)], q * pb - p * b
+        if len(pivots) == nvars and all(abs(r[c]) == 1 for c, (r, _) in pivots.items()):
+            break
+    theta = np.zeros(nvars)
+    for c in sorted(pivots, reverse=True):
+        r, b = pivots[c]
+        theta[c] = (b - np.dot(r[c + 1:], theta[c + 1:])) / r[c]
+    return theta
+
+
+def _sign_solutions(rows: np.ndarray, odd: np.ndarray) -> Optional[list[np.ndarray]]:
+    """Every s in {0, 1}^n with rows @ s = odd over GF(2), all-zero free
+    variables first, or None when there is none."""
+    nvars = rows.shape[1]
+    a = np.concatenate([rows % 2 == 1, odd[:, None]], axis=1)
+    pivots: list[int] = []
+    for c in range(nvars):
+        hit = np.flatnonzero(a[len(pivots):, c])
+        if hit.size == 0:
+            continue
+        r = len(pivots)
+        a[[r, r + hit[0]]] = a[[r + hit[0], r]]
+        others = a[:, c].copy()
+        others[r] = False
+        a[others] ^= a[r]
+        pivots.append(c)
+    if a[len(pivots):, -1].any():
+        return None
+    free = [c for c in range(nvars) if c not in pivots]
     out = []
+    for values in itertools.product((False, True), repeat=len(free)):
+        s = np.zeros(nvars, dtype=bool)
+        s[free] = values
+        for r, c in enumerate(pivots):
+            s[c] = a[r, -1] ^ bool(np.count_nonzero(a[r, free] & s[free]) % 2)
+        out.append(s)
+    return out
+
+
+def _phase_vectors(rows: np.ndarray, ratio: np.ndarray, frames, top: float) -> list[np.ndarray]:
+    """Unit phases x with prod_c x_c^rows[r, c] = ratio[r] / |ratio[r]|: when
+    the frames are real (imaginary parts within COVARIANT_MATCH of top),
+    every +-1 solution (_sign_solutions), else, or when there is none, the
+    solution of _torus_phases."""
+    real = max(float(np.max(np.abs(x.imag))) for x in frames) <= COVARIANT_MATCH * top
+    signs = _sign_solutions(rows, ratio.real < 0) if real else None
+    if signs is None:
+        return [np.exp(1j * _torus_phases(rows, np.angle(ratio)))]
+    return [np.where(s, -1.0, 1.0) for s in signs]
+
+
+def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
+                         dims: Sequence[int]) -> Optional[list[list[np.ndarray]]]:
+    """Candidates for the local unitaries U_k with (x)U_k f2 (x)U_k^dag = f1
+    for two filtered states, or None when the covariants fix no U.
+
+    U conjugates every covariant of party k by U_k, so the covariant with
+    the widest relative eigengap (at least COVARIANT_GAP, spectra matching
+    within COVARIANT_MATCH) gives eigenbases A_k, B_k with
+    U_k = A_k diag(e^{i theta_k}) B_k^dag. In A = (x)A_k and B = (x)B_k,
+    g1 = A^dag f1 A and g2 = B^dag f2 B must agree in magnitude, and each
+    off-diagonal entry above COVARIANT_GAP of the largest gives
+    sum_k theta_k(i_k) - theta_k(j_k) = arg(g1_ij / g2_ij), theta_k(0) = 0,
+    solved by _phase_vectors in decreasing |g1_ij|. Every covariant of a
+    two-qubit normal form is a multiple of I (its correlation tensor's
+    sign-flip stabilizer fixes no vector), so it always gives None.
+    """
+    bases = []
     for k in range(len(dims)):
         c1, c2 = _party_covariants(f1, dims, k), _party_covariants(f2, dims, k)
         w1, a = np.linalg.eigh(c1)
@@ -588,18 +368,124 @@ def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
         x = int(np.argmax(gap))
         if gap[x] < COVARIANT_GAP or np.max(np.abs(w1[x] - w2[x])) > COVARIANT_MATCH * scale[x]:
             return None
-        a, b = a[x], b[x]
-        m1 = (a.conj().T @ c1 @ a)[:, 0, 1:]
-        m2 = (b.conj().T @ c2 @ b)[:, 0, 1:]
-        pick = np.argmax(np.abs(m1) / scale[:, None], axis=0)
-        cols = np.arange(m1.shape[1])
-        p1, p2 = m1[pick, cols], m2[pick, cols]
-        if np.any(np.minimum(np.abs(p1), np.abs(p2)) < COVARIANT_GAP * scale[pick]):
-            return None
-        phase = np.ones(dims[k], dtype=complex)
-        phase[1:] = p2 * p1.conj() / np.abs(p2 * p1)
-        out.append((a * phase) @ b.conj().T)
-    return out
+        bases.append((a[x], b[x]))
+    a = kron_list([p for p, _ in bases])
+    b = kron_list([q for _, q in bases])
+    g1 = a.conj().T @ f1 @ a
+    g2 = b.conj().T @ f2 @ b
+    m1 = np.abs(g1)
+    top = float(m1.max())
+    if float(np.max(np.abs(m1 - np.abs(g2)))) > COVARIANT_MATCH * top:
+        return None
+    i, j = np.triu_indices(len(g1), 1)
+    keep = m1[i, j] > COVARIANT_GAP * top
+    order = np.argsort(-m1[i, j][keep], kind="stable")
+    i, j = i[keep][order], j[keep][order]
+    # the variables are theta_k(1..d_k - 1), party by party; row (i, j)
+    # holds +1 at i's digits and -1 at j's, which cancel where they agree
+    digits = np.array(np.unravel_index(np.arange(len(g1)), dims)).T
+    onehot = np.concatenate(
+        [digits[:, [k]] == np.arange(1, d) for k, d in enumerate(dims)], axis=1).astype(int)
+    bounds = np.cumsum([0] + [d - 1 for d in dims])
+    return [
+        [(p * np.concatenate([[1.0], ph[lo:hi]])) @ q.conj().T
+         for (p, q), lo, hi in zip(bases, bounds[:-1], bounds[1:])]
+        for ph in _phase_vectors(onehot[i] - onehot[j], g1[i, j] * g2[i, j].conj(),
+                                 (g1, g2), top)
+    ]
+
+
+def _eigenbasis_unitaries(s1: SpectralData, s2: SpectralData,
+                          dims: Sequence[int]) -> Optional[list[list[np.ndarray]]]:
+    """Candidates for the local unitaries between two filtered states with
+    no relative spectral gap under COVARIANT_GAP, or None. This serves
+    normal forms whose symmetry leaves every covariant a multiple of I, such
+    as the GHZ-diagonal ones.
+
+    U maps each eigenvector b_i onto e^{i phi_i} a_i, so U = A diag(e^{i phi})
+    B^dag, and U is local when it keeps each party's operators local. For
+    party k, Q_ij = Tr_rest |a_j><a_i| obeys Q2_ij = e^{-i (phi_i - phi_j)}
+    U_k^dag Q1_ij U_k, so the Gram matrices P_k[(ij), (i'j')] =
+    Tr Q_i'j'^dag Q_ij must agree in magnitude, and each entry above
+    COVARIANT_GAP of the largest gives
+    phi_i - phi_j - phi_i' + phi_j' = arg(P1 / P2), phi_0 = 0, solved by
+    _phase_vectors. Candidates are kept when extract_factors splits U.
+    """
+    lam = s1.eigvals
+    n = lam.size
+    if np.min(lam[:-1] - lam[1:]) < COVARIANT_GAP * lam[0]:
+        return None
+    a, b = s1.eigvecs, s2.eigvecs
+
+    def gram(v, k, d):
+        vs = v.T.reshape(n, math.prod(dims[:k]), d, -1).transpose(0, 2, 1, 3).reshape(n, d, -1)
+        q = np.einsum("jyr,ixr->ijyx", vs, vs.conj()).reshape(n * n, d * d)
+        return q @ q.conj().T
+
+    p1, p2 = (np.stack([gram(v, k, d) for k, d in enumerate(dims)]) for v in (a, b))
+    m1 = np.abs(p1)
+    top = float(m1.max())
+    if float(np.max(np.abs(m1 - np.abs(p2)))) > COVARIANT_MATCH * top:
+        return None
+    k, pq, pq2 = np.nonzero(np.triu(m1 > COVARIANT_GAP * top, 1))
+    (i, j), (i2, j2) = np.divmod(pq, n), np.divmod(pq2, n)
+    # an equation depends on its index pairs {i, j'} and {j, i'} alone: keep
+    # each once, at its largest entry, in decreasing magnitude
+    plus, minus = np.sort([i, j2], axis=0), np.sort([j, i2], axis=0)
+    key = ((plus[0] * n + plus[1]) * n + minus[0]) * n + minus[1]
+    order = np.argsort(-m1[k, pq, pq2], kind="stable")
+    pick = order[np.sort(np.unique(key[order], return_index=True)[1])]
+    k, pq, pq2, i, j, i2, j2 = (x[pick] for x in (k, pq, pq2, i, j, i2, j2))
+    eye = np.eye(n, dtype=int)
+    rows = (eye[i] + eye[j2] - eye[j] - eye[i2])[:, 1:]
+    live = np.any(rows, axis=1)
+    ratio = (p1[k, pq, pq2] * p2[k, pq, pq2].conj())[live]
+    out = []
+    for ph in _phase_vectors(rows[live], ratio, (p1, p2), top):
+        try:
+            fs = extract_factors((a * np.concatenate([[1.0], ph])) @ b.conj().T, dims)
+        except NotDecomposable:
+            continue
+        out.append([complex(fs.scale) * fs.factors[0], *fs.factors[1:]])
+    return out or None
+
+
+def _su2_lift(o: np.ndarray) -> np.ndarray:
+    """A unitary U, up to scale, with U^dag sigma_i U = sum_k o_ik sigma_k:
+    the null vector of sigma_i U - U (sum_k o_ik sigma_k) = 0."""
+    eye = np.eye(2)
+    m = np.concatenate([
+        np.kron(_PAULI[i], eye) - np.kron(eye, np.tensordot(o[i], _PAULI, 1).T)
+        for i in range(3)
+    ])
+    return np.linalg.svd(m)[2][-1].conj().reshape(2, 2)
+
+
+def _two_qubit_unitaries(f1: np.ndarray, f2: np.ndarray) -> Optional[list[np.ndarray]]:
+    """Local unitaries [U_A, U_B] with U f2 U^dag = f1 for two two-qubit
+    normal forms, read off their correlation tensors, or None.
+
+    U maps T_ij = Tr f (sigma_i (x) sigma_j) to O_A T O_B^T (Verstraete,
+    Dehaene and De Moor, PRA 64, 010101(R)). SVDs T1 = P1 S Q1^T and
+    T2 = P2 S Q2^T (singular values matching within COVARIANT_MATCH) give
+    O_A = P1 D_A P2^T and O_B = Q1 D_B Q2^T, with D = diag(1, 1, +-1) chosen
+    for determinant +1; D_A and D_B may differ only on a zero singular
+    value. Each rotation lifts to SU(2) by _su2_lift.
+    """
+    # T_ij = sum f[(a c), (b d)] sigma_i[b, a] sigma_j[d, c]
+    t1, t2 = (np.einsum("iba,jdc,acbd->ij", _PAULI, _PAULI, f.reshape(2, 2, 2, 2)).real
+              for f in (f1, f2))
+    p1, s1, q1 = np.linalg.svd(t1)
+    p2, s2, q2 = np.linalg.svd(t2)
+    if float(np.max(np.abs(s1 - s2))) > COVARIANT_MATCH * float(s1[0]):
+        return None
+    sign_a = np.sign(np.linalg.det(p1) * np.linalg.det(p2))
+    sign_b = np.sign(np.linalg.det(q1) * np.linalg.det(q2))
+    if sign_a != sign_b and s1[2] > COVARIANT_MATCH * s1[0]:
+        return None
+    o_a = (p1 * [1.0, 1.0, sign_a]) @ p2.T
+    o_b = (q1.T * [1.0, 1.0, sign_b]) @ q2
+    return [_su2_lift(o_a), _su2_lift(o_b)]
 
 
 def invariant_screen(rho1: np.ndarray, rho2: np.ndarray, shape) -> Optional[str]:
@@ -608,7 +494,7 @@ def invariant_screen(rho1: np.ndarray, rho2: np.ndarray, shape) -> Optional[str]
     Conjugation by invertible local factors preserves the global rank and
     the rank of every single-party reduced matrix. Mismatches are reported
     only when both ranks are decisive (clear spectral gap); borderline
-    spectra return None so the caller keeps searching.
+    spectra return None so the caller goes on.
     """
     dims = as_dims(shape)
     ranks = rank_mismatch(rho1, rho2)
@@ -655,20 +541,82 @@ def _kernel_ratio(t: np.ndarray, s1: SpectralData, s2: SpectralData,
     return float(ratio.real)
 
 
-def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
+def _first_verdict(rho1: MixedState, rho2: MixedState, candidates,
+                   dims: Sequence[int]) -> Optional[Verdict]:
+    """The verdict of the first candidate local factors mapping rho2 onto
+    rho1 whose Kronecker product extraction and the oracle pass, in order of
+    least _negativity_cost (equal costs in the solver's order)."""
+    for factors in sorted(candidates, key=lambda fs: round(_negativity_cost(fs), 9)):
+        connector = kron_list(factors)
+        per = tuple(rep.rank1_residual for rep in cut_reports(connector, dims))
+        try:
+            witness = extract_factors(connector, dims)
+        except NotDecomposable:
+            continue
+        verdict = oracle.witness_verdict(
+            oracle.verify_witness_mixed, rho1, rho2, witness,
+            "connector composed through filtered frames", per,
+        )
+        if verdict is not None:
+            return verdict
+    return None
+
+
+def _compressed_factors(rho1: MixedState, rho2: MixedState,
+                        dims: Sequence[int]) -> Optional[list[np.ndarray]]:
+    """Local factors mapping rho2 onto rho1 through the supports of their
+    reduced matrices, or None.
+
+    A state lives on the product of its reduced matrices' supports, which
+    an invertible local map carries onto each other. So each party is
+    compressed by isometries P onto its support (decisive ranks, equal for
+    both states), rank-1 parties drop out, check_mixed_equivalence decides
+    the compressed pair, and its factors lift to P1 F' P2^dag + Q1 Q2^dag,
+    with Q the isometries onto the kernels. None unless it is Equivalent.
+    """
+    splits = []
+    for party in range(1, len(dims) + 1):
+        pair = []
+        for rho in (rho1.rho, rho2.rho):
+            red = partial_trace_keep(rho, dims, party)
+            rank, decisive = decisive_rank(red)
+            if not decisive:
+                return None
+            q = eigh_desc(red)[0]
+            pair.append((q[:, :rank], q[:, rank:]))
+        if pair[0][0].shape[1] != pair[1][0].shape[1]:
+            return None
+        splits.append(pair)
+    kept = tuple(p.shape[1] for (p, _), _ in splits if p.shape[1] > 1)
+    inner: list[np.ndarray] = []
+    if kept:
+        states = []
+        for side, rho in enumerate((rho1, rho2)):
+            p = kron_list([pair[side][0] for pair in splits])
+            c = p.conj().T @ rho.rho @ p
+            c = (c + c.conj().T) / 2.0
+            states.append(MixedState(SystemShape(kept), c / np.trace(c).real))
+        verdict = check_mixed_equivalence(*states)
+        if verdict.outcome != "Equivalent":
+            return None
+        inner = list(verdict.witness.factors)
+    return [p1 @ (inner.pop(0) if p1.shape[1] > 1 else np.ones((1, 1))) @ p2.conj().T
+            + q1 @ q2.conj().T for (p1, q1), (p2, q2) in splits]
+
+
+def check_mixed_equivalence(rho1, rho2) -> Verdict:
     """Decide equivalence of two density matrices, or refuse honestly.
 
-    Inequivalent only on decisive rank-invariant mismatches. Equivalent only
-    with an independently verified witness. After the rank screen both states
-    are filtered to their normal forms; filtered spectra that differ end the
-    verdict Inconclusive. Otherwise the local unitary between the normal
-    forms is solved from their covariants; when they fix none or the oracle
-    refuses it, a filtered spectrum without degenerate clusters is searched
-    for a local-unitary connector. A connector certified in the filtered
-    frames is the verdict. Only when filtering certified nothing does one
-    gauge search run over the raw eigenbases, under every within-cluster
-    pairing. Every Equivalent verdict reports the kernel ratio of its
-    connector (see _kernel_ratio). Everything else is Inconclusive.
+    Inequivalent only on decisive rank mismatches; a global one between
+    two states that filter must hold on their better-conditioned normal
+    forms too. Equivalent only with an independently verified witness.
+    Filtered spectra that differ end the verdict Inconclusive. Otherwise
+    the local unitary between the normal forms is solved in closed form
+    (_two_qubit_unitaries, else _covariant_unitaries, then
+    _eigenbasis_unitaries) and composed with the filters. States with a
+    decisively singular reduced matrix are decided through the supports
+    (_compressed_factors). Every Equivalent verdict reports the kernel ratio
+    of its connector (see _kernel_ratio). Everything else is Inconclusive.
     """
     if not (isinstance(rho1, MixedState) and isinstance(rho2, MixedState)):
         raise ValueError("check_mixed_equivalence expects MixedState inputs")
@@ -678,77 +626,15 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
     dims = rho1.shape.dims
 
     mismatch = invariant_screen(r1, r2, dims)
-    if mismatch is not None:
+    nf1 = nf2 = None
+    if mismatch is None or mismatch.startswith("global rank"):
+        nf1 = normal_form(r1, dims)
+        nf2 = None if nf1 is None else normal_form(r2, dims)
+    if mismatch is not None and (nf2 is None or rank_mismatch(nf1[0], nf2[0]) is not None):
         return Verdict("Inequivalent", None, mismatch, ())
 
-    s1 = spectral_prep(r1)
-    s2 = spectral_prep(r2)
-    diag_notes = []
-    # the raw-eigenbasis search needs equal support ranks and a bounded set
-    # of within-cluster pairings
-    perms = None
-    if s1.support_rank != s2.support_rank:
-        diag_notes.append("support ranks differ but spectra are borderline")
-    else:
-        perms = cluster_pairings(s1.clusters)
-        if perms is None:
-            diag_notes.append("degenerate spectrum beyond permutation budget")
-
-    # filtered frames
     verdict = None
-    nf1 = normal_form(r1, dims)
-    nf2 = normal_form(r2, dims)
-    if nf1 is not None and nf2 is not None:
-        f1t, filt1 = nf1
-        f2t, filt2 = nf2
-
-        def through_filters(u_factors):
-            """The verdict for local unitaries between the normal forms,
-            composed with the filters, and its connector."""
-            composed = [
-                np.linalg.solve(filt1[k], u_factors[k] @ filt2[k])
-                for k in range(len(dims))
-            ]
-            connector = kron_list(composed)
-            per = tuple(rep.rank1_residual for rep in cut_reports(connector, dims))
-            try:
-                return oracle.witness_verdict(
-                    oracle.verify_witness_mixed, rho1, rho2,
-                    extract_factors(connector, dims),
-                    "connector composed through filtered frames", per,
-                ), connector
-            except NotDecomposable:
-                return None, connector
-
-        if float(np.linalg.norm(f1t - f2t)) <= 1e-8 * float(np.linalg.norm(f1t)):
-            verdict, connector = through_filters([np.eye(d, dtype=complex) for d in dims])
-        else:
-            t1 = spectral_prep(f1t)
-            t2 = spectral_prep(f2t)
-            if not (
-                t1.support_rank == t2.support_rank
-                and float(np.max(np.abs(t1.eigvals - t2.eigvals))) <= 1e-8
-            ):
-                diag_notes.append("filtered spectra mismatch")
-                return Verdict("Inconclusive", None, "; ".join(diag_notes), ())
-            u_factors = _covariant_unitaries(f1t, f2t, dims)
-            if u_factors is not None:
-                verdict, connector = through_filters(u_factors)
-            # the search tries the identity pairing only: a degenerate cluster
-            # leaves its eigenbasis free, and the raw search pairs such clusters
-            if verdict is None:
-                if any(len(c) > 1 for c in t1.clusters):
-                    diag_notes.append("degenerate filtered spectrum")
-                else:
-                    res = gauge_search(
-                        t1.eigvecs, t2.eigvecs, t1.support_rank, dims,
-                        eigvals=(t1.eigvals, t2.eigvals), seed=seed,
-                    )
-                    if res is not None:
-                        u_factors = [np.array(f) for f in res.factors.factors]
-                        u_factors[0] = complex(res.factors.scale) * u_factors[0]
-                        verdict, connector = through_filters(u_factors)
-    else:
+    if nf2 is None:
         # a singular reduced matrix stops the filtering at once; with
         # full-rank ones the marginals stalled (no normal form, as for the
         # W class) or were still gaining at FILTER_SWEEPS
@@ -756,23 +642,39 @@ def check_mixed_equivalence(rho1, rho2, seed: int = 0) -> Verdict:
             decisive_rank(partial_trace_keep(r, dims, p))[0] < dims[p - 1]
             for r in (r1, r2) for p in range(1, len(dims) + 1)
         )
-        cause = "rank-deficient state" if singular else "marginals stay short of maximally mixed"
-        diag_notes.append(f"filtering did not converge ({cause})")
+        factors = _compressed_factors(rho1, rho2, dims) if singular else None
+        if factors is not None:
+            verdict = _first_verdict(rho1, rho2, [factors], dims)
+        if verdict is None:
+            cause = "rank-deficient state" if singular else "marginals stay short of maximally mixed"
+            return Verdict("Inconclusive", None, f"filtering did not converge ({cause})", ())
+    else:
+        (f1t, filt1), (f2t, filt2) = nf1, nf2
 
-    # the raw-eigenbasis search, only when filtering certified nothing
-    if verdict is None and perms is not None:
-        res = gauge_search(
-            s1.eigvecs, s2.eigvecs, s1.support_rank, dims,
-            eigvals=(s1.eigvals, s2.eigvals), pairings=perms, seed=seed,
-        )
-        if res is not None:
-            verdict = oracle.witness_verdict(
-                oracle.verify_witness_mixed, rho1, rho2, res.factors,
-                "decomposable connector over eigenbases", res.per_cut,
-            )
-            connector = res.connector
-    if verdict is not None:
-        return replace(verdict, kernel_ratio=_kernel_ratio(connector, s1, s2, dims))
+        def composed(candidates):
+            return [[np.linalg.solve(filt1[k], u[k] @ filt2[k]) for k in range(len(dims))]
+                    for u in candidates or []]
 
-    reason = "; ".join(diag_notes) if diag_notes else "no decomposable connector found"
-    return Verdict("Inconclusive", None, reason, ())
+        if float(np.linalg.norm(f1t - f2t)) <= 1e-8 * float(np.linalg.norm(f1t)):
+            verdict = _first_verdict(
+                rho1, rho2, composed([[np.eye(d, dtype=complex) for d in dims]]), dims)
+        else:
+            t1, t2 = spectral_prep(f1t), spectral_prep(f2t)
+            if (t1.support_rank != t2.support_rank
+                    or float(np.max(np.abs(t1.eigvals - t2.eigvals))) > 1e-8):
+                return Verdict("Inconclusive", None, "filtered spectra mismatch", ())
+            if dims == (2, 2):
+                u = _two_qubit_unitaries(f1t, f2t)
+                verdict = _first_verdict(rho1, rho2, composed(None if u is None else [u]), dims)
+            else:
+                verdict = _first_verdict(
+                    rho1, rho2, composed(_covariant_unitaries(f1t, f2t, dims)), dims)
+                if verdict is None:
+                    verdict = _first_verdict(
+                        rho1, rho2, composed(_eigenbasis_unitaries(t1, t2, dims)), dims)
+    if verdict is None:
+        return Verdict("Inconclusive", None, "no decomposable connector found", ())
+    # the ratio reads only the pairing, which the witness's scale leaves alone
+    ratio = _kernel_ratio(kron_list(verdict.witness.factors), spectral_prep(r1),
+                          spectral_prep(r2), dims)
+    return replace(verdict, kernel_ratio=ratio)

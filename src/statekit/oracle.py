@@ -2,7 +2,7 @@
 
 Witness checks substitute the claimed local factors directly into the
 defining transformation and measure the residual; they share no code with
-the search pipelines, so a passing check is independent evidence. Both
+the decision pipelines, so a passing check is independent evidence. Both
 pipelines report a `Verdict`, and an Equivalent one is only built here, by
 `witness_verdict`, once its witness has passed that check. The fixture
 builders produce the reference states used across the test suite:

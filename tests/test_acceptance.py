@@ -96,7 +96,7 @@ def test_c04_corner_family_kernel_completion_and_verdict():
     all realignment residuals vanish, and the verdict is Equivalent; a
     detuned third parameter must not verify."""
     pair = fixtures(2, FixtureParams(a=0.3, b=0.4, c=0.5, alpha=0.6, beta=1.6, gamma=4.0))
-    verdict = checked_mixed(*pair, seed=0)
+    verdict = checked_mixed(*pair)
     assert verdict.outcome == "Equivalent"
     assert verdict.kernel_ratio is not None
     assert abs(verdict.kernel_ratio - 0.25) <= 1e-9
@@ -106,7 +106,7 @@ def test_c04_corner_family_kernel_completion_and_verdict():
     detuned = fixtures(
         2, FixtureParams(a=0.3, b=0.4, c=0.5, alpha=0.6, beta=1.6, gamma=4.05)
     )
-    assert checked_mixed(*detuned, seed=0).outcome != "Equivalent"
+    assert checked_mixed(*detuned).outcome != "Equivalent"
 
 
 def test_c05_half_corner_family_yields_the_middle_rotation():
@@ -122,7 +122,7 @@ def test_c05_half_corner_family_yields_the_middle_rotation():
             if all(abs(x - v) >= 0.05 for v in (*banned, *vals)):
                 vals.append(x)
         pair = fixtures(3, FixtureParams(a=vals[0], b=vals[1], c=vals[2]))
-        verdict = checked_mixed(*pair, seed=draw)
+        verdict = checked_mixed(*pair)
         assert verdict.outcome == "Equivalent", (draw, verdict.reason)
         middle = canonicalize([verdict.witness.factors[1]]).factors[0]
         assert np.max(np.abs(middle - target)) <= 1e-7
@@ -133,9 +133,9 @@ def test_c06_bell_diagonal_weight_permutations():
     breaks them must never ship an unverified witness."""
     lam = (0.4, 0.3, 0.2, 0.1)
     matched = fixtures(1, FixtureParams(lam=lam, mu=(0.2, 0.1, 0.4, 0.3)))
-    assert checked_mixed(*matched, seed=0).outcome == "Equivalent"
+    assert checked_mixed(*matched).outcome == "Equivalent"
     broken = fixtures(1, FixtureParams(lam=lam, mu=(0.3, 0.4, 0.2, 0.1)))
-    verdict = checked_mixed(*broken, seed=0)
+    verdict = checked_mixed(*broken)
     assert verdict.outcome != "Inequivalent"
     if verdict.outcome == "Equivalent":
         assert verdict.oracle_residual <= ORACLE_TOL
@@ -149,7 +149,7 @@ def test_c07_constructed_mixed_pairs_are_recalled():
     for seed in range(100):
         base = random_density((2, 2, 2), 20_000 + seed)
         other, _ = make_equivalent_pair(base, 30_000 + seed)
-        outcome = checked_mixed(base, other, seed=seed).outcome
+        outcome = checked_mixed(base, other).outcome
         equivalent += outcome == "Equivalent"
         inequivalent += outcome == "Inequivalent"
     assert inequivalent == 0

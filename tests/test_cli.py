@@ -143,13 +143,13 @@ def test_corner_pair_exits_zero_with_kernel_ratio(tmp_path, capsys):
     )
     assert code == 0
     written = json.loads(out)["written"]
-    code, out, _ = _run(capsys, "check-mixed", written[0], written[1], "--seed", "7")
+    code, out, _ = _run(capsys, "check-mixed", written[0], written[1])
     assert code == cli.EXIT_EQUIVALENT
     report = json.loads(out)
     assert report["outcome"] == "Equivalent"
     assert abs(report["kernel_ratio"] - 0.25) <= 1e-9
     assert report["witness"]["type"] == "witness"
-    assert report["seed"] == 7
+    assert "seed" not in report
 
 
 def _readme_sessions():
@@ -199,8 +199,8 @@ def test_reports_are_deterministic_bytes(tmp_path, capsys):
     _run(capsys, "gen", "--example", "1", "--params", lam, "--out", str(tmp_path))
     a = str(tmp_path / "fixture1a.json")
     b = str(tmp_path / "fixture1b.json")
-    _, first, _ = _run(capsys, "check-mixed", a, b, "--seed", "5")
-    _, second, _ = _run(capsys, "check-mixed", a, b, "--seed", "5")
+    _, first, _ = _run(capsys, "check-mixed", a, b)
+    _, second, _ = _run(capsys, "check-mixed", a, b)
     assert first == second
 
 
@@ -317,22 +317,27 @@ def test_classify_one_party_state(capsys):
 
 
 def test_seed_environment_fallback(tmp_path, capsys, monkeypatch):
+    # gen reads SLOCC_SEED when --seed is absent
+    gen = ["gen", "--random", "mixed", "--dims", "2,2"]
+    _run(capsys, *gen, "--seed", "17", "--out", str(tmp_path / "flag"))
+    monkeypatch.setenv("SLOCC_SEED", "17")
+    code, _, _ = _run(capsys, *gen, "--out", str(tmp_path / "env"))
+    assert code == 0
+    assert (tmp_path / "env" / "state_a.json").read_bytes() == (
+        tmp_path / "flag" / "state_a.json").read_bytes()
     rho = MixedState(SystemShape((2, 2)), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
     path = _state_file(tmp_path, "rho.json", rho)
-    monkeypatch.setenv("SLOCC_SEED", "17")
-    code, out, _ = _run(capsys, "check-mixed", path, path)
-    assert code == 0
-    assert json.loads(out)["seed"] == 17
+    ghz = _state_file(tmp_path, "ghz.json", GHZ3)
     for bad in ("not-a-number", "-2"):
         monkeypatch.setenv("SLOCC_SEED", bad)
-        code, _, err = _run(capsys, "check-mixed", path, path)
+        code, _, err = _run(capsys, *gen, "--out", str(tmp_path / "bad"))
         assert code == cli.EXIT_USAGE
         assert "SLOCC_SEED" in err
-    # no pure verdict depends on a seed, so check-pure never reads one
-    ghz = _state_file(tmp_path, "ghz.json", GHZ3)
-    code, out, _ = _run(capsys, "check-pure", ghz, ghz)
-    assert code == 0
-    assert "seed" not in json.loads(out)
+        # no verdict depends on a seed, so neither check reads one
+        for check, state in (("check-mixed", path), ("check-pure", ghz)):
+            code, out, _ = _run(capsys, check, state, state)
+            assert code == 0
+            assert "seed" not in json.loads(out)
 
 
 def test_usage_and_io_errors(tmp_path, capsys):

@@ -124,6 +124,21 @@ def test_bipartition_view_moves_factor_first(dims):
         assert np.allclose(bipartition_view(a, dims, party), kron_list(reordered))
 
 
+def test_kron_list_matches_np_kron_bit_for_bit():
+    # the broadcast multiply forms the products np.kron forms; factors may
+    # be rectangular (support isometries) or real
+    rng = np.random.default_rng(3)
+    for trial in range(100):
+        shapes = [tuple(rng.integers(1, 4, size=2)) for _ in range(int(rng.integers(1, 5)))]
+        mats = [random_complex(rng, *shp) for shp in shapes]
+        if trial % 3 == 0:
+            mats[0] = mats[0].real
+        want = np.array([[1.0 + 0.0j]])
+        for m in mats:
+            want = np.kron(want, np.asarray(m, dtype=complex))
+        assert kron_list(mats).tobytes() == want.tobytes()
+
+
 def test_bipartition_view_is_permutation_similarity():
     rng = np.random.default_rng(2)
     a = random_complex(rng, 8, 8)

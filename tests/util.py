@@ -31,8 +31,8 @@ def checked_pure(phi, psi):
     return verdict
 
 
-def checked_mixed(rho1, rho2, seed=0):
-    verdict = check_mixed_equivalence(rho1, rho2, seed=seed)
+def checked_mixed(rho1, rho2):
+    verdict = check_mixed_equivalence(rho1, rho2)
     if verdict.outcome == "Equivalent":
         assert verdict.witness is not None, "Equivalent verdict without witness"
         check = verify_witness_mixed(rho1, rho2, verdict.witness)
