@@ -15,7 +15,6 @@ import numpy as np
 from .linalg import (
     RANK1_ACCEPT,
     RANK_REL_TOL,
-    RankReport,
     as_dims,
     bipartition_view,
     kron_list,
@@ -84,16 +83,6 @@ def kron(fs: FactorSet) -> np.ndarray:
     return fs.scale * kron_list(fs.factors)
 
 
-def cut_reports(a: np.ndarray, dims: tuple[int, ...]) -> list[RankReport]:
-    """Rank report of every single-party cut: the party-to-front view of `a`
-    realigned with block size (n_party, side / n_party)."""
-    side = int(np.prod(dims))
-    return [
-        rank_report(realign(bipartition_view(a, dims, party), d, side // d))
-        for party, d in enumerate(dims, start=1)
-    ]
-
-
 def decomposability(a: np.ndarray, shape) -> DecomposabilityReport:
     """Test whether `a` is a Kronecker product over the given shape.
 
@@ -111,10 +100,12 @@ def decomposability(a: np.ndarray, shape) -> DecomposabilityReport:
         raise ValueError(f"expected shape {(side, side)}, got {a.shape}")
     s = np.linalg.svd(a, compute_uv=False)
     invertible = bool(s[-1] > side * s[0] * RANK_REL_TOL) if s[0] > 0 else False
-    rows = tuple(
-        (party, rep.rank1_residual, rep.numerical_rank)
-        for party, rep in enumerate(cut_reports(a, dims), start=1)
-    )
+    # each cut: the party-to-front view realigned with block size
+    # (n_party, side / n_party)
+    cuts = [rank_report(realign(bipartition_view(a, dims, p), d, side // d))
+            for p, d in enumerate(dims, start=1)]
+    rows = tuple((p, rep.rank1_residual, rep.numerical_rank)
+                 for p, rep in enumerate(cuts, start=1))
     ok = invertible and all(res <= RANK1_ACCEPT for _, res, _ in rows)
     return DecomposabilityReport(rows, ok, invertible)
 

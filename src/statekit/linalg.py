@@ -79,16 +79,12 @@ def realign(z: np.ndarray, m: int, n: int) -> np.ndarray:
     Row (j*m + i) of the result is vec of the n x n block at block position
     (i, j). For z = a (x) b with a of size m and b of size n the result
     equals vec(a) vec(b)^T, so z is such a Kronecker product exactly when
-    the realignment has rank one. Leading axes, if any, index a stack of
-    matrices that are realigned independently.
+    the realignment has rank one.
     """
     z = np.asarray(z)
-    if z.shape[-2:] != (m * n, m * n):
+    if z.shape != (m * n, m * n):
         raise ValueError(f"expected shape {(m * n, m * n)}, got {z.shape}")
-    lead = z.shape[:-2]
-    b = len(lead)
-    axes = list(range(b)) + [b + 2, b, b + 3, b + 1]
-    return z.reshape(lead + (m, n, m, n)).transpose(axes).reshape(lead + (m * m, n * n))
+    return z.reshape(m, n, m, n).transpose(2, 0, 3, 1).reshape(m * m, n * n)
 
 
 def realign_inverse(r: np.ndarray, m: int, n: int) -> np.ndarray:

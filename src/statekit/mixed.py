@@ -21,10 +21,11 @@ a non-degenerate filtered spectrum are solved instead. Two-qubit normal
 forms use their correlation tensors (Verstraete, Dehaene and De Moor, PRA
 64, 010101(R)). States with a singular reduced matrix have no normal form
 and are first compressed to the supports of their reduced matrices. The
-unitary, composed with the filters and verified against the inputs, is the
-verdict. One rule reads its kernel ratio: the pairing the connector reveals
-in the raw eigenbases pins the support, and ratio completion fills the one
-kernel entry.
+unitary, composed with the filters, is the verdict once its connector
+passes the Kronecker-product test and the oracle. A kernel ratio is read in
+one case only: a qubit first party whose two states each have a
+one-dimensional kernel, which the connector's pairing of the raw
+eigenbases fixes.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import oracle
-from .factor import NotDecomposable, cut_reports, extract_factors
+from .factor import NotDecomposable, canonicalize, decomposability, extract_factors
 from .linalg import (
     SystemShape,
     as_dims,
@@ -121,56 +122,6 @@ def spectral_prep(rho: np.ndarray) -> SpectralData:
     top = float(w[0]) if w.size else 0.0
     support = int(np.sum(w > w.size * top * 1e-10))
     return SpectralData(q, w, support)
-
-
-def _ratio_complete(pinned: np.ndarray, dims: Sequence[int], kernel: Sequence[int]):
-    """Fill unknown diagonal entries from the rank-one row-proportionality
-    pattern of the first party's arrangement of the diagonal vector.
-
-    Arrange d as a dims[0] x rest table; if row 0 is fully known and the
-    known entries of every other row are proportional to row 0 with a
-    consistent per-row ratio, the unknowns are determined. Returns the
-    completed vector and, when exactly one entry was free, its fill value.
-    """
-    d0 = dims[0]
-    rest = int(np.prod(dims)) // d0
-    table = pinned.reshape(d0, rest).copy()
-    known = ~np.isnan(table.real)
-    if not known[0].all():
-        return None, None
-    ratios = []
-    for i in range(1, d0):
-        cols = np.nonzero(known[i])[0]
-        if cols.size == 0:
-            return None, None
-        ref = cols[int(np.argmax(np.abs(table[0, cols])))]
-        if abs(table[0, ref]) < 1e-300:
-            return None, None
-        k = table[i, ref] / table[0, ref]
-        if np.max(np.abs(table[i, cols] - k * table[0, cols])) > 1e-6 * max(
-            1.0, float(np.max(np.abs(table[i, cols])))
-        ):
-            return None, None
-        ratios.append(k)
-        table[i] = k * table[0]
-    filled = table.reshape(-1)
-    ratio = None
-    if len(kernel) == 1 and len(ratios) == 1:
-        ratio = ratios[0]
-    return filled, ratio
-
-
-def _pinned(eigvals: tuple[np.ndarray, np.ndarray], pi: tuple[int, ...],
-            r: int) -> Optional[np.ndarray]:
-    """The diagonal pairing pi pins: magnitude sqrt(lambda_i / mu_pi(i)) for
-    i < r, from eigvals = (lambda, mu), and NaN (free) on the kernel. None
-    when pi moves an index across the support boundary."""
-    if any((i < r) != (p < r) for i, p in enumerate(pi)):
-        return None
-    lam, mu = eigvals
-    pinned = np.full(lam.size, np.nan, dtype=complex)
-    pinned[:r] = np.sqrt(lam[:r] / mu[list(pi[:r])])
-    return pinned
 
 
 def _negativity_cost(factors: Sequence[np.ndarray]) -> float:
@@ -510,52 +461,51 @@ def invariant_screen(rho1: np.ndarray, rho2: np.ndarray, shape) -> Optional[str]
     return None
 
 
-def _connector_pairing(t: np.ndarray, x: np.ndarray,
-                       y: np.ndarray) -> Optional[tuple[int, ...]]:
-    """Pair eigenvector columns through a certified connector: index i of x
-    goes with the y column carrying the largest overlap |x_i^dag t y_j|.
-    Returns None unless those columns form a permutation, i.e. unless the
-    connector is near monomial in the two eigenbases."""
-    cols = np.argmax(np.abs(x.conj().T @ t @ y), axis=1)
-    if np.unique(cols).size != cols.size:
-        return None
-    return tuple(int(c) for c in cols)
-
-
-def _kernel_ratio(t: np.ndarray, s1: SpectralData, s2: SpectralData,
+def _kernel_ratio(factors: Sequence[np.ndarray], rho1: np.ndarray, rho2: np.ndarray,
                   dims: Sequence[int]) -> Optional[float]:
-    """The real ratio that completes the one kernel entry (both support
-    ranks n - 1) of the diagonal pinned under the pairing a certified
-    connector t reveals in the eigenbases; None without such an entry,
-    pairing or real ratio."""
-    r = s1.support_rank
-    if s2.support_rank != r or r != s1.eigvals.size - 1:
+    """The ratio that fills the one kernel entry of the diagonal which a
+    certified connector t = (x)factors pins between the eigenbases of rho1
+    and rho2, or None.
+
+    Only a qubit first party over n >= 4 has one: both support ranks must be
+    n - 1, and the pairing (eigenvector x_i of rho1 with the eigenvector
+    y_j of rho2 of largest |x_i^dag t y_j|) a permutation pi that fixes the
+    kernel index n - 1. The 2 x n/2 table of sqrt(lambda_i / mu_pi(i)), in
+    eigenvalue order, then lacks its last entry; the ratio of its rows,
+    read at row 0's largest known column, fills it when the known entries
+    agree within 1e-6.
+    """
+    n = math.prod(dims)
+    if dims[0] != 2 or n < 4:
         return None
-    pi = _connector_pairing(t, s1.eigvecs, s2.eigvecs)
-    pinned = None if pi is None else _pinned((s1.eigvals, s2.eigvals), pi, r)
-    if pinned is None:
+    s1, s2 = spectral_prep(rho1), spectral_prep(rho2)
+    if not s1.support_rank == s2.support_rank == n - 1:
         return None
-    _, ratio = _ratio_complete(pinned, dims, (r,))
-    if ratio is None or abs(ratio.imag) > 1e-9 * max(1.0, abs(ratio.real)):
+    pi = np.argmax(np.abs(s1.eigvecs.conj().T @ kron_list(factors) @ s2.eigvecs), axis=1)
+    if np.unique(pi).size != n or pi[-1] != n - 1:
         return None
-    return float(ratio.real)
+    top, low = np.split(np.sqrt(s1.eigvals[:-1] / s2.eigvals[pi[:-1]]), [n // 2])
+    ref = int(np.argmax(top[:-1]))
+    ratio = float(low[ref] / top[ref])
+    if np.max(np.abs(low - ratio * top[:-1])) > 1e-6 * max(1.0, float(np.max(low))):
+        return None
+    return ratio
 
 
 def _first_verdict(rho1: MixedState, rho2: MixedState, candidates,
                    dims: Sequence[int]) -> Optional[Verdict]:
     """The verdict of the first candidate local factors mapping rho2 onto
-    rho1 whose Kronecker product extraction and the oracle pass, in order of
-    least _negativity_cost (equal costs in the solver's order)."""
+    rho1, in order of least _negativity_cost (equal costs in the solver's
+    order), whose Kronecker product passes decomposability (invertible,
+    every cut's rank-one residual at most RANK1_ACCEPT) and whose canonical
+    factors pass the oracle. The verdict reports those cut residuals."""
     for factors in sorted(candidates, key=lambda fs: round(_negativity_cost(fs), 9)):
-        connector = kron_list(factors)
-        per = tuple(rep.rank1_residual for rep in cut_reports(connector, dims))
-        try:
-            witness = extract_factors(connector, dims)
-        except NotDecomposable:
+        report = decomposability(kron_list(factors), dims)
+        if not report.decomposable:
             continue
         verdict = oracle.witness_verdict(
-            oracle.verify_witness_mixed, rho1, rho2, witness,
-            "connector composed through filtered frames", per,
+            oracle.verify_witness_mixed, rho1, rho2, canonicalize(factors),
+            "connector composed through filtered frames", report.residuals,
         )
         if verdict is not None:
             return verdict
@@ -615,8 +565,11 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     (_two_qubit_unitaries, else _covariant_unitaries, then
     _eigenbasis_unitaries) and composed with the filters. States with a
     decisively singular reduced matrix are decided through the supports
-    (_compressed_factors). Every Equivalent verdict reports the kernel ratio
-    of its connector (see _kernel_ratio). Everything else is Inconclusive.
+    (_compressed_factors). Every candidate's connector must pass
+    decomposability before the oracle (_first_verdict). An Equivalent
+    verdict reports a kernel ratio in the one case _kernel_ratio covers: a
+    qubit first party, both support ranks n - 1, and a pairing that fixes
+    the kernel. Everything else is Inconclusive.
     """
     if not (isinstance(rho1, MixedState) and isinstance(rho2, MixedState)):
         raise ValueError("check_mixed_equivalence expects MixedState inputs")
@@ -675,6 +628,4 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     if verdict is None:
         return Verdict("Inconclusive", None, "no decomposable connector found", ())
     # the ratio reads only the pairing, which the witness's scale leaves alone
-    ratio = _kernel_ratio(kron_list(verdict.witness.factors), spectral_prep(r1),
-                          spectral_prep(r2), dims)
-    return replace(verdict, kernel_ratio=ratio)
+    return replace(verdict, kernel_ratio=_kernel_ratio(verdict.witness.factors, r1, r2, dims))

@@ -135,12 +135,11 @@ def verify_witness_mixed(rho1, rho2, w: FactorSet) -> WitnessCheck:
 
 
 def witness_verdict(verify: Callable[..., WitnessCheck], first, second,
-                    witness: FactorSet, reason: str, residuals=(),
-                    kernel_ratio=None) -> Optional[Verdict]:
+                    witness: FactorSet, reason: str, residuals=()) -> Optional[Verdict]:
     """The Equivalent verdict for a canonical witness mapping `second` onto
-    `first`, or None when a factor's condition number exceeds
-    WITNESS_COND_CAP or the substitution check `verify` (verify_witness_pure
-    or verify_witness_mixed) fails."""
+    `first`, with no kernel ratio, or None when a factor's condition number
+    exceeds WITNESS_COND_CAP or the substitution check `verify`
+    (verify_witness_pure or verify_witness_mixed) fails."""
     for f in witness.factors:
         s = np.linalg.svd(np.asarray(f), compute_uv=False)
         if s[-1] <= 0.0 or s[0] / s[-1] > WITNESS_COND_CAP:
@@ -148,8 +147,7 @@ def witness_verdict(verify: Callable[..., WitnessCheck], first, second,
     check = verify(first, second, witness)
     if not check.passed:
         return None
-    return Verdict("Equivalent", witness, reason, tuple(residuals),
-                   check.relative_residual, kernel_ratio)
+    return Verdict("Equivalent", witness, reason, tuple(residuals), check.relative_residual)
 
 
 def random_ilo(shape, seed) -> FactorSet:

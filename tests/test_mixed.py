@@ -6,14 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from statekit import mixed
+from statekit import mixed, oracle
+from statekit.factor import canonicalize
 from statekit.linalg import SystemShape, kron_list, partial_trace_keep
 from statekit.mixed import (
     MixedState,
     _covariant_unitaries,
+    _first_verdict,
+    _kernel_ratio,
     _party_covariants,
     _phase_fix_columns,
-    _ratio_complete,
     _sign_solutions,
     _torus_phases,
     _two_qubit_unitaries,
@@ -106,27 +108,53 @@ def test_phase_fix_matches_the_column_loop_bit_for_bit():
         assert _phase_fix_columns(v).tobytes() == _phase_fix_loop(v).tobytes()
 
 
-def test_ratio_completion_fills_kernel_entry():
-    diag = np.diag(kron_list([np.diag([1.0, 2.0]), np.diag([1.0, 3.0]), np.diag([1.0, 5.0])])).copy()
-    pinned = diag.astype(complex)
-    pinned[7] = np.nan
-    filled, ratio = _ratio_complete(pinned, (2, 2, 2), kernel=[7])
-    assert filled is not None
-    assert np.isclose(complex(filled[7]).real, diag[7].real)
-    assert np.isclose(complex(ratio), 2.0)
+def test_kernel_ratio_of_the_matched_corner_pair_is_a_quarter():
+    first, second = fixtures(2, FixtureParams(a=0.3, b=0.4, c=0.5, alpha=0.6, beta=1.6, gamma=4.0))
+    verdict = check_mixed_equivalence(first, second)
+    assert _kernel_ratio(verdict.witness.factors, first.rho, second.rho, (2, 2, 2)) == 0.25
 
 
-def test_ratio_completion_requires_known_leading_row():
-    pinned = np.array([np.nan, 1.0, 1.0, 1.0], dtype=complex)
-    filled, ratio = _ratio_complete(pinned, (2, 2), kernel=[0])
-    assert filled is None and ratio is None
+def test_kernel_ratio_needs_a_qubit_first_party():
+    state = random_density((3, 3), 5).rho
+    # one kernel entry, an identity pairing: only the first party's
+    # dimension rules the ratio out
+    rho = state - np.linalg.eigvalsh(state)[0] * np.eye(9)
+    rho /= np.trace(rho).real
+    assert _kernel_ratio([np.eye(3)] * 2, rho, rho, (3, 3)) is None
 
 
-def test_ratio_completion_refuses_inconsistent_rows():
-    # second row is not proportional to the first on its known entries
-    pinned = np.array([1.0, 2.0, 3.0, 4.0, 2.0, 4.0, 7.0, np.nan], dtype=complex)
-    filled, _ = _ratio_complete(pinned, (2, 4), kernel=[7])
-    assert filled is None
+def test_kernel_ratio_of_a_single_qubit_is_none():
+    # n = 2: support rank n - 1 and the kernel fixed, but row 1 holds only
+    # the kernel entry
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    assert _kernel_ratio([np.eye(2)], rho, rho, (2,)) is None
+
+
+def test_kernel_ratio_needs_proportional_rows():
+    # diagonal states with identity factors pair each eigenvalue with itself,
+    # so the table of sqrt(lambda_i / mu_i) is (1, 1, 1, 1 | 2, 2, last, -)
+    # up to one common scale
+    lam = np.array([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0])
+
+    def ratio(last):
+        mu = lam / np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, last, 1.0]) ** 2
+        rho1, rho2 = (np.diag(w / w.sum()).astype(complex) for w in (lam, mu))
+        return _kernel_ratio([np.eye(2)] * 3, rho1, rho2, (2, 2, 2))
+
+    assert abs(ratio(2.0) - 2.0) <= 1e-12
+    assert ratio(3.0) is None
+
+
+def test_first_verdict_keeps_the_decomposability_gate():
+    # each factor has condition number 1e6, inside WITNESS_COND_CAP, and the
+    # oracle accepts them; their product, at 1e12, is not invertible to
+    # decomposability, so no verdict is built
+    second = random_density((2, 2), 11)
+    k = np.diag([1.0, 1e-6])
+    image = kron_list([k, k]) @ second.rho @ kron_list([k, k]).conj().T
+    first = MixedState(TWO_QUBITS, image / np.trace(image).real)
+    assert oracle.verify_witness_mixed(first, second, canonicalize([k, k])).passed
+    assert _first_verdict(first, second, [[k, k]], (2, 2)) is None
 
 
 def test_invariant_screen_global_rank():
