@@ -9,23 +9,25 @@ draws a random number.
 
 Filtering brings both states to the local form whose single-party reduced
 matrices are all maximally mixed (Verstraete, Dehaene and De Moor, PRA 68,
-012103); states equivalent under invertible local maps have filtered forms
-related by a local unitary U = (x)U_k, with equal spectra (a mismatch ends
-the verdict). One-copy covariants, reduced matrices of powers of the
-filtered state, are conjugated by U party by party (the mixed analogue of
-Kraus's local-unitary standard form, PRL 104, 020504). Their eigenbases fix
-U up to one diagonal phase per party, and those phases are solved on the
-torus from the normal forms' entries in the eigenbases. Where symmetry
-leaves every covariant a multiple of I, the phases of the eigenvectors of
-a non-degenerate filtered spectrum are solved instead. Two-qubit normal
-forms use their correlation tensors (Verstraete, Dehaene and De Moor, PRA
-64, 010101(R)). States with a singular reduced matrix have no normal form
-and are first compressed to the supports of their reduced matrices. The
-unitary, composed with the filters, is the verdict once its connector
-passes the Kronecker-product test and the oracle. A kernel ratio is read in
-one case only: a qubit first party whose two states each have a
-one-dimensional kernel, which the connector's pairing of the raw
-eigenbases fixes.
+012103), over-relaxed over two parties and in closed form for qubits. A
+normal form counts only once the accumulated filters, applied to the input,
+reproduce it (normal_form). States equivalent under invertible local maps
+have filtered forms related by a local unitary U = (x)U_k, with equal
+spectra (a mismatch ends the verdict). One-copy covariants, reduced matrices
+of powers of the filtered state, are conjugated by U party by party (the
+mixed analogue of Kraus's local-unitary standard form, PRL 104, 020504).
+Their eigenbases fix U up to one diagonal phase per party, and those phases
+are solved on the torus from the normal forms' entries in the eigenbases.
+Where symmetry leaves every covariant a multiple of I, the phases of the
+eigenvectors of a non-degenerate filtered spectrum are solved instead.
+Two-qubit normal forms use their correlation tensors (Verstraete, Dehaene
+and De Moor, PRA 64, 010101(R)). States with a singular reduced matrix have
+no normal form and are first compressed to the supports of their reduced
+matrices. The unitary, composed with the filters, is the verdict once its
+connector passes the Kronecker-product test and the oracle. A kernel ratio
+is read in one case only: a qubit first party whose two states each have a
+one-dimensional kernel, which the connector's pairing of the raw eigenbases
+fixes.
 """
 
 from __future__ import annotations
@@ -139,51 +141,88 @@ def _negativity_cost(factors: Sequence[np.ndarray]) -> float:
     return cost
 
 
-def normal_form(rho: np.ndarray, shape):
-    """Iterative local filtering toward the form whose every single-party
-    reduced matrix is maximally mixed.
+def _qubit_power(red: np.ndarray, p: float) -> tuple[Optional[np.ndarray], float, float]:
+    """(m^p, low, high) for m = 2 red / tr red, red a 2 x 2 Hermitian matrix
+    of positive trace, and low <= high the eigenvalues of m, in closed form;
+    m^p is None unless low > 0.
 
-    Cyclically applies f = (d * reduced)^(-1/2) on each party: the reduced
-    matrix comes from one einsum over a (before, d, after)^2 view whose
-    shape is fixed once per call, f from its eigendecomposition, and the
-    conjugation by f on the party's row and column indices from two
-    broadcast matmuls over reshaped views. The deviation of a reduced
-    matrix from I/d is read off its eigenvalues w as ||d w - 1||. Each step
-    keeps the trace at 1 in exact arithmetic, so the trace is renormalized
-    once per sweep. Returns the filtered state and the per-party filters,
-    or None when a reduced matrix turns singular, when 200 sweeps without
-    a 10% gain end above FILTER_SOFT_TOL (a state without a normal form,
-    such as the W class, stalls so while its filters grow without bound),
-    or after FILTER_SWEEPS sweeps. FILTER_TOL is accepted at once, and a
-    plateau between FILTER_TOL and FILTER_SOFT_TOL after those 200 sweeps,
-    which is the double precision floor for ill-conditioned inputs.
+    m = I + N with N traceless, and s = ||N||_2 gives low, high = 1 -+ s and
+    m^p = alpha I + beta N: alpha is the mean of low^p and high^p and beta
+    their divided difference. Both are formed from low^p and expm1(p
+    log1p(2 s / low)), so a nearly degenerate pair divides nothing by its
+    gap, and at s = 0 beta is the derivative p low^(p - 1). The power is
+    Hermitian to the bit.
     """
-    dims = as_dims(shape)
+    (r00, r01), (_, r11) = red.tolist()
+    t = (r00.real + r11.real) / 2.0
+    a = (r00.real - r11.real) / (2.0 * t)
+    b = r01 / t
+    s = math.hypot(a, b.real, b.imag)
+    low = 1.0 - s
+    if low <= 0.0:
+        return None, low, 1.0 + s
+    lp = low ** p
+    if s == 0.0:
+        alpha, beta = lp, p * lp / low
+    else:
+        x = 2.0 * s / low
+        e = math.expm1(p * math.log1p(x))
+        alpha, beta = lp * (1.0 + e / 2.0), lp * e / (low * x)
+    c = beta * b
+    return np.array([[alpha + beta * a, c], [c.conjugate(), alpha - beta * a]]), low, 1.0 + s
+
+
+def _relaxation(omega: float, rate: float) -> float:
+    """The over-relaxation factor for sweeps that contract the deviation by
+    `rate` at factor omega, or omega when rate implies none.
+
+    Over two blocks, the rate lambda at omega and the rate mu^2 at omega = 1
+    obey (lambda + omega - 1)^2 = lambda omega^2 mu^2 (Young), and
+    2 / (1 + sqrt(1 - mu^2)) is the factor of least rate."""
+    mu2 = (rate + omega - 1.0) ** 2 / (rate * omega * omega)
+    return 2.0 / (1.0 + math.sqrt(1.0 - mu2)) if mu2 < 1.0 else omega
+
+
+def _views(dims: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(before, d, after) per party: the sizes that split an index of the
+    product space around that party."""
+    return [(math.prod(dims[:p]), d, math.prod(dims[p + 1:])) for p, d in enumerate(dims)]
+
+
+def _filtered(rho: np.ndarray, dims: Sequence[int]):
+    """The filtering iteration of normal_form on a trace-one rho: (r,
+    filters), or None on a refusal. r is the iterate, not yet certified."""
     n = math.prod(dims)
-    views = [(math.prod(dims[:p]), d, math.prod(dims[p + 1:])) for p, d in enumerate(dims)]
-    r = np.asarray(rho, dtype=complex)
-    r = r / np.trace(r).real
+    views = _views(dims)
+    r = rho
     filters = [np.eye(d, dtype=complex) for d in dims]
     best = np.inf
     since_gain = 0
+    omega, last, ratio = 1.0, np.inf, None
     for _ in range(FILTER_SWEEPS):
         dev = 0.0
+        power = -omega / 2.0
         for party, (before, d, after) in enumerate(views):
             red = np.einsum("aibajb->ij", r.reshape(before, d, after, before, d, after))
-            w, v = np.linalg.eigh(red)
-            if w[0] < 1e-14:  # eigh sorts ascending
-                return None
-            dw = d * w
-            e = dw - 1.0
-            dev = max(dev, math.sqrt(e @ e))
-            f = (v * dw ** -0.5) @ v.conj().T
+            if d == 2:
+                f, low, high = _qubit_power(red, power)
+                if low < 2e-14:  # red / tr red has eigenvalue low / 2
+                    return None
+                dev = max(dev, math.hypot(low - 1.0, high - 1.0))
+            else:
+                w, v = np.linalg.eigh(red * (d / red.trace().real))
+                if w[0] < d * 1e-14:  # eigh sorts ascending
+                    return None
+                e = w - 1.0
+                dev = max(dev, math.sqrt(e @ e))
+                f = (v * w ** power) @ v.conj().T
             # conjugate by the filter: rows split as (before, party, after),
             # then columns split the same way behind all n rows
             t = f @ r.reshape(before, d, -1)
             t = f.conj() @ t.reshape(n * before, d, -1)
             r = t.reshape(n, n)
             filters[party] = f @ filters[party]
-        r = r / np.trace(r).real
+        r = r / r.trace().real
         if dev < FILTER_TOL:
             return r, filters
         if dev < 0.9 * best:
@@ -193,7 +232,72 @@ def normal_form(rho: np.ndarray, shape):
             since_gain += 1
             if since_gain > 200:
                 return (r, filters) if dev < FILTER_SOFT_TOL else None
+        rate = dev / last
+        if rate > 2.0:
+            omega, rate = 1.0 + (omega - 1.0) / 2.0, None
+        elif (len(dims) == 2 and rate < 1.0 and ratio is not None
+              and abs(rate - ratio) <= 0.05 * (1.0 - rate)):
+            omega = _relaxation(omega, rate)
+        last, ratio = dev, rate
     return None
+
+
+def normal_form(rho: np.ndarray, shape):
+    """Iterative local filtering toward the form whose every single-party
+    reduced matrix is maximally mixed.
+
+    Cyclically applies f = m^(-omega/2) on each party, with m = d red / tr
+    red: the reduced matrix comes from one einsum over a (before, d,
+    after)^2 view whose shape is fixed once per call, f from the closed
+    form _qubit_power when d = 2 and from the eigendecomposition of m
+    otherwise, and the conjugation by f on the party's row and column
+    indices from two broadcast matmuls over reshaped views. The deviation of
+    a reduced matrix from I/d is read off the eigenvalues w of m as
+    ||w - 1||, and the trace is renormalized once per sweep.
+
+    The over-relaxation factor omega comes from the iteration alone and
+    starts at 1, plain filtering. With two parties, once two successive
+    ratios of sweep deviations agree within 5% of the ratio's distance from
+    1, omega is set from the latest by _relaxation, which re-estimates it
+    from the accelerated ratios in turn. A sweep that more than doubles the
+    deviation halves omega's distance from 1. With three or more parties
+    Young's relation does not hold, and over-relaxed sweeps can stall states
+    near a pure one short of their normal form, so omega stays 1.
+
+    Returns the filtered state and the per-party filters, or None when a
+    reduced matrix turns singular, when 200 sweeps without a 10% gain end
+    above FILTER_SOFT_TOL (a state without a normal form, such as the W
+    class, stalls so while its filters grow without bound), or after
+    FILTER_SWEEPS sweeps. FILTER_TOL is accepted at once, and a plateau
+    between FILTER_TOL and FILTER_SOFT_TOL after those 200 sweeps, which is
+    the double precision floor for ill-conditioned inputs.
+
+    An accepted iterate is certified before it is returned: g = F rho F^dag
+    / tr, with F = (x)filters, is recomputed from the input, and the
+    Hermitian part of g is returned only when ||g - r|| / ||r|| and the
+    deviation of g's reduced matrices from I/d are both within
+    FILTER_SOFT_TOL; else None. Rounding through ill-conditioned filters
+    can carry the iterate off Hermitian and off the state the filters
+    reach, as for images of W, which have no normal form.
+    """
+    dims = as_dims(shape)
+    rho = np.asarray(rho, dtype=complex)
+    rho = rho / np.trace(rho).real
+    out = _filtered(rho, dims)
+    if out is None:
+        return None
+    r, filters = out
+    big = kron_list(filters)
+    g = big @ rho @ big.conj().T
+    g = g / np.trace(g).real
+    if float(np.linalg.norm(g - r)) > FILTER_SOFT_TOL * float(np.linalg.norm(r)):
+        return None
+    g = (g + g.conj().T) / 2.0
+    for before, d, after in _views(dims):
+        red = np.einsum("aibajb->ij", g.reshape(before, d, after, before, d, after))
+        if float(np.linalg.norm(d * red - np.eye(d))) > FILTER_SOFT_TOL:
+            return None
+    return g, filters
 
 
 def _party_covariants(f: np.ndarray, dims: Sequence[int], party: int) -> np.ndarray:
@@ -569,7 +673,9 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     decomposability before the oracle (_first_verdict). An Equivalent
     verdict reports a kernel ratio in the one case _kernel_ratio covers: a
     qubit first party, both support ranks n - 1, and a pairing that fixes
-    the kernel. Everything else is Inconclusive.
+    the kernel. Everything else is Inconclusive; a full-rank state whose
+    filtering converges but whose normal form is not certified is told
+    apart from one that stalls by running its filtering again.
     """
     if not (isinstance(rho1, MixedState) and isinstance(rho2, MixedState)):
         raise ValueError("check_mixed_equivalence expects MixedState inputs")
@@ -590,7 +696,8 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     if nf2 is None:
         # a singular reduced matrix stops the filtering at once; with
         # full-rank ones the marginals stalled (no normal form, as for the
-        # W class) or were still gaining at FILTER_SWEEPS
+        # W class), were still gaining at FILTER_SWEEPS, or reached a state
+        # that the filters, applied to the input, do not reproduce
         singular = any(
             decisive_rank(partial_trace_keep(r, dims, p))[0] < dims[p - 1]
             for r in (r1, r2) for p in range(1, len(dims) + 1)
@@ -599,8 +706,14 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
         if factors is not None:
             verdict = _first_verdict(rho1, rho2, [factors], dims)
         if verdict is None:
-            cause = "rank-deficient state" if singular else "marginals stay short of maximally mixed"
-            return Verdict("Inconclusive", None, f"filtering did not converge ({cause})", ())
+            failed = r1 if nf1 is None else r2
+            if singular:
+                reason = "filtering did not converge (rank-deficient state)"
+            elif _filtered(failed / np.trace(failed).real, dims) is not None:
+                reason = "normal form not certified"
+            else:
+                reason = "filtering did not converge (marginals stay short of maximally mixed)"
+            return Verdict("Inconclusive", None, reason, ())
     else:
         (f1t, filt1), (f2t, filt2) = nf1, nf2
 

@@ -21,7 +21,7 @@ from statekit.linalg import SystemShape
 from statekit.mixed import MixedState
 from statekit.oracle import FixtureParams, fixtures
 from statekit.pure import PureState
-from util import GHZ3, W3, random_complex
+from util import GHZ3, W3, random_complex, w_image
 
 EX2_PARAMS = "a=0.3,b=0.4,c=0.5,alpha=0.6,beta=1.6,gamma=4.0"
 ONE_PARTY_PURE = '{"version":1,"type":"pure","dims":[2],"data":[[1,0],[0,0]]}'
@@ -135,6 +135,23 @@ def test_unresolved_pair_exits_two(tmp_path, capsys):
     code, out, _ = _run(capsys, "check-pure", a, b)
     assert code == cli.EXIT_INCONCLUSIVE
     assert json.loads(out)["outcome"] == "Inconclusive"
+
+
+def test_uncertified_normal_form_exits_two_without_a_traceback(tmp_path):
+    # the filtering of this W image ends on an iterate that drifted off
+    # Hermitian, which once escaped spectral_prep as a ValueError and exit 1
+    ghz = MixedState(SystemShape((2, 2, 2)), np.outer(GHZ3.amplitudes, GHZ3.amplitudes.conj()))
+    a = _state_file(tmp_path, "ghz.json", ghz)
+    b = _state_file(tmp_path, "w.json", w_image(0))
+    src = str(Path(statekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "statekit.cli", "check-mixed", a, b], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == cli.EXIT_INCONCLUSIVE
+    assert "Traceback" not in run.stderr
+    report = json.loads(run.stdout)
+    assert report["outcome"] == "Inconclusive"
+    assert report["reason"] == "normal form not certified"
 
 
 def test_corner_pair_exits_zero_with_kernel_ratio(tmp_path, capsys):

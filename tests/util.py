@@ -102,3 +102,20 @@ W3 = PureState(
     SystemShape((2, 2, 2)),
     np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex) / np.sqrt(3.0),
 )
+
+
+def w_image(seed) -> MixedState:
+    """The projector onto (A (x) B (x) C)|W>, normalized, with complex
+    Gaussian factors from default_rng(seed), each redrawn until its
+    condition number is at most 100. It is in the W class, which has no
+    normal form, but rounding can carry the filtering to a fiction."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for _ in range(3):
+        f = random_complex(rng, 2, 2)
+        while np.linalg.cond(f) > 100:
+            f = random_complex(rng, 2, 2)
+        factors.append(f)
+    v = np.kron(np.kron(factors[0], factors[1]), factors[2]) @ W3.amplitudes
+    v = v / np.linalg.norm(v)
+    return MixedState(SystemShape((2, 2, 2)), np.outer(v, v.conj()))
