@@ -51,6 +51,7 @@ from .pure import (
     rank_signature,
 )
 from .oracle import (
+    BACKWARD_TOL,
     ORACLE_TOL,
     FixtureParams,
     Verdict,
@@ -69,6 +70,7 @@ __all__ = [
     "RANK1_ACCEPT",
     "RANK_REL_TOL",
     "ORACLE_TOL",
+    "BACKWARD_TOL",
     "RankReport",
     "SystemShape",
     "vec",

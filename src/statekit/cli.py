@@ -265,21 +265,6 @@ def _print(obj: dict):
     sys.stdout.write(_emit(obj) + "\n")
 
 
-def _resolve_seed(value: Optional[int]) -> int:
-    """The --seed value, else SLOCC_SEED, else 0. numpy's generators take
-    only non-negative seeds."""
-    source = "--seed"
-    if value is None:
-        source = "SLOCC_SEED"
-        try:
-            value = int(os.environ.get(source, "0"))
-        except ValueError:
-            raise UsageError("SLOCC_SEED must be an integer") from None
-    if value < 0:
-        raise UsageError(f"{source} must be a non-negative integer, got {value}")
-    return value
-
-
 def _parse_dims(text: str) -> tuple[int, ...]:
     """Party dimensions from a comma-separated --dims value."""
     try:
@@ -400,6 +385,7 @@ def _cmd_verify(args) -> int:
         raise DataFormatError(f"invalid witness: {exc}") from None
     _print({
         "relative_residual": check.relative_residual,
+        "backward_error": check.backward_error,
         "passed": check.passed,
     })
     return 0 if check.passed else EXIT_INCONCLUSIVE
@@ -434,7 +420,8 @@ def _write_json(path: str, obj: dict):
 
 
 def _cmd_gen(args) -> int:
-    seed = _resolve_seed(args.seed)
+    if args.seed < 0:  # numpy's generators take only non-negative seeds
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.example is not None:
         params = _parse_fixture_params(args.params)
         try:
@@ -445,7 +432,7 @@ def _cmd_gen(args) -> int:
         objs = [state_object(state, name) for state, name in zip((first, second), names)]
     else:
         shape = SystemShape(_parse_dims(args.dims))
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         n = shape.side
         if args.random == "pure":
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -457,7 +444,7 @@ def _cmd_gen(args) -> int:
         names = ["state_a"]
         objs = [state_object(state, "state_a")]
         if args.equivalent_pair:
-            partner, fs = make_equivalent_pair(state, seed)
+            partner, fs = make_equivalent_pair(state, args.seed)
             names += ["state_b", "witness"]
             objs += [state_object(partner, "state_b"), witness_object(fs)]
     # the output directory is created only once every input has been accepted
@@ -512,7 +499,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--random", choices=("pure", "mixed"))
     p.add_argument("--params", default=None)
     p.add_argument("--dims", default="2,2")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--equivalent-pair", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)

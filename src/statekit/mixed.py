@@ -23,11 +23,10 @@ eigenvectors of a non-degenerate filtered spectrum are solved instead.
 Two-qubit normal forms use their correlation tensors (Verstraete, Dehaene
 and De Moor, PRA 64, 010101(R)). States with a singular reduced matrix have
 no normal form and are first compressed to the supports of their reduced
-matrices. The unitary, composed with the filters, is the verdict once its
-connector passes the Kronecker-product test and the oracle. A kernel ratio
-is read in one case only: a qubit first party whose two states each have a
-one-dimensional kernel, which the connector's pairing of the raw eigenbases
-fixes.
+matrices. The unitary, composed with the filters, is the verdict once the
+oracle passes it. A kernel ratio is read in one case only: a qubit first
+party whose two states each have a one-dimensional kernel, which the
+connector's pairing of the raw eigenbases fixes.
 """
 
 from __future__ import annotations
@@ -600,19 +599,22 @@ def _first_verdict(rho1: MixedState, rho2: MixedState, candidates,
                    dims: Sequence[int]) -> Optional[Verdict]:
     """The verdict of the first candidate local factors mapping rho2 onto
     rho1, in order of least _negativity_cost (equal costs in the solver's
-    order), whose Kronecker product passes decomposability (invertible,
-    every cut's rank-one residual at most RANK1_ACCEPT) and whose canonical
-    factors pass the oracle. The verdict reports those cut residuals."""
+    order), whose canonical factors pass the oracle, the one gate. Its
+    witness gets the positive scale 1/sqrt(tr(F rho2 F^dag)), F the
+    Kronecker product of those factors, so that it maps rho2 onto rho1
+    with no renormalization, and the verdict reports the rank-one residuals
+    of the connector's cuts (decomposability)."""
     for factors in sorted(candidates, key=lambda fs: round(_negativity_cost(fs), 9)):
-        report = decomposability(kron_list(factors), dims)
-        if not report.decomposable:
-            continue
         verdict = oracle.witness_verdict(
             oracle.verify_witness_mixed, rho1, rho2, canonicalize(factors),
-            "connector composed through filtered frames", report.residuals,
+            "connector composed through filtered frames",
         )
         if verdict is not None:
-            return verdict
+            f = kron_list(verdict.witness.factors)
+            scale = 1.0 / math.sqrt(float(np.trace(f @ rho2.rho @ f.conj().T).real))
+            return replace(
+                verdict, witness=replace(verdict.witness, scale=complex(scale)),
+                residuals=decomposability(kron_list(factors), dims).residuals)
     return None
 
 
@@ -669,11 +671,10 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     (_two_qubit_unitaries, else _covariant_unitaries, then
     _eigenbasis_unitaries) and composed with the filters. States with a
     decisively singular reduced matrix are decided through the supports
-    (_compressed_factors). Every candidate's connector must pass
-    decomposability before the oracle (_first_verdict). An Equivalent
-    verdict reports a kernel ratio in the one case _kernel_ratio covers: a
-    qubit first party, both support ranks n - 1, and a pairing that fixes
-    the kernel. Everything else is Inconclusive; a full-rank state whose
+    (_compressed_factors). The oracle alone accepts a candidate
+    (_first_verdict). An Equivalent verdict reports a kernel ratio in the
+    one case _kernel_ratio covers: a qubit first party, both support ranks
+    n - 1, and a pairing that fixes the kernel. Everything else is Inconclusive; a full-rank state whose
     filtering converges but whose normal form is not certified is told
     apart from one that stalls by running its filtering again.
     """

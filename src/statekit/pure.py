@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -201,9 +201,11 @@ def _product_vectors(basis: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _three_qubit_witness(phi: PureState, psi: PureState):
+def _three_qubit_witness(phi: PureState, psi: PureState) -> Iterator[list[np.ndarray]]:
     """Pair the two product vectors in each coefficient rowspace to build the
-    column factors, then solve for the row factor; three qubits only."""
+    column factors, then solve for the row factor by least squares; three
+    qubits only. Yields the factors of both pairings (none when a rowspace
+    does not hold two product vectors), for the oracle to choose from."""
     m1 = coefficient_matrix(phi, (1,))
     m2 = coefficient_matrix(psi, (1,))
     _, _, y1h = np.linalg.svd(m1)
@@ -211,7 +213,7 @@ def _three_qubit_witness(phi: PureState, psi: PureState):
     p_list = _product_vectors(y1h[:2])
     q_list = _product_vectors(y2h[:2])
     if len(p_list) != 2 or len(q_list) != 2:
-        return None
+        return
     (u1, v1), (u2, v2) = q_list
     for perm in ((0, 1), (1, 0)):
         (a1, b1) = p_list[perm[0]]
@@ -221,16 +223,9 @@ def _three_qubit_witness(phi: PureState, psi: PureState):
             c3 = np.column_stack([b1, b2]) @ np.linalg.inv(np.column_stack([v1, v2]))
         except np.linalg.LinAlgError:
             continue
-        s = np.kron(c2, c3)
-        if np.linalg.svd(s, compute_uv=False)[-1] < 1e-10:
-            continue
-        mr = m2 @ s.T
+        mr = m2 @ np.kron(c2, c3).T
         l, *_ = np.linalg.lstsq(mr.T, m1.T, rcond=None)
-        l = l.T
-        if float(np.linalg.norm(l @ mr - m1)) > 1e-8:
-            continue
-        return [l, c2, c3]
-    return None
+        yield [l.T, c2, c3]
 
 
 def _split_party(psi: PureState, party: int):
@@ -329,8 +324,7 @@ def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
         )
 
     if dims == (2, 2, 2):
-        factors = _three_qubit_witness(phi, psi)
-        if factors is not None:
+        for factors in _three_qubit_witness(phi, psi):
             verdict = _witness_verdict(
                 phi, psi, canonicalize(factors), "witness from product-vector pairing"
             )

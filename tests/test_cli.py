@@ -106,8 +106,7 @@ def test_schema_violations_are_rejected():
         cli.parse_state('["not","an","object"]')
 
 
-def test_identical_pure_states_exit_zero(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SLOCC_SEED", raising=False)
+def test_identical_pure_states_exit_zero(tmp_path, capsys):
     path = _state_file(tmp_path, "ghz.json", GHZ3)
     code, out, _ = _run(capsys, "check-pure", path, path)
     assert code == cli.EXIT_EQUIVALENT
@@ -265,6 +264,22 @@ def test_verify_rejects_wrong_witness(tmp_path, capsys):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9])
+def test_verify_refuses_the_ghz_to_w_degeneration(tmp_path, capsys, eps):
+    # A (x) A (x) A, A = [[1, -1], [eps, 0]], carries GHZ to within about
+    # eps of W, a state outside its orbit; the backward error refuses it
+    a = np.array([[1.0, -1.0], [eps, 0.0]], dtype=complex)
+    w = _write(tmp_path, "deg.json", cli.witness_object(FactorSet((a, a, a))))
+    first = _state_file(tmp_path, "w.json", W3)
+    second = _state_file(tmp_path, "ghz.json", GHZ3)
+    code, out, err = _run(capsys, "verify", first, second, w)
+    assert code == cli.EXIT_INCONCLUSIVE and err == ""
+    report = json.loads(out)
+    assert list(report) == ["relative_residual", "backward_error", "passed"]
+    assert report["passed"] is False
+    assert report["backward_error"] >= 8e14
+
+
 def test_realign_subcommand_reports_rank(tmp_path, capsys):
     z = np.array([
         [1, 2, 5, 6],
@@ -333,23 +348,20 @@ def test_classify_one_party_state(capsys):
     assert json.loads(out) == {"dims": [2], "signature": []}
 
 
-def test_seed_environment_fallback(tmp_path, capsys, monkeypatch):
-    # gen reads SLOCC_SEED when --seed is absent
+def test_seed_environment_variable_is_ignored(tmp_path, capsys, monkeypatch):
+    # --seed is the one way to seed gen, and an absent flag means 0; a set
+    # SLOCC_SEED, valid or not, changes nothing
     gen = ["gen", "--random", "mixed", "--dims", "2,2"]
-    _run(capsys, *gen, "--seed", "17", "--out", str(tmp_path / "flag"))
-    monkeypatch.setenv("SLOCC_SEED", "17")
-    code, _, _ = _run(capsys, *gen, "--out", str(tmp_path / "env"))
-    assert code == 0
-    assert (tmp_path / "env" / "state_a.json").read_bytes() == (
-        tmp_path / "flag" / "state_a.json").read_bytes()
+    _run(capsys, *gen, "--seed", "0", "--out", str(tmp_path / "flag"))
     rho = MixedState(SystemShape((2, 2)), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
     path = _state_file(tmp_path, "rho.json", rho)
     ghz = _state_file(tmp_path, "ghz.json", GHZ3)
-    for bad in ("not-a-number", "-2"):
-        monkeypatch.setenv("SLOCC_SEED", bad)
-        code, _, err = _run(capsys, *gen, "--out", str(tmp_path / "bad"))
-        assert code == cli.EXIT_USAGE
-        assert "SLOCC_SEED" in err
+    for value in ("17", "not-a-number", "-2"):
+        monkeypatch.setenv("SLOCC_SEED", value)
+        code, _, err = _run(capsys, *gen, "--out", str(tmp_path / "env"))
+        assert code == 0 and err == ""
+        assert (tmp_path / "env" / "state_a.json").read_bytes() == (
+            tmp_path / "flag" / "state_a.json").read_bytes()
         # no verdict depends on a seed, so neither check reads one
         for check, state in (("check-mixed", path), ("check-pure", ghz)):
             code, out, _ = _run(capsys, check, state, state)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statekit import mixed, oracle
-from statekit.factor import canonicalize
+from statekit.factor import canonicalize, kron as kron_factors
 from statekit.linalg import SystemShape, kron_list, partial_trace_keep
 from statekit.mixed import (
     MixedState,
@@ -146,16 +146,33 @@ def test_kernel_ratio_needs_proportional_rows():
     assert ratio(3.0) is None
 
 
-def test_first_verdict_keeps_the_decomposability_gate():
-    # each factor has condition number 1e6, inside WITNESS_COND_CAP, and the
-    # oracle accepts them; their product, at 1e12, is not invertible to
-    # decomposability, so no verdict is built
+def test_first_verdict_leaves_an_ill_conditioned_connector_to_the_oracle():
+    # each factor has condition number 1e7 and the substitution residual is
+    # at rounding level, but the backward error, residual times 1e14, is
+    # far above BACKWARD_TOL: the oracle refuses it, and no verdict is built
     second = random_density((2, 2), 11)
-    k = np.diag([1.0, 1e-6])
+    k = np.diag([1.0, 1e-7])
     image = kron_list([k, k]) @ second.rho @ kron_list([k, k]).conj().T
     first = MixedState(TWO_QUBITS, image / np.trace(image).real)
-    assert oracle.verify_witness_mixed(first, second, canonicalize([k, k])).passed
+    assert not oracle.verify_witness_mixed(first, second, canonicalize([k, k])).passed
     assert _first_verdict(first, second, [[k, k]], (2, 2)) is None
+
+
+@pytest.mark.parametrize("pair", ["c04", "random22"])
+def test_mixed_witness_scale_maps_without_renormalization(pair):
+    if pair == "c04":
+        rho1, rho2 = fixtures(
+            2, FixtureParams(a=0.3, b=0.4, c=0.5, alpha=0.6, beta=1.6, gamma=4.0))
+    else:
+        rho2 = random_density((2, 2), 21)
+        rho1, _ = make_equivalent_pair(rho2, 22)
+    verdict = checked_mixed(rho1, rho2)
+    assert verdict.outcome == "Equivalent"
+    scale = verdict.witness.scale
+    assert scale.imag == 0.0 and scale.real > 0.0
+    a = kron_factors(verdict.witness)
+    image = a @ rho2.rho @ a.conj().T
+    assert np.linalg.norm(image - rho1.rho) <= oracle.ORACLE_TOL * np.linalg.norm(rho1.rho)
 
 
 def test_invariant_screen_global_rank():

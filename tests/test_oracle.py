@@ -13,6 +13,7 @@ from statekit.oracle import (
     random_ilo,
     verify_witness_mixed,
     verify_witness_pure,
+    witness_verdict,
 )
 from statekit.pure import PureState
 from util import GHZ3, W3, random_complex, random_density, random_pure
@@ -116,6 +117,75 @@ def test_singular_witness_is_rejected():
     rho = random_density((2, 2), 9)
     with pytest.raises(ValueError):
         verify_witness_mixed(rho, rho, singular)
+
+
+def _ghz_to_w_degeneration(eps) -> FactorSet:
+    # A (x) A (x) A maps |000> + |111> to eps (|001> + |010> + |100>) + O(eps^2)
+    a = np.array([[1.0, -1.0], [eps, 0.0]], dtype=complex)
+    return canonicalize([a, a, a])
+
+
+def _projector(psi) -> MixedState:
+    return MixedState(psi.shape, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9])
+def test_ghz_to_w_degeneration_is_no_witness(eps):
+    # W lies in the closure of the GHZ orbit, not in it: the map leaves a
+    # residual near eps, but only through factors of condition number 2/eps
+    witness = _ghz_to_w_degeneration(eps)
+    for verify, first, second in (
+        (verify_witness_pure, W3, GHZ3),
+        (verify_witness_mixed, _projector(W3), _projector(GHZ3)),
+    ):
+        check = verify(first, second, witness)
+        assert not check.passed
+        assert check.backward_error >= 8e14
+        assert witness_verdict(verify, first, second, witness, "degeneration") is None
+
+
+def _conditioned_factor(rng, kappa) -> np.ndarray:
+    u, _ = np.linalg.qr(random_complex(rng, 2, 2))
+    v, _ = np.linalg.qr(random_complex(rng, 2, 2))
+    return u @ np.diag([1.0, 1.0 / kappa]) @ v
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_witness_verdict_accepts_exactly_what_verify_passes(kind):
+    # per-factor condition numbers from 1 to 1e10, exact images and images
+    # moved by 1e-9: the verdict and the check agree on every witness, and
+    # both outcomes occur
+    rng = np.random.default_rng(5)
+    dims = (2, 2, 2) if kind == "pure" else (2, 2)
+    outcomes = set()
+    for kappa in 10.0 ** np.arange(11):
+        for noise in (0.0, 1e-9):
+            witness = canonicalize([_conditioned_factor(rng, kappa) for _ in dims])
+            a = kron(witness)
+            if kind == "pure":
+                second = random_pure(dims, int(rng.integers(1000)))
+                image = a @ second.amplitudes + noise * random_complex(rng, a.shape[0])
+                first = PureState(second.shape, image / np.linalg.norm(image))
+                verify = verify_witness_pure
+            else:
+                second = random_density(dims, int(rng.integers(1000)))
+                image = a @ second.rho @ a.conj().T
+                image = image / np.trace(image).real + noise * random_density(dims, 7).rho
+                image = (image + image.conj().T) / 2.0
+                first = MixedState(second.shape, image / np.trace(image).real)
+                verify = verify_witness_mixed
+            check = verify(first, second, witness)
+            cond = np.prod([np.linalg.cond(f) for f in witness.factors])
+            assert check.backward_error == pytest.approx(check.relative_residual * cond, rel=1e-6)
+            verdict = witness_verdict(verify, first, second, witness, "constructed")
+            assert (verdict is not None) == check.passed
+            outcomes.add(check.passed)
+    assert outcomes == {True, False}
+    # a singular witness makes verify raise, and the verdict refuse
+    singular = FactorSet(tuple(np.diag([1.0, 0.0]).astype(complex) for _ in dims))
+    with pytest.raises(ValueError):
+        verify(first, second, singular)
+    assert witness_verdict(verify, first, second, singular, "singular") is None
 
 
 def test_random_ilo_is_deterministic_and_well_conditioned():
