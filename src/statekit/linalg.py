@@ -1,8 +1,9 @@
 """Dense complex linear algebra substrate.
 
 Column-stacking vectorization, block realignment, party-index permutation,
-spectral helpers, and tolerance-aware rank decisions. Everything operates on
-plain numpy arrays; all functions are pure.
+spectral helpers, tolerance-aware rank decisions, and the compression to
+local supports that both pipelines share. Everything operates on plain
+numpy arrays; all functions are pure.
 """
 
 from __future__ import annotations
@@ -175,6 +176,37 @@ def rank_mismatch(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int]]:
     if d1 and d2 and r1 != r2:
         return r1, r2
     return None
+
+
+def local_supports(mats1: Sequence[np.ndarray], mats2: Sequence[np.ndarray],
+                   ranks: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
+    """Per party, (P1, Q1, P2, Q2): isometries onto the leading ranks[k]
+    left singular vectors of mats1[k] and mats2[k], and onto their
+    complements. A full-rank party keeps the identity and takes no SVD.
+    Invertible local maps carry local supports onto each other, so two
+    states are equivalent exactly when their compressions are."""
+    splits = []
+    for a, b, rank in zip(mats1, mats2, ranks):
+        d = a.shape[0]
+        if rank == d:
+            eye = np.eye(d, dtype=complex)
+            splits.append((eye, eye[:, d:], eye, eye[:, d:]))
+            continue
+        # only U is used, and it is square in the thin form unless the
+        # matrix is taller than wide; a full Vh of a wide pure cut is costly
+        u1, u2 = (np.linalg.svd(m, full_matrices=m.shape[0] > m.shape[1])[0] for m in (a, b))
+        splits.append((u1[:, :rank], u1[:, rank:], u2[:, :rank], u2[:, rank:]))
+    return splits
+
+
+def lift_supports(splits: Sequence[tuple[np.ndarray, ...]],
+                  inner: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """P1 F' P2^dag + Q1 Q2^dag per party: the local factors that act as the
+    compressed connector F' (the next of `inner`, or [[1]] for a rank-1
+    party) between the supports and map the second kernels onto the first."""
+    rest = iter(inner)
+    return [p1 @ (next(rest) if p1.shape[1] > 1 else np.ones((1, 1))) @ p2.conj().T
+            + q1 @ q2.conj().T for p1, q1, p2, q2 in splits]
 
 
 def partial_trace_keep(rho: np.ndarray, shape, party: int) -> np.ndarray:

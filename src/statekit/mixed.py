@@ -47,6 +47,8 @@ from .linalg import (
     decisive_rank,
     eigh_desc,
     kron_list,
+    lift_supports,
+    local_supports,
     partial_trace_keep,
     rank_mismatch,
 )
@@ -618,46 +620,29 @@ def _first_verdict(rho1: MixedState, rho2: MixedState, candidates,
     return None
 
 
-def _compressed_factors(rho1: MixedState, rho2: MixedState,
-                        dims: Sequence[int]) -> Optional[list[np.ndarray]]:
+def _compressed_factors(rho1: MixedState, rho2: MixedState, reds,
+                        ranks) -> Optional[list[np.ndarray]]:
     """Local factors mapping rho2 onto rho1 through the supports of their
-    reduced matrices, or None.
-
-    A state lives on the product of its reduced matrices' supports, which
-    an invertible local map carries onto each other. So each party is
-    compressed by isometries P onto its support (decisive ranks, equal for
-    both states), rank-1 parties drop out, check_mixed_equivalence decides
-    the compressed pair, and its factors lift to P1 F' P2^dag + Q1 Q2^dag,
-    with Q the isometries onto the kernels. None unless it is Equivalent.
+    reduced matrices `reds` (per state, per party) of decisive_rank `ranks`,
+    or None. None when a party's two ranks are not both decisive and
+    equal, or when check_mixed_equivalence, deciding the pair compressed to
+    those supports with rank-1 parties dropped, does not find it Equivalent.
     """
-    splits = []
-    for party in range(1, len(dims) + 1):
-        pair = []
-        for rho in (rho1.rho, rho2.rho):
-            red = partial_trace_keep(rho, dims, party)
-            rank, decisive = decisive_rank(red)
-            if not decisive:
-                return None
-            q = eigh_desc(red)[0]
-            pair.append((q[:, :rank], q[:, rank:]))
-        if pair[0][0].shape[1] != pair[1][0].shape[1]:
-            return None
-        splits.append(pair)
-    kept = tuple(p.shape[1] for (p, _), _ in splits if p.shape[1] > 1)
-    inner: list[np.ndarray] = []
+    if not all(d1 and d2 and k1 == k2 for (k1, d1), (k2, d2) in zip(*ranks)):
+        return None
+    splits = local_supports(*reds, [k for k, _ in ranks[0]])
+    kept = tuple(k for k, _ in ranks[0] if k > 1)
     if kept:
         states = []
         for side, rho in enumerate((rho1, rho2)):
-            p = kron_list([pair[side][0] for pair in splits])
+            p = kron_list([split[2 * side] for split in splits])
             c = p.conj().T @ rho.rho @ p
             c = (c + c.conj().T) / 2.0
             states.append(MixedState(SystemShape(kept), c / np.trace(c).real))
         verdict = check_mixed_equivalence(*states)
         if verdict.outcome != "Equivalent":
             return None
-        inner = list(verdict.witness.factors)
-    return [p1 @ (inner.pop(0) if p1.shape[1] > 1 else np.ones((1, 1))) @ p2.conj().T
-            + q1 @ q2.conj().T for (p1, q1), (p2, q2) in splits]
+    return lift_supports(splits, verdict.witness.factors if kept else [])
 
 
 def check_mixed_equivalence(rho1, rho2) -> Verdict:
@@ -674,9 +659,10 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     (_compressed_factors). The oracle alone accepts a candidate
     (_first_verdict). An Equivalent verdict reports a kernel ratio in the
     one case _kernel_ratio covers: a qubit first party, both support ranks
-    n - 1, and a pairing that fixes the kernel. Everything else is Inconclusive; a full-rank state whose
-    filtering converges but whose normal form is not certified is told
-    apart from one that stalls by running its filtering again.
+    n - 1, and a pairing that fixes the kernel. Everything else is
+    Inconclusive; a full-rank state whose filtering converges but whose
+    normal form is not certified is told apart from one that stalls by
+    running its filtering again.
     """
     if not (isinstance(rho1, MixedState) and isinstance(rho2, MixedState)):
         raise ValueError("check_mixed_equivalence expects MixedState inputs")
@@ -699,11 +685,11 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
         # full-rank ones the marginals stalled (no normal form, as for the
         # W class), were still gaining at FILTER_SWEEPS, or reached a state
         # that the filters, applied to the input, do not reproduce
-        singular = any(
-            decisive_rank(partial_trace_keep(r, dims, p))[0] < dims[p - 1]
-            for r in (r1, r2) for p in range(1, len(dims) + 1)
-        )
-        factors = _compressed_factors(rho1, rho2, dims) if singular else None
+        reds = [[partial_trace_keep(r, dims, p) for p in range(1, len(dims) + 1)]
+                for r in (r1, r2)]
+        ranks = [[decisive_rank(red) for red in side] for side in reds]
+        singular = any(k < d for side in ranks for (k, _), d in zip(side, dims))
+        factors = _compressed_factors(rho1, rho2, reds, ranks) if singular else None
         if factors is not None:
             verdict = _first_verdict(rho1, rho2, [factors], dims)
         if verdict is None:

@@ -30,6 +30,8 @@ ORACLE_TOL = 1e-7
 BACKWARD_TOL = 1e-4
 # Condition-number cap for randomly drawn local factors.
 ILO_COND_CAP = 1e3
+# Least distance between fixture parameters that must differ.
+PARAM_SEPARATION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -245,15 +247,12 @@ def _positive(*values) -> bool:
     return all(v is not None and float(v) > 0.0 for v in values)
 
 
-def _distinct(*values, tol: float = 1e-12) -> bool:
-    vals = [float(v) for v in values]
-    return all(
-        abs(x - y) > tol for i, x in enumerate(vals) for y in vals[i + 1:]
-    )
+def _distinct(*values) -> bool:
+    return all(_excludes(values[i + 1:], (float(v),)) for i, v in enumerate(values))
 
 
-def _excludes(values, banned, tol: float = 1e-12) -> bool:
-    return all(abs(float(v) - e) > tol for v in values for e in banned)
+def _excludes(values, banned) -> bool:
+    return all(abs(float(v) - e) > PARAM_SEPARATION for v in values for e in banned)
 
 
 def fixtures(example_id: int, params: Optional[FixtureParams] = None):

@@ -6,9 +6,10 @@ act as row and column factors on that matrix, so its rank over every cut is
 an equivalence invariant. The pipeline screens on the full rank signature,
 acting only on decisive rank mismatches, then constructs an explicit
 witness: exactly for two parties from the two singular value
-decompositions, by splitting off parties that are not entangled with the
-rest, and by a product-vector pairing argument for three qubits. Pairs no
-route connects are Inconclusive. Every Equivalent verdict carries an
+decompositions, through the local supports of the single-party cuts (a
+party that is not entangled with the rest drops out, a rank-deficient one
+is compressed), and by a product-vector pairing argument for three qubits.
+Pairs no route connects are Inconclusive. Every Equivalent verdict carries an
 independently verified witness.
 """
 
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import oracle
 from .factor import canonicalize
-from .linalg import RANK1_ACCEPT, SystemShape, rank_mismatch, rank_report, svd
+from .linalg import (SystemShape, kron_list, lift_supports, local_supports, rank_mismatch,
+                     rank_report, svd)
 from .oracle import Verdict
 
 _witness_verdict = partial(oracle.witness_verdict, oracle.verify_witness_pure)
@@ -111,16 +113,6 @@ def rank_signature(psi: PureState) -> RankSignature:
     for cut in sorted(cuts, key=lambda c: (len(c), c)):
         entries[cut] = rank_report(coefficient_matrix(psi, cut)).numerical_rank
     return RankSignature(k, entries)
-
-
-def _unitary_with_column(v: np.ndarray) -> np.ndarray:
-    """A unitary whose first column is the given unit vector."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    m = np.column_stack([v, np.eye(v.size, dtype=complex)])
-    q, _ = np.linalg.qr(m)
-    q = q[:, : v.size]
-    q[:, 0] = v
-    return q
 
 
 def _borderline(cut: tuple[int, ...], r1: int, r2: int) -> Verdict:
@@ -228,17 +220,40 @@ def _three_qubit_witness(phi: PureState, psi: PureState) -> Iterator[list[np.nda
         yield [l.T, c2, c3]
 
 
-def _split_party(psi: PureState, party: int):
-    """Factor off a party whose single-party cut is rank one; returns the
-    unit local vector and the remaining state, or None when the cut is not
-    cleanly rank one."""
-    m = coefficient_matrix(psi, (party,))
-    u, s, vh = np.linalg.svd(m)
-    if s.size > 1 and s[1] / s[0] > RANK1_ACCEPT:
-        return None
-    rest_dims = tuple(d for p, d in enumerate(psi.shape.dims, start=1) if p != party)
-    rest = PureState(SystemShape(rest_dims), vh[0])
-    return u[:, 0], rest
+def _compressed_verdict(phi: PureState, psi: PureState, ranks: Sequence[int]) -> Verdict:
+    """Decide the pair through the supports of its single-party cuts, of
+    ranks `ranks` (equal for both states; one party alone is rank 1). The
+    compressed pair, rank-1 parties dropped, is decided by
+    check_pure_equivalence; its Inequivalent passes through, and its witness
+    is lifted (lift_supports) for the oracle."""
+    dims = phi.shape.dims
+    mats = [[np.moveaxis(s.amplitudes.reshape(dims), p, 0).reshape(d, -1)
+             for p, d in enumerate(dims)] for s in (phi, psi)]
+    splits = local_supports(*mats, ranks)
+    kept = tuple(r for r in ranks if r > 1)
+    sub = Verdict("Equivalent", canonicalize([]), "", ())  # nothing kept
+    if kept:
+        pair = [PureState(SystemShape(kept),
+                          kron_list([split[2 * side] for split in splits]).conj().T @ s.amplitudes)
+                for side, s in enumerate((phi, psi))]
+        sub = check_pure_equivalence(*pair)
+    terms = [f"party {p}" if r == 1 else f"party {p}'s kernel"
+             for p, (r, d) in enumerate(zip(ranks, dims), start=1) if r < d]
+    subject = terms[0] if len(terms) == 1 else ", ".join(terms[:-1]) + " and " + terms[-1]
+    verb = "factors" if len(terms) == 1 else "factor"
+    if sub.outcome == "Inequivalent":
+        return Verdict("Inequivalent", None, f"after factoring {subject}: {sub.reason}", ())
+    if sub.outcome == "Equivalent":
+        factors = lift_supports(splits, sub.witness.factors)
+        verdict = _witness_verdict(
+            phi, psi, canonicalize(factors, sub.witness.scale),
+            f"{subject} {verb} out; remainder equivalent",
+        )
+        if verdict is not None:
+            return verdict
+    return Verdict(
+        "Inconclusive", None, f"{subject} {verb} out but the remainder is inconclusive", ()
+    )
 
 
 def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
@@ -246,8 +261,8 @@ def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
 
     Inequivalent only on decisive rank mismatches. Equivalent only with an
     independently verified witness. Everything else is Inconclusive: the
-    constructive routes cover two parties, product factors and three qubits,
-    so finding no witness proves nothing.
+    constructive routes cover two parties, rank-deficient single-party cuts
+    and three qubits, so finding no witness proves nothing.
     """
     if not (isinstance(phi, PureState) and isinstance(psi, PureState)):
         raise ValueError("check_pure_equivalence expects PureState inputs")
@@ -255,15 +270,6 @@ def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
         raise ValueError("states have different shapes")
     dims = phi.shape.dims
     k = len(dims)
-
-    if k == 1:
-        w = _unitary_with_column(phi.amplitudes) @ _unitary_with_column(psi.amplitudes).conj().T
-        verdict = _witness_verdict(
-            phi, psi, canonicalize([w]), "single-party rotation"
-        )
-        if verdict is not None:
-            return verdict
-        return Verdict("Inconclusive", None, "single-party rotation failed", ())
 
     sig1 = rank_signature(phi)
     sig2 = rank_signature(psi)
@@ -292,36 +298,11 @@ def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
     if k == 2:
         return check_bipartite(phi, psi)
 
-    # factor off parties that are not entangled with the rest
-    for party in range(1, k + 1):
-        if sig1.rank((party,)) != 1:
-            continue
-        split1 = _split_party(phi, party)
-        split2 = _split_party(psi, party)
-        if split1 is None or split2 is None:
-            continue
-        u1, rest1 = split1
-        u2, rest2 = split2
-        sub = check_pure_equivalence(rest1, rest2)
-        if sub.outcome == "Equivalent":
-            local = _unitary_with_column(u1) @ _unitary_with_column(u2).conj().T
-            factors = list(sub.witness.factors)
-            factors.insert(party - 1, local)
-            verdict = _witness_verdict(
-                phi, psi, canonicalize(factors, sub.witness.scale),
-                f"party {party} factors out; remainder equivalent",
-            )
-            if verdict is not None:
-                return verdict
-        elif sub.outcome == "Inequivalent":
-            return Verdict(
-                "Inequivalent", None,
-                f"after factoring party {party}: {sub.reason}", (),
-            )
-        return Verdict(
-            "Inconclusive", None,
-            f"party {party} factors out but the remainder is inconclusive", (),
-        )
+    # compress to the supports of the single-party cuts; a rank-1 party
+    # drops out, and one party alone is rank 1 with nothing kept
+    ranks = tuple(sig1.rank((p,)) for p in range(1, k + 1)) if k > 1 else (1,)
+    if any(r < d for r, d in zip(ranks, dims)):
+        return _compressed_verdict(phi, psi, ranks)
 
     if dims == (2, 2, 2):
         for factors in _three_qubit_witness(phi, psi):

@@ -19,9 +19,9 @@ from statekit import cli
 from statekit.factor import FactorSet
 from statekit.linalg import SystemShape
 from statekit.mixed import MixedState
-from statekit.oracle import FixtureParams, fixtures
+from statekit.oracle import FixtureParams, fixtures, make_equivalent_pair
 from statekit.pure import PureState
-from util import GHZ3, W3, random_complex, w_image
+from util import GHZ3, W3, qubit_supported, random_complex, w_image
 
 EX2_PARAMS = "a=0.3,b=0.4,c=0.5,alpha=0.6,beta=1.6,gamma=4.0"
 ONE_PARTY_PURE = '{"version":1,"type":"pure","dims":[2],"data":[[1,0],[0,0]]}'
@@ -114,6 +114,16 @@ def test_identical_pure_states_exit_zero(tmp_path, capsys):
     assert report["outcome"] == "Equivalent"
     assert "witness" in report
     assert "seed" not in report
+
+
+def test_rank_deficient_qutrit_pair_exits_zero(tmp_path, capsys):
+    psi = qubit_supported((3, 3, 3), 0)
+    phi, _ = make_equivalent_pair(psi, 1)
+    a = _state_file(tmp_path, "a.json", phi)
+    b = _state_file(tmp_path, "b.json", psi)
+    code, out, _ = _run(capsys, "check-pure", a, b)
+    assert code == cli.EXIT_EQUIVALENT
+    assert json.loads(out)["outcome"] == "Equivalent"
 
 
 def test_biseparable_pair_exits_one(tmp_path, capsys):

@@ -13,6 +13,8 @@ from statekit.linalg import (
     decisive_rank,
     eigh_desc,
     kron_list,
+    lift_supports,
+    local_supports,
     partial_trace_keep,
     rank_report,
     realign,
@@ -239,3 +241,38 @@ def test_system_shape_validation():
         SystemShape((2, 1))
     with pytest.raises(ValueError):
         SystemShape(())
+
+
+def test_local_supports_and_their_lift():
+    # party 1 is full rank and keeps the identity; party 2 has rank 2 of 3,
+    # and the lift of a connector between the supports maps the second
+    # state's support onto the first's and its kernel onto the first's kernel
+    rng = np.random.default_rng(3)
+    a1, b1 = random_complex(rng, 2, 2), random_complex(rng, 3, 2)
+    a2, b2 = random_complex(rng, 2, 2), random_complex(rng, 3, 2)
+    mats1 = [a1 @ random_complex(rng, 2, 6), b1 @ random_complex(rng, 2, 4)]
+    mats2 = [a2 @ random_complex(rng, 2, 6), b2 @ random_complex(rng, 2, 4)]
+    splits = local_supports(mats1, mats2, [2, 2])
+    p1, q1, p2, q2 = splits[0]
+    assert np.array_equal(p1, np.eye(2)) and np.array_equal(p2, np.eye(2))
+    assert q1.shape == q2.shape == (2, 0)
+    p1, q1, p2, q2 = splits[1]
+    for p, q, b in ((p1, q1, b1), (p2, q2, b2)):
+        assert p.shape == (3, 2) and q.shape == (3, 1)
+        assert np.allclose(p @ p.conj().T @ b, b, atol=1e-12)
+        assert np.allclose(q.conj().T @ b, 0.0, atol=1e-12)
+    inner = [random_complex(rng, 2, 2), random_complex(rng, 2, 2)]
+    first, lifted = lift_supports(splits, inner)
+    assert np.allclose(first, inner[0], atol=1e-12)
+    assert np.allclose(lifted @ p2, p1 @ inner[1], atol=1e-12)
+    assert np.allclose(lifted @ q2, q1, atol=1e-12)
+
+
+def test_lift_of_a_rank_one_party_maps_support_onto_support():
+    rng = np.random.default_rng(4)
+    u, v = random_complex(rng, 3), random_complex(rng, 3)
+    splits = local_supports([np.outer(u, u.conj())], [np.outer(v, v.conj())], [1])
+    (lifted,) = lift_supports(splits, [])
+    image = lifted @ v
+    assert abs(abs(np.vdot(u, image)) - np.linalg.norm(u) * np.linalg.norm(image)) < 1e-12
+    assert np.linalg.cond(lifted) < 1.0 + 1e-12

@@ -443,8 +443,8 @@ def test_constructed_pairs_are_recovered(dims):
 def test_raw_support_mismatch_with_converging_filter_is_equivalent():
     # the local map pushes the smallest eigenvalue of the image just below
     # the support cutoff (raw support ranks 4 vs 3) while both ranks stay
-    # borderline, so the filtered frames decide and the refine pass, which
-    # needs equal raw support ranks, must step aside
+    # borderline, so no rank screen acts, both states filter, and the
+    # filtered frames decide
     base = random_density((2, 2), 0)
     a = kron_list([np.diag([1.0, 0.003])] * 2)
     image = a @ base.rho @ a.conj().T

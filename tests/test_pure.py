@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from statekit import pure
 from statekit.factor import kron as kron_factors
 from statekit.linalg import SystemShape, kron_list
-from statekit.oracle import fixtures, make_equivalent_pair, random_ilo
+from statekit.oracle import fixtures, make_equivalent_pair, random_ilo, verify_witness_pure
 from statekit.pure import (
     PureState,
     check_bipartite,
@@ -13,7 +14,7 @@ from statekit.pure import (
     coefficient_matrix,
     rank_signature,
 )
-from util import GHZ3, W3, checked_pure, random_complex, random_pure
+from util import GHZ3, W3, checked_pure, qubit_supported, random_complex, random_pure
 
 THREE_QUBITS = SystemShape((2, 2, 2))
 
@@ -141,6 +142,69 @@ def test_product_factor_splits_off():
     verdict = checked_pure(phi, psi)
     assert verdict.outcome == "Equivalent"
     assert "factors out" in verdict.reason
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 3), (3, 3, 3)])
+def test_rank_deficient_qudits_are_compressed_to_their_supports(dims):
+    # each qutrit lives on two levels; its compression leaves a three-qubit
+    # pair, which product-vector pairing connects
+    for seed in range(20):
+        psi = qubit_supported(dims, seed)
+        phi, _ = make_equivalent_pair(psi, 100 + seed)
+        for first, second in ((phi, psi), (psi, phi)):
+            verdict = checked_pure(first, second)
+            assert verdict.outcome == "Equivalent", verdict.reason
+            assert verify_witness_pure(first, second, verdict.witness).passed
+            assert "kernel factor" in verdict.reason
+
+
+@pytest.mark.parametrize("eps", [1e-10, 3e-10])
+def test_near_product_party_still_factors_out(eps):
+    # |0> (x) r + eps |1> (x) s has party-1 sigma_2 / sigma_1 near eps: a
+    # numerical rank of one, though not a decisive one, so the party must
+    # drop out against local-unitary images
+    rng = np.random.default_rng(5)
+    shape = SystemShape((2, 2, 2, 2))
+    for _ in range(20):
+        r, s = random_complex(rng, 8), random_complex(rng, 8)
+        amp = np.kron([1.0, 0.0], r / np.linalg.norm(r)) + eps * np.kron(
+            [0.0, 1.0], s / np.linalg.norm(s))
+        psi = PureState(shape, amp / np.linalg.norm(amp))
+        local = kron_list([np.linalg.qr(random_complex(rng, 2, 2))[0] for _ in range(4)])
+        phi = PureState(shape, local @ psi.amplitudes)
+        verdict = checked_pure(phi, psi)
+        assert verdict.outcome == "Equivalent", verdict.reason
+        assert verdict.reason == "party 1 factors out; remainder equivalent"
+
+
+@pytest.mark.parametrize("dims,nlocal", [((2, 2, 2, 2), 2), ((2, 3, 2), 3)])
+def test_several_product_parties_factor_out(dims, nlocal):
+    # u (x) v (x) psi over four qubits, and a full product, against an
+    # image under random invertible local maps
+    rng = np.random.default_rng(7)
+    vectors = [random_complex(rng, d) for d in dims[:nlocal]]
+    if nlocal < len(dims):
+        vectors.append(random_complex(rng, int(np.prod(dims[nlocal:]))))
+    amp = kron_list([v.reshape(-1, 1) for v in vectors]).reshape(-1)
+    psi = PureState(SystemShape(dims), amp / np.linalg.norm(amp))
+    phi, _ = make_equivalent_pair(psi, 8)
+    for first, second in ((phi, psi), (psi, phi)):
+        verdict = checked_pure(first, second)
+        assert verdict.outcome == "Equivalent", verdict.reason
+        assert "remainder equivalent" in verdict.reason
+
+
+def test_refused_lift_is_inconclusive(monkeypatch):
+    # a lifted witness that the oracle refuses ends as a remainder that
+    # could not be connected, never as Equivalent
+    rng = np.random.default_rng(9)
+    amp = np.kron(random_complex(rng, 2), random_complex(rng, 4))
+    psi = PureState(THREE_QUBITS, amp / np.linalg.norm(amp))
+    phi, _ = make_equivalent_pair(psi, 10)
+    monkeypatch.setattr(pure, "lift_supports", lambda splits, inner: [np.eye(2)] * 3)
+    verdict = checked_pure(phi, psi)
+    assert verdict.outcome == "Inconclusive"
+    assert verdict.reason == "party 1 factors out but the remainder is inconclusive"
 
 
 def _bell_pairs(pairs, k):

@@ -62,6 +62,14 @@ def random_pure(dims, seed) -> PureState:
     return PureState(SystemShape(tuple(dims)), v / np.linalg.norm(v))
 
 
+def qubit_supported(dims, seed) -> PureState:
+    """A random three-qubit state written into the first two levels of
+    each party of `dims`, so every rank-deficient party lives on C2."""
+    t = np.zeros(dims, dtype=complex)
+    t[:2, :2, :2] = random_pure((2, 2, 2), seed).amplitudes.reshape(2, 2, 2)
+    return PureState(SystemShape(tuple(dims)), t.reshape(-1))
+
+
 def random_density(dims, seed) -> MixedState:
     """Full-rank random density matrix (Gram matrix of a square Gaussian)."""
     rng = np.random.default_rng(seed)
