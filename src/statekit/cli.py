@@ -216,20 +216,13 @@ def parse_witness(src: str) -> FactorSet:
 
 
 def state_object(state, label: Optional[str] = None) -> dict:
-    if isinstance(state, PureState):
-        obj = {
-            "version": 1,
-            "type": "pure",
-            "dims": list(state.shape.dims),
-            "data": _vector_pairs(state.amplitudes),
-        }
-    else:
-        obj = {
-            "version": 1,
-            "type": "mixed",
-            "dims": list(state.shape.dims),
-            "data": _vector_pairs(state.rho.reshape(-1)),
-        }
+    pure = isinstance(state, PureState)
+    obj = {
+        "version": 1,
+        "type": "pure" if pure else "mixed",
+        "dims": list(state.shape.dims),
+        "data": _vector_pairs(state.amplitudes if pure else state.rho),
+    }
     if label is not None:
         obj["label"] = label
     return obj
@@ -336,32 +329,19 @@ def _cmd_classify(args) -> int:
     sig = rank_signature(state)
     _print({
         "dims": list(state.shape.dims),
-        "signature": [
-            {"cut": list(cut), "rank": sig.entries[cut]}
-            for cut in sorted(sig.entries, key=lambda c: (len(c), c))
-        ],
+        "signature": [{"cut": list(cut), "rank": rank} for cut, rank in sig.entries.items()],
     })
     return 0
 
 
-def _cmd_check_pure(args) -> int:
-    phi = parse_state(args.first)
-    psi = parse_state(args.second)
-    if not isinstance(phi, PureState) or not isinstance(psi, PureState):
-        raise DataFormatError("check-pure requires two pure state files")
-    _require_same_shape(phi, psi)
-    verdict = check_pure_equivalence(phi, psi)
-    _print(_verdict_report(verdict))
-    return _OUTCOME_CODES[verdict.outcome]
-
-
-def _cmd_check_mixed(args) -> int:
-    rho1 = parse_state(args.first)
-    rho2 = parse_state(args.second)
-    if not isinstance(rho1, MixedState) or not isinstance(rho2, MixedState):
-        raise DataFormatError("check-mixed requires two mixed state files")
-    _require_same_shape(rho1, rho2)
-    verdict = check_mixed_equivalence(rho1, rho2)
+def _cmd_check(args) -> int:
+    first = parse_state(args.first)
+    second = parse_state(args.second)
+    if not isinstance(first, args.state_class) or not isinstance(second, args.state_class):
+        kind = args.command.removeprefix("check-")
+        raise DataFormatError(f"{args.command} requires two {kind} state files")
+    _require_same_shape(first, second)
+    verdict = args.check(first, second)
     _print(_verdict_report(verdict))
     return _OUTCOME_CODES[verdict.outcome]
 
@@ -477,15 +457,12 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("check-pure", help="equivalence verdict for two pure states")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=_cmd_check_pure)
-
-    p = sub.add_parser("check-mixed", help="equivalence verdict for two mixed states")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=_cmd_check_mixed)
+    for kind, state_class, check in (("pure", PureState, check_pure_equivalence),
+                                     ("mixed", MixedState, check_mixed_equivalence)):
+        p = sub.add_parser(f"check-{kind}", help=f"equivalence verdict for two {kind} states")
+        p.add_argument("first")
+        p.add_argument("second")
+        p.set_defaults(func=_cmd_check, state_class=state_class, check=check)
 
     p = sub.add_parser("verify", help="check a claimed witness by substitution")
     p.add_argument("first")

@@ -41,6 +41,8 @@ import numpy as np
 from . import oracle
 from .factor import NotDecomposable, canonicalize, decomposability, extract_factors
 from .linalg import (
+    HERM_TOL,
+    RANK_REL_TOL,
     SystemShape,
     as_dims,
     bipartition_view,
@@ -83,8 +85,8 @@ class MixedState:
         if not np.all(np.isfinite(rho)):
             raise ValueError("density matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(rho))))
-        if float(np.max(np.abs(rho - rho.conj().T))) > 1e-10 * scale:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
+        if float(np.max(np.abs(rho - rho.conj().T))) > HERM_TOL * scale:
+            raise ValueError(f"density matrix is not Hermitian within {HERM_TOL:g}")
         w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
         if float(w.min()) < -1e-10:
             raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
@@ -123,23 +125,15 @@ def spectral_prep(rho: np.ndarray) -> SpectralData:
     w = np.clip(w, 0.0, None)
     q = _phase_fix_columns(q)
     top = float(w[0]) if w.size else 0.0
-    support = int(np.sum(w > w.size * top * 1e-10))
+    support = int(np.sum(w > w.size * top * RANK_REL_TOL))
     return SpectralData(q, w, support)
 
 
 def _negativity_cost(factors: Sequence[np.ndarray]) -> float:
-    """Distance of phase-fixed unit factors from entrywise nonnegativity;
-    used to pick the canonical representative among certified candidates."""
-    cost = 0.0
-    for f in factors:
-        f = np.asarray(f, dtype=complex)
-        f = f / np.linalg.norm(f)
-        flat = f.reshape(-1)
-        lead = flat[np.argmax(np.abs(flat) > 1e-12)]
-        if abs(lead) > 0:
-            f = f * (abs(lead) / lead)
-        cost += float(np.sum(np.abs(f - np.abs(f)) ** 2))
-    return cost
+    """Distance of canonical factors (canonicalize) from entrywise
+    nonnegativity; used to pick the canonical representative among certified
+    candidates."""
+    return sum(float(np.sum(np.abs(f - np.abs(f)) ** 2)) for f in factors)
 
 
 def _qubit_power(red: np.ndarray, p: float) -> tuple[Optional[np.ndarray], float, float]:
@@ -600,15 +594,17 @@ def _kernel_ratio(factors: Sequence[np.ndarray], rho1: np.ndarray, rho2: np.ndar
 def _first_verdict(rho1: MixedState, rho2: MixedState, candidates,
                    dims: Sequence[int]) -> Optional[Verdict]:
     """The verdict of the first candidate local factors mapping rho2 onto
-    rho1, in order of least _negativity_cost (equal costs in the solver's
-    order), whose canonical factors pass the oracle, the one gate. Its
-    witness gets the positive scale 1/sqrt(tr(F rho2 F^dag)), F the
-    Kronecker product of those factors, so that it maps rho2 onto rho1
+    rho1 whose canonical factors pass the oracle, the one gate, in order of
+    least _negativity_cost of those factors (equal costs in the solver's
+    order). Its witness gets the positive scale 1/sqrt(tr(F rho2 F^dag)), F
+    the Kronecker product of those factors, so that it maps rho2 onto rho1
     with no renormalization, and the verdict reports the rank-one residuals
-    of the connector's cuts (decomposability)."""
-    for factors in sorted(candidates, key=lambda fs: round(_negativity_cost(fs), 9)):
+    of the raw connector's cuts (decomposability)."""
+    ranked = sorted(((canonicalize(factors), factors) for factors in candidates),
+                    key=lambda pair: round(_negativity_cost(pair[0].factors), 9))
+    for fs, factors in ranked:
         verdict = oracle.witness_verdict(
-            oracle.verify_witness_mixed, rho1, rho2, canonicalize(factors),
+            oracle.verify_witness_mixed, rho1, rho2, fs,
             "connector composed through filtered frames",
         )
         if verdict is not None:

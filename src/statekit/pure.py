@@ -3,18 +3,22 @@
 A pure state over parties with dimensions (n_1, ..., n_K) is flattened to a
 coefficient matrix for any bipartition of the parties; invertible local maps
 act as row and column factors on that matrix, so its rank over every cut is
-an equivalence invariant. The pipeline screens on the full rank signature,
-acting only on decisive rank mismatches, then constructs an explicit
-witness: exactly for two parties from the two singular value
-decompositions, through the local supports of the single-party cuts (a
-party that is not entangled with the rest drops out, a rank-deficient one
-is compressed), and by a product-vector pairing argument for three qubits.
-Pairs no route connects are Inconclusive. Every Equivalent verdict carries an
-independently verified witness.
+an equivalence invariant. Two parties are decided by their Schmidt ranks,
+acting only on a decisive mismatch, with the witness built exactly from the
+two singular value decompositions. More parties are screened on the full
+rank signature, each cut keyed by its smaller side (or by the side holding
+party 1 when both sides are the same size), again acting only on decisive
+mismatches; the witness is then constructed through the local supports of
+the single-party cuts (a party that is not entangled with the rest drops
+out, a rank-deficient one is compressed), and by a product-vector pairing
+argument for three qubits. Identical amplitudes are accepted before any
+screen. Pairs no route connects are Inconclusive. Every Equivalent verdict
+carries an independently verified witness.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Optional, Sequence
@@ -53,8 +57,9 @@ class PureState:
 
 @dataclass(frozen=True, eq=True)
 class RankSignature:
-    """Coefficient-matrix ranks keyed by canonical bipartition (the
-    lexicographically smaller of each cut and its complement)."""
+    """Coefficient-matrix ranks keyed by bipartition: each key is the
+    smaller side of its cut, or the side holding party 1 when both sides
+    are the same size."""
 
     nparties: int
     entries: dict[tuple[int, ...], int]
@@ -92,27 +97,18 @@ def coefficient_matrix(psi: PureState, cut: Optional[Sequence[int]] = None) -> n
     return psi.amplitudes.reshape(dims).transpose(axes).reshape(m, n)
 
 
-def _canonical_cut(cut: tuple[int, ...], k: int) -> tuple[int, ...]:
-    comp = tuple(p for p in range(1, k + 1) if p not in cut)
-    return min(cut, comp, key=lambda c: (len(c), c))
-
-
 def rank_signature(psi: PureState) -> RankSignature:
     """Ranks of the coefficient matrices over every single-party cut and,
-    for up to six parties, over all cuts up to complementation. One party
-    has no bipartition, so its signature is empty."""
+    for up to six parties, over all cuts up to complementation. Each cut is
+    keyed by its smaller side, or by the side holding party 1 when both
+    sides are the same size. One party has no bipartition, so its signature
+    is empty."""
     k = psi.shape.nparties
-    if k == 1:
-        return RankSignature(1, {})
-    cuts = {_canonical_cut((p,), k) for p in range(1, k + 1)}
-    if 2 <= k <= 6:
-        for mask in range(1, 2 ** k - 1):
-            cut = tuple(p for p in range(1, k + 1) if (mask >> (p - 1)) & 1)
-            cuts.add(_canonical_cut(cut, k))
-    entries = {}
-    for cut in sorted(cuts, key=lambda c: (len(c), c)):
-        entries[cut] = rank_report(coefficient_matrix(psi, cut)).numerical_rank
-    return RankSignature(k, entries)
+    sizes = range(1, k // 2 + 1) if k <= 6 else (1,)
+    cuts = [cut for size in sizes for cut in itertools.combinations(range(1, k + 1), size)
+            if 2 * size < k or cut[0] == 1]
+    return RankSignature(
+        k, {cut: rank_report(coefficient_matrix(psi, cut)).numerical_rank for cut in cuts})
 
 
 def _borderline(cut: tuple[int, ...], r1: int, r2: int) -> Verdict:
@@ -262,7 +258,8 @@ def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
     Inequivalent only on decisive rank mismatches. Equivalent only with an
     independently verified witness. Everything else is Inconclusive: the
     constructive routes cover two parties, rank-deficient single-party cuts
-    and three qubits, so finding no witness proves nothing.
+    and three qubits, so finding no witness proves nothing. A two-party pair
+    goes to check_bipartite, whose Schmidt ranks are its one screen.
     """
     if not (isinstance(phi, PureState) and isinstance(psi, PureState)):
         raise ValueError("check_pure_equivalence expects PureState inputs")
@@ -270,6 +267,17 @@ def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
         raise ValueError("states have different shapes")
     dims = phi.shape.dims
     k = len(dims)
+
+    if float(np.linalg.norm(phi.amplitudes - psi.amplitudes)) < 1e-12:
+        factors = [np.eye(d, dtype=complex) for d in dims]
+        verdict = _witness_verdict(
+            phi, psi, canonicalize(factors), "identical amplitudes"
+        )
+        if verdict is not None:
+            return verdict
+
+    if k == 2:
+        return check_bipartite(phi, psi)
 
     sig1 = rank_signature(phi)
     sig2 = rank_signature(psi)
@@ -286,17 +294,6 @@ def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
         borderline = borderline or _borderline(cut, r1, r2)
     if borderline is not None:
         return borderline
-
-    if float(np.linalg.norm(phi.amplitudes - psi.amplitudes)) < 1e-12:
-        factors = [np.eye(d, dtype=complex) for d in dims]
-        verdict = _witness_verdict(
-            phi, psi, canonicalize(factors), "identical amplitudes"
-        )
-        if verdict is not None:
-            return verdict
-
-    if k == 2:
-        return check_bipartite(phi, psi)
 
     # compress to the supports of the single-party cuts; a rank-1 party
     # drops out, and one party alone is rank 1 with nothing kept

@@ -514,6 +514,30 @@ def test_states_with_a_singular_marginal_are_decided_through_their_supports():
     assert verdict.reason == "filtering did not converge (rank-deficient state)"
 
 
+def _werner33(p: float) -> MixedState:
+    """(1 - p) (I - F)/6 + p (I + F)/12 over two qutrits, F the swap."""
+    swap = np.eye(9)[[3 * (i % 3) + i // 3 for i in range(9)]]
+    eye = np.eye(9)
+    return MixedState(SystemShape((3, 3)),
+                      ((1 - p) * (eye - swap) / 6 + p * (eye + swap) / 12).astype(complex))
+
+
+@pytest.mark.parametrize("p", [0.2, 0.35])
+def test_werner_images_end_with_no_connector(p):
+    # a Werner state is its own normal form, and its U (x) U symmetry makes
+    # every covariant a multiple of I and its spectrum degenerate, so no
+    # closed-form solver fixes a local unitary: the pair is refused, never
+    # separated
+    rho = _werner33(p)
+    assert checked_mixed(rho, rho).outcome == "Equivalent"
+    for seed in range(3):
+        image, _ = make_equivalent_pair(rho, seed)
+        for pair in ((rho, image), (image, rho)):
+            verdict = checked_mixed(*pair)
+            assert verdict.outcome == "Inconclusive"
+            assert verdict.reason == "no decomposable connector found"
+
+
 def test_rank_mismatch_is_inequivalent():
     rank2 = MixedState(TWO_QUBITS, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
     full = random_density((2, 2), 12)

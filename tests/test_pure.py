@@ -93,6 +93,34 @@ def test_rank_signature_complement_symmetry():
         assert sig.rank(cut) == sig.rank(comp)
 
 
+# Signature keys in order: each cut's smaller side, or the side holding
+# party 1 when both sides are the same size; beyond six parties, single
+# parties only.
+CUT_KEYS = {
+    1: [],
+    2: [(1,)],
+    3: [(1,), (2,), (3,)],
+    4: [(1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4)],
+    5: [(1,), (2,), (3,), (4,), (5,), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
+        (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)],
+    6: [(1,), (2,), (3,), (4,), (5,), (6,), (1, 2), (1, 3), (1, 4), (1, 5),
+        (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5),
+        (4, 6), (5, 6), (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 3, 4),
+        (1, 3, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6), (1, 5, 6)],
+    7: [(1,), (2,), (3,), (4,), (5,), (6,), (7,)],
+    8: [(1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,)],
+}
+
+
+@pytest.mark.parametrize("k", sorted(CUT_KEYS))
+def test_rank_signature_lists_its_cuts_in_order(k):
+    psi = random_pure((3,) + (2,) * (k - 1), 500 + k)
+    sig = rank_signature(psi)
+    assert list(sig.entries) == CUT_KEYS[k]
+    for cut, rank in sig.entries.items():
+        assert rank == np.linalg.matrix_rank(coefficient_matrix(psi, cut))
+
+
 def test_rank_signature_invariant_under_local_maps():
     for seed in range(8):
         psi = random_pure((2, 2, 2), 40 + seed)
@@ -115,6 +143,27 @@ def test_identical_states_shortcut():
     verdict = checked_pure(GHZ3, GHZ3)
     assert verdict.outcome == "Equivalent"
     assert verdict.oracle_residual <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2)])
+def test_identical_amplitudes_are_accepted_first(dims):
+    psi = random_pure(dims, 7)
+    verdict = checked_pure(psi, psi)
+    assert verdict.outcome == "Equivalent"
+    assert verdict.reason == "identical amplitudes"
+
+
+def test_two_party_pairs_are_screened_by_schmidt_rank_alone(monkeypatch):
+    product = PureState(SystemShape((2, 2)), np.array([1.0, 0, 0, 0]))
+    bell = PureState(SystemShape((2, 2)), np.array([1.0, 0, 0, 1.0]) / np.sqrt(2))
+
+    def refuse(psi):
+        raise AssertionError("a two-party pair needs no rank signature")
+
+    monkeypatch.setattr(pure, "rank_signature", refuse)
+    verdict = checked_pure(product, bell)
+    assert verdict.outcome == "Inequivalent"
+    assert verdict.reason == "Schmidt ranks differ (1 vs 2)"
 
 
 def test_single_party_states_are_rotations():
