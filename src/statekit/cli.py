@@ -146,8 +146,10 @@ def _finite(x) -> bool:
 
 
 def _complex_array(data, count: int, what: str) -> np.ndarray:
+    """`count` [re, im] pairs of finite numbers as a complex vector; the
+    errors name `what`."""
     if not isinstance(data, list) or len(data) != count:
-        raise DataFormatError(f"data must hold {count} entries for {what}")
+        raise DataFormatError(f"{what} must hold {count} entries")
     out = np.empty(count, dtype=complex)
     for i, cell in enumerate(data):
         if (
@@ -155,11 +157,9 @@ def _complex_array(data, count: int, what: str) -> np.ndarray:
             or len(cell) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
         ):
-            raise DataFormatError(
-                f"data entry {i} must be a [re, im] pair of numbers"
-            )
+            raise DataFormatError(f"entry {i} of {what} must be a [re, im] pair of numbers")
         if not (_finite(cell[0]) and _finite(cell[1])):
-            raise DataFormatError(f"data entry {i} is not finite")
+            raise DataFormatError(f"entry {i} of {what} is not finite")
         out[i] = complex(cell[0], cell[1])
     return out
 
@@ -203,16 +203,8 @@ def parse_witness(src: str) -> FactorSet:
     mats = []
     for d, entries in zip(dims, factors):
         mats.append(_complex_array(entries, d * d, f"a {d}x{d} factor").reshape(d, d))
-    scale = obj.get("scale", [1.0, 0.0])
-    if (
-        not isinstance(scale, list)
-        or len(scale) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in scale)
-    ):
-        raise DataFormatError("scale must be a [re, im] pair")
-    if not (_finite(scale[0]) and _finite(scale[1])):
-        raise DataFormatError("scale is not finite")
-    return FactorSet(tuple(mats), complex(scale[0], scale[1]))
+    scale = _complex_array([obj.get("scale", [1.0, 0.0])], 1, "the witness scale")
+    return FactorSet(tuple(mats), complex(scale[0]))
 
 
 def state_object(state, label: Optional[str] = None) -> dict:

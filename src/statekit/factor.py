@@ -2,8 +2,9 @@
 
 An invertible matrix on a multiparty index space is a Kronecker product of
 per-party invertible factors exactly when, for every party, the realignment
-of its party-to-front view has rank one. Factors are recovered from the
-leading rank-one terms of those realignments, peeling one party at a time.
+of its party-to-front view has rank one. Each party's factor is read off
+the leading left singular vector of its own realignment, and one global
+scale is fitted to the product.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import numpy as np
 
 from .linalg import (
     RANK1_ACCEPT,
-    RANK_REL_TOL,
     as_dims,
     bipartition_view,
     kron_list,
+    numerical_rank,
     rank_report,
     realign,
     unvec,
@@ -98,8 +99,7 @@ def decomposability(a: np.ndarray, shape) -> DecomposabilityReport:
     a = np.asarray(a, dtype=complex)
     if a.shape != (side, side):
         raise ValueError(f"expected shape {(side, side)}, got {a.shape}")
-    s = np.linalg.svd(a, compute_uv=False)
-    invertible = bool(s[-1] > side * s[0] * RANK_REL_TOL) if s[0] > 0 else False
+    invertible = numerical_rank(np.linalg.svd(a, compute_uv=False), side) == side
     # each cut: the party-to-front view realigned with block size
     # (n_party, side / n_party)
     cuts = [rank_report(realign(bipartition_view(a, dims, p), d, side // d))
@@ -110,31 +110,16 @@ def decomposability(a: np.ndarray, shape) -> DecomposabilityReport:
     return DecomposabilityReport(rows, ok, invertible)
 
 
-def _peel(a: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
-    """Split off the first party's factor from the leading rank-one term of
-    the realignment, then recurse on the remainder."""
-    if len(dims) == 1:
-        return [a]
-    n1 = dims[0]
-    rest = a.shape[0] // n1
-    r = realign(a, n1, rest)
-    u, s, vh = np.linalg.svd(r)
-    if s[0] <= 0.0 or (s.size > 1 and s[1] / s[0] > RANK1_ACCEPT):
-        raise NotDecomposable(
-            f"realignment rank-one residual {s[1] / s[0] if s[0] else 0.0:.3e} "
-            f"exceeds {RANK1_ACCEPT:.0e}"
-        )
-    head = unvec(np.sqrt(s[0]) * u[:, 0], n1, n1)
-    tail = unvec(np.sqrt(s[0]) * vh[0, :], rest, rest)
-    return [head] + _peel(tail, dims[1:])
-
-
 def extract_factors(a: np.ndarray, shape) -> FactorSet:
     """Recover the per-party factors of a Kronecker product, canonically
     normalized, with the global scale chosen so kron reconstructs `a`.
 
-    Raises NotDecomposable when any realignment is not rank one or the
-    reconstruction misses `a` by more than 1e-8 relative.
+    Party k's factor is the leading left singular vector of its own cut's
+    realignment, the one decomposability gates, unvec'd to n_k x n_k. The
+    canonical product has unit norm, so the least-squares scale is its
+    inner product with `a`. Raises NotDecomposable when the matrix is
+    singular, any realignment is not rank one, or the reconstruction misses
+    `a` by more than 1e-8 relative.
     """
     dims = as_dims(shape)
     side = int(np.prod(dims))
@@ -147,7 +132,11 @@ def extract_factors(a: np.ndarray, shape) -> FactorSet:
     if not report.decomposable:
         worst = max(report.residuals)
         raise NotDecomposable(f"worst realignment residual {worst:.3e}")
-    fs = canonicalize(_peel(a, dims))
+    heads = [np.linalg.svd(realign(bipartition_view(a, dims, p), d, side // d),
+                           full_matrices=False)[0][:, 0]
+             for p, d in enumerate(dims, start=1)]
+    unit = canonicalize([unvec(u, d, d) for u, d in zip(heads, dims)])
+    fs = FactorSet(unit.factors, complex(np.vdot(kron_list(unit.factors), a)))
     rebuilt = kron(fs)
     denom = float(np.linalg.norm(a))
     err = float(np.linalg.norm(rebuilt - a)) / denom

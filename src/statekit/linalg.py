@@ -129,22 +129,26 @@ def eigh_desc(h: np.ndarray):
     h = np.asarray(h, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(h))))
     if float(np.max(np.abs(h - h.conj().T))) > HERM_TOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
+        raise ValueError(f"matrix is not Hermitian within {HERM_TOL:g}")
     w, q = np.linalg.eigh((h + h.conj().T) / 2.0)
     order = np.argsort(-w, kind="stable")
     return q[:, order], w[order]
 
 
+def numerical_rank(s: np.ndarray, size: int) -> int:
+    """The number of values in the nonincreasing s above size * s[0] *
+    RANK_REL_TOL, the one numerical-rank cutoff; a value at the cutoff
+    counts as zero, and so does every value when s[0] is zero."""
+    return int(np.sum(s > size * float(s[0]) * RANK_REL_TOL)) if s.size else 0
+
+
 def rank_report(a: np.ndarray) -> RankReport:
-    """Numerical rank with tolerance max(rows, cols) * sigma_1 * 1e-10 and
-    the rank-one residual sigma_2 / sigma_1."""
+    """Numerical rank (numerical_rank over max(rows, cols)) and the rank-one
+    residual sigma_2 / sigma_1."""
     a = np.atleast_2d(np.asarray(a))
     s = np.linalg.svd(a, compute_uv=False)
-    top = float(s[0]) if s.size else 0.0
-    tol = max(a.shape) * top * RANK_REL_TOL
-    rank = int(np.sum(s > tol))
-    residual = float(s[1] / s[0]) if s.size > 1 and top > 0.0 else 0.0
-    return RankReport(s, rank, residual)
+    residual = float(s[1] / s[0]) if s.size > 1 and s[0] > 0.0 else 0.0
+    return RankReport(s, numerical_rank(s, max(a.shape)), residual)
 
 
 def decisive_rank(a: np.ndarray) -> tuple[int, bool]:

@@ -41,8 +41,6 @@ import numpy as np
 from . import oracle
 from .factor import NotDecomposable, canonicalize, decomposability, extract_factors
 from .linalg import (
-    HERM_TOL,
-    RANK_REL_TOL,
     SystemShape,
     as_dims,
     bipartition_view,
@@ -51,6 +49,7 @@ from .linalg import (
     kron_list,
     lift_supports,
     local_supports,
+    numerical_rank,
     partial_trace_keep,
     rank_mismatch,
 )
@@ -61,6 +60,9 @@ from .oracle import Verdict
 FILTER_SWEEPS = 20000
 FILTER_TOL = 1e-12
 FILTER_SOFT_TOL = 1e-9
+# The least eigenvalue of a normalized reduced matrix red / tr red that
+# filtering inverts; below it the state has no normal form.
+FILTER_FLOOR = 1e-14
 # Filtered-frame solve: the least relative eigengap that fixes a basis, and
 # the least relative entry that enters a phase solve; and the relative
 # distance within which two spectra or magnitude tables agree.
@@ -72,7 +74,11 @@ _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 @dataclass(frozen=True)
 class MixedState:
-    """A density matrix tagged with its party structure."""
+    """A density matrix tagged with its party structure.
+
+    Entries must be finite, Hermitian as eigh_desc requires, with no
+    eigenvalue below -1e-10 and trace 1 within 1e-10.
+    """
 
     shape: SystemShape
     rho: np.ndarray
@@ -84,12 +90,9 @@ class MixedState:
             raise ValueError(f"expected shape {(side, side)}, got {rho.shape}")
         if not np.all(np.isfinite(rho)):
             raise ValueError("density matrix entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(rho))))
-        if float(np.max(np.abs(rho - rho.conj().T))) > HERM_TOL * scale:
-            raise ValueError(f"density matrix is not Hermitian within {HERM_TOL:g}")
-        w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-        if float(w.min()) < -1e-10:
-            raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
+        low = float(eigh_desc(rho)[1][-1])
+        if low < -1e-10:
+            raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
         if abs(float(np.trace(rho).real) - 1.0) > 1e-10 or abs(float(np.trace(rho).imag)) > 1e-10:
             raise ValueError("density matrix trace is not 1 within 1e-10")
         object.__setattr__(self, "rho", rho)
@@ -120,13 +123,11 @@ def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
 
 def spectral_prep(rho: np.ndarray) -> SpectralData:
     """Eigendecomposition sorted nonincreasing, eigenvalues clipped at zero,
-    with support rank."""
+    with support rank by numerical_rank over the side."""
     q, w = eigh_desc(rho)
     w = np.clip(w, 0.0, None)
     q = _phase_fix_columns(q)
-    top = float(w[0]) if w.size else 0.0
-    support = int(np.sum(w > w.size * top * RANK_REL_TOL))
-    return SpectralData(q, w, support)
+    return SpectralData(q, w, numerical_rank(w, w.size))
 
 
 def _negativity_cost(factors: Sequence[np.ndarray]) -> float:
@@ -201,12 +202,12 @@ def _filtered(rho: np.ndarray, dims: Sequence[int]):
             red = np.einsum("aibajb->ij", r.reshape(before, d, after, before, d, after))
             if d == 2:
                 f, low, high = _qubit_power(red, power)
-                if low < 2e-14:  # red / tr red has eigenvalue low / 2
+                if low < d * FILTER_FLOOR:  # low is the least eigenvalue of m
                     return None
                 dev = max(dev, math.hypot(low - 1.0, high - 1.0))
             else:
                 w, v = np.linalg.eigh(red * (d / red.trace().real))
-                if w[0] < d * 1e-14:  # eigh sorts ascending
+                if w[0] < d * FILTER_FLOOR:  # eigh sorts ascending
                     return None
                 e = w - 1.0
                 dev = max(dev, math.sqrt(e @ e))
@@ -704,13 +705,13 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
             return [[np.linalg.solve(filt1[k], u[k] @ filt2[k]) for k in range(len(dims))]
                     for u in candidates or []]
 
-        if float(np.linalg.norm(f1t - f2t)) <= 1e-8 * float(np.linalg.norm(f1t)):
+        if float(np.linalg.norm(f1t - f2t)) <= COVARIANT_MATCH * float(np.linalg.norm(f1t)):
             verdict = _first_verdict(
                 rho1, rho2, composed([[np.eye(d, dtype=complex) for d in dims]]), dims)
         else:
             t1, t2 = spectral_prep(f1t), spectral_prep(f2t)
             if (t1.support_rank != t2.support_rank
-                    or float(np.max(np.abs(t1.eigvals - t2.eigvals))) > 1e-8):
+                    or float(np.max(np.abs(t1.eigvals - t2.eigvals))) > COVARIANT_MATCH):
                 return Verdict("Inconclusive", None, "filtered spectra mismatch", ())
             if dims == (2, 2):
                 u = _two_qubit_unitaries(f1t, f2t)

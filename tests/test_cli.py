@@ -472,10 +472,12 @@ def _write_nan_state(tmp_path, name, obj) -> str:
     (["check-pure", "{latin1}", "{latin1}"], cli.EXIT_DATA),
     (["check-pure", "{huge}", "{huge}"], cli.EXIT_DATA),
     (["check-pure", "{deep}", "{deep}"], cli.EXIT_DATA),
+    (["check-pure", "{m}", "{m}"], cli.EXIT_DATA),
+    (["check-mixed", "{p3}", "{p3}"], cli.EXIT_DATA),
 ], ids=["gen-dims-1", "gen-dims-a", "factor-dims-x", "shape-mismatch",
         "singular-witness", "nan-state", "gen-negative-seed",
         "check-mixed-negative-seed", "check-pure-seed", "nan-witness-scale", "not-utf8",
-        "huge-integer-entry", "deep-nesting"])
+        "huge-integer-entry", "deep-nesting", "check-pure-of-mixed", "check-mixed-of-pure"])
 def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
     paths = _error_inputs(tmp_path)
     args = [a.format(out=str(tmp_path / "gen"), **paths) for a in argv]

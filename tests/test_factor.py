@@ -11,7 +11,7 @@ from statekit.factor import (
     extract_factors,
     kron,
 )
-from statekit.linalg import kron_list, realign_inverse
+from statekit.linalg import kron_list, unvec
 from statekit.oracle import random_ilo
 from util import naive_kron, random_complex, traced_remainder
 
@@ -117,19 +117,24 @@ def test_report_exposes_residuals():
     assert all(r <= 1e-8 for r in rep.residuals)
 
 
-def test_near_product_within_rank1_accept_extracts():
-    # realignment sigma_2 / sigma_1 = 5e-9: numerical rank two (the cutoff
-    # is about 9e-10 for a (2,3) cut) but within RANK1_ACCEPT, the threshold
-    # extraction applies, so the report and the extraction agree
+@pytest.mark.parametrize("dims,eps", [((2, 3), 5e-9), ((2, 2, 2), 5e-9), ((2, 2, 2, 2), 7e-9)],
+                         ids=["2x3", "2x2x2", "2x2x2x2"])
+def test_near_product_within_rank1_accept_extracts(dims, eps):
+    # F_1 (x) ... (x) F_K + eps G_1 (x) ... (x) G_K with unit factors and
+    # each G_k orthogonal to F_k: every cut's realignment has sigma_2 /
+    # sigma_1 = eps, numerical rank two (the cutoff is about 9e-10 for a
+    # (2,3) cut, 1.6e-9 for (2,2,2) and 6.4e-9 for (2,2,2,2)) but within
+    # RANK1_ACCEPT, the threshold extraction applies, so the report and the
+    # extraction agree
     rng = np.random.default_rng(21)
-    u = np.linalg.qr(random_complex(rng, 4, 2))[0]
-    v = np.linalg.qr(random_complex(rng, 9, 2))[0]
-    a = realign_inverse(u @ np.diag([1.0, 5e-9]) @ v.T, 2, 3)
-    rep = decomposability(a, (2, 3))
+    frames = [np.linalg.qr(random_complex(rng, d * d, 2))[0] for d in dims]
+    a = (kron_list([unvec(q[:, 0], d, d) for q, d in zip(frames, dims)])
+         + eps * kron_list([unvec(q[:, 1], d, d) for q, d in zip(frames, dims)]))
+    rep = decomposability(a, dims)
     assert rep.invertible and rep.decomposable
     assert all(rank == 2 for _, _, rank in rep.per_party)
-    assert all(np.isclose(r, 5e-9, rtol=1e-3) for r in rep.residuals)
-    fs = extract_factors(a, (2, 3))
+    assert all(np.isclose(r, eps, rtol=1e-3) for r in rep.residuals)
+    fs = extract_factors(a, dims)
     assert np.linalg.norm(kron(fs) - a) <= 1e-8 * np.linalg.norm(a)
 
 

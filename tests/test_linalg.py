@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statekit.factor import decomposability
 from statekit.linalg import (
+    RANK_REL_TOL,
     RankReport,
     SystemShape,
     as_dims,
@@ -15,6 +17,7 @@ from statekit.linalg import (
     kron_list,
     lift_supports,
     local_supports,
+    numerical_rank,
     partial_trace_keep,
     rank_report,
     realign,
@@ -23,6 +26,7 @@ from statekit.linalg import (
     unvec,
     vec,
 )
+from statekit.mixed import spectral_prep
 from util import naive_kron, random_complex
 
 DIMS = st.sampled_from([2, 3, 4])
@@ -175,6 +179,32 @@ def test_rank_report_thresholds():
     assert rep.numerical_rank == 2
     assert np.isclose(rep.rank1_residual, 1e-3)
     assert rank_report(np.zeros((2, 2))).numerical_rank == 0
+
+
+def test_numerical_rank_of_zero_and_empty_values_is_zero():
+    assert numerical_rank(np.zeros(3), 3) == 0
+    assert numerical_rank(np.zeros(0), 5) == 0
+
+
+def test_numerical_rank_counts_a_value_at_the_cutoff_as_zero():
+    cutoff = 3 * 1.0 * RANK_REL_TOL
+    assert numerical_rank(np.array([1.0, cutoff]), 3) == 1
+    assert numerical_rank(np.array([1.0, np.nextafter(cutoff, 1.0)]), 3) == 2
+
+
+@pytest.mark.parametrize("spectrum", [(1.0, 0.3, 1e-12, 0.0), (1.0, 0.3, 0.2, 0.1)],
+                         ids=["singular", "invertible"])
+def test_every_rank_decision_reads_numerical_rank(spectrum):
+    # one PSD matrix, where singular values and eigenvalues coincide: the
+    # rank report, the support rank and the invertibility test agree
+    q = np.linalg.qr(random_complex(np.random.default_rng(8), 4, 4))[0]
+    h = (q * np.array(spectrum)) @ q.conj().T
+    h = (h + h.conj().T) / 2.0
+    rank = numerical_rank(np.linalg.svd(h, compute_uv=False), 4)
+    assert rank == sum(x > 1e-9 for x in spectrum)
+    assert rank_report(h).numerical_rank == rank
+    assert spectral_prep(h).support_rank == rank
+    assert decomposability(h, (2, 2)).invertible == (rank == 4)
 
 
 def test_decisive_rank_clear_gap():

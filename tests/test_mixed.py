@@ -665,6 +665,20 @@ def test_slower_two_qubit_state_no_longer_uses_up_the_sweeps(monkeypatch):
         assert checked_mixed(first, second).outcome == "Equivalent"
 
 
+def test_sweep_cap_ends_the_verdict_short_of_maximally_mixed(monkeypatch):
+    # capped at 50 sweeps, the filtering of this slow state is still gaining
+    # when it stops, so neither order of the pair has a normal form
+    monkeypatch.setattr(mixed, "FILTER_SWEEPS", 50)
+    base = MixedState(TWO_QUBITS, _gram_plus_identity(1, 1e-4))
+    other, _ = make_equivalent_pair(base, 3)
+    assert normal_form(base.rho, (2, 2)) is None
+    for first, second in ((base, other), (other, base)):
+        verdict = checked_mixed(first, second)
+        assert verdict.outcome == "Inconclusive"
+        assert verdict.reason == (
+            "filtering did not converge (marginals stay short of maximally mixed)")
+
+
 def test_uncertified_normal_forms_are_never_trusted():
     # GHZ against W images and W images against each other, in both orders:
     # the iterates drift off Hermitian (once a ValueError from spectral_prep)
