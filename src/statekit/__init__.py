@@ -21,7 +21,6 @@ from .linalg import (
     rank_report,
     realign,
     realign_inverse,
-    svd,
     unvec,
     vec,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "realign",
     "realign_inverse",
     "bipartition_view",
-    "svd",
     "eigh_desc",
     "rank_report",
     "decisive_rank",

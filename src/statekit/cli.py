@@ -189,7 +189,7 @@ def _parse_matrix(src: str) -> tuple[np.ndarray, tuple[int, ...]]:
     """Load a square matrix with party structure from a matrix or mixed file."""
     obj = _load_source(src)
     kind, dims = _check_header(obj, ("matrix", "mixed"))
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     data = _complex_array(obj.get("data"), n * n, f"a matrix over dims {list(dims)}")
     return data.reshape(n, n), dims
 
@@ -275,7 +275,7 @@ def _cmd_realign(args) -> int:
         raise UsageError(f"--party must be between 1 and {k}")
     view = bipartition_view(matrix, dims, args.party)
     m = dims[args.party - 1]
-    n = int(np.prod(dims)) // m
+    n = math.prod(dims) // m
     rep = rank_report(realign(view, m, n))
     _print({
         "party": args.party,
@@ -291,7 +291,7 @@ def _cmd_realign(args) -> int:
 def _cmd_factor(args) -> int:
     matrix, file_dims = _parse_matrix(args.file)
     dims = _parse_dims(args.dims) if args.dims else file_dims
-    if int(np.prod(dims)) != matrix.shape[0]:
+    if math.prod(dims) != matrix.shape[0]:
         raise DataFormatError(
             f"dims {list(dims)} do not match matrix side {matrix.shape[0]}"
         )

@@ -9,6 +9,7 @@ scale is fitted to the product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,7 @@ def decomposability(a: np.ndarray, shape) -> DecomposabilityReport:
     than raised.
     """
     dims = as_dims(shape)
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     a = np.asarray(a, dtype=complex)
     if a.shape != (side, side):
         raise ValueError(f"expected shape {(side, side)}, got {a.shape}")
@@ -119,13 +120,12 @@ def extract_factors(a: np.ndarray, shape) -> FactorSet:
     canonical product has unit norm, so the least-squares scale is its
     inner product with `a`. Raises NotDecomposable when the matrix is
     singular, any realignment is not rank one, or the reconstruction misses
-    `a` by more than 1e-8 relative.
+    `a` by more than 1e-8 relative; decomposability raises ValueError on a
+    wrong shape.
     """
     dims = as_dims(shape)
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     a = np.asarray(a, dtype=complex)
-    if a.shape != (side, side):
-        raise ValueError(f"expected shape {(side, side)}, got {a.shape}")
     report = decomposability(a, dims)
     if not report.invertible:
         raise NotDecomposable("matrix is numerically singular")

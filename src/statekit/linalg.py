@@ -37,7 +37,9 @@ class SystemShape:
 
     @property
     def side(self) -> int:
-        return int(np.prod(self.dims))
+        """The product of the dimensions, exact in Python integers: the side
+        of the system's matrices, however many parties there are."""
+        return math.prod(self.dims)
 
     @property
     def nparties(self) -> int:
@@ -102,7 +104,7 @@ def bipartition_view(a: np.ndarray, shape, party: int) -> np.ndarray:
     Leading axes, if any, index a stack of matrices permuted alike."""
     dims = as_dims(shape)
     k = len(dims)
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     a = np.asarray(a)
     if a.shape[-2:] != (side, side):
         raise ValueError(f"expected shape {(side, side)}, got {a.shape}")
@@ -113,11 +115,6 @@ def bipartition_view(a: np.ndarray, shape, party: int) -> np.ndarray:
     perm = [party - 1] + [p for p in range(k) if p != party - 1]
     axes = list(range(b)) + [b + p for p in perm] + [b + k + p for p in perm]
     return a.reshape(lead + dims + dims).transpose(axes).reshape(lead + (side, side))
-
-
-def svd(a: np.ndarray):
-    """Full SVD (U, s, Vh) with s nonincreasing and A = U diag(s) Vh."""
-    return np.linalg.svd(np.asarray(a, dtype=complex), full_matrices=True)
 
 
 def eigh_desc(h: np.ndarray):

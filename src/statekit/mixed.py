@@ -100,33 +100,21 @@ class MixedState:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition with support bookkeeping."""
+    """Eigendecomposition with support bookkeeping. The eigenvectors are
+    eigh_desc's, in LAPACK's column phases; _eigenbasis_unitaries, the one
+    reader that depends on those phases, fixes them itself."""
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
     support_rank: int
 
 
-def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvector gauge: largest-magnitude entry of each
-    column made real positive."""
-    v = np.array(v, dtype=complex)
-    piv = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    # hypot, not np.abs, is abs() of one complex scalar to the last bit; and
-    # each column is multiplied as a row of the transpose by its own scalar,
-    # the product numpy forms for one column times one scalar
-    mag = np.hypot(piv.real, piv.imag)
-    live = mag > 0.0
-    v[:, live] = (v.T[live] * (mag[live] / piv[live])[:, None]).T
-    return v
-
-
 def spectral_prep(rho: np.ndarray) -> SpectralData:
     """Eigendecomposition sorted nonincreasing, eigenvalues clipped at zero,
-    with support rank by numerical_rank over the side."""
+    with support rank by numerical_rank over the side. The eigenvectors are
+    eigh_desc's, unchanged: no column gauge is applied."""
     q, w = eigh_desc(rho)
     w = np.clip(w, 0.0, None)
-    q = _phase_fix_columns(q)
     return SpectralData(q, w, numerical_rank(w, w.size))
 
 
@@ -179,17 +167,13 @@ def _relaxation(omega: float, rate: float) -> float:
     return 2.0 / (1.0 + math.sqrt(1.0 - mu2)) if mu2 < 1.0 else omega
 
 
-def _views(dims: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(before, d, after) per party: the sizes that split an index of the
-    product space around that party."""
-    return [(math.prod(dims[:p]), d, math.prod(dims[p + 1:])) for p, d in enumerate(dims)]
-
-
 def _filtered(rho: np.ndarray, dims: Sequence[int]):
     """The filtering iteration of normal_form on a trace-one rho: (r,
     filters), or None on a refusal. r is the iterate, not yet certified."""
     n = math.prod(dims)
-    views = _views(dims)
+    # (before, d, after) per party: the sizes that split an index of the
+    # product space around that party
+    views = [(math.prod(dims[:p]), d, math.prod(dims[p + 1:])) for p, d in enumerate(dims)]
     r = rho
     filters = [np.eye(d, dtype=complex) for d in dims]
     best = np.inf
@@ -271,7 +255,8 @@ def normal_form(rho: np.ndarray, shape):
     An accepted iterate is certified before it is returned: g = F rho F^dag
     / tr, with F = (x)filters, is recomputed from the input, and the
     Hermitian part of g is returned only when ||g - r|| / ||r|| and the
-    deviation of g's reduced matrices from I/d are both within
+    deviation of g's reduced matrices (partial_trace_keep) from I/d are both
+    within
     FILTER_SOFT_TOL; else None. Rounding through ill-conditioned filters
     can carry the iterate off Hermitian and off the state the filters
     reach, as for images of W, which have no normal form.
@@ -289,8 +274,8 @@ def normal_form(rho: np.ndarray, shape):
     if float(np.linalg.norm(g - r)) > FILTER_SOFT_TOL * float(np.linalg.norm(r)):
         return None
     g = (g + g.conj().T) / 2.0
-    for before, d, after in _views(dims):
-        red = np.einsum("aibajb->ij", g.reshape(before, d, after, before, d, after))
+    for party, d in enumerate(dims, start=1):
+        red = partial_trace_keep(g, dims, party)
         if float(np.linalg.norm(d * red - np.eye(d))) > FILTER_SOFT_TOL:
             return None
     return g, filters
@@ -446,6 +431,20 @@ def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
     ]
 
 
+def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
+    """Deterministic eigenvector gauge: largest-magnitude entry of each
+    column made real positive."""
+    v = np.array(v, dtype=complex)
+    piv = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # hypot, not np.abs, is abs() of one complex scalar to the last bit; and
+    # each column is multiplied as a row of the transpose by its own scalar,
+    # the product numpy forms for one column times one scalar
+    mag = np.hypot(piv.real, piv.imag)
+    live = mag > 0.0
+    v[:, live] = (v.T[live] * (mag[live] / piv[live])[:, None]).T
+    return v
+
+
 def _eigenbasis_unitaries(s1: SpectralData, s2: SpectralData,
                           dims: Sequence[int]) -> Optional[list[list[np.ndarray]]]:
     """Candidates for the local unitaries between two filtered states with
@@ -461,12 +460,16 @@ def _eigenbasis_unitaries(s1: SpectralData, s2: SpectralData,
     COVARIANT_GAP of the largest gives
     phi_i - phi_j - phi_i' + phi_j' = arg(P1 / P2), phi_0 = 0, solved by
     _phase_vectors. Candidates are kept when extract_factors splits U.
+
+    Both eigenbases are first brought to one column gauge
+    (_phase_fix_columns), so that the witness does not depend on the column
+    phases LAPACK returns; spectral_prep leaves them as they come.
     """
     lam = s1.eigvals
     n = lam.size
     if np.min(lam[:-1] - lam[1:]) < COVARIANT_GAP * lam[0]:
         return None
-    a, b = s1.eigvecs, s2.eigvecs
+    a, b = _phase_fix_columns(s1.eigvecs), _phase_fix_columns(s2.eigvecs)
 
     def gram(v, k, d):
         vs = v.T.reshape(n, math.prod(dims[:k]), d, -1).transpose(0, 2, 1, 3).reshape(n, d, -1)

@@ -19,6 +19,7 @@ carries an independently verified witness.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Optional, Sequence
@@ -28,7 +29,7 @@ import numpy as np
 from . import oracle
 from .factor import canonicalize
 from .linalg import (SystemShape, kron_list, lift_supports, local_supports, rank_mismatch,
-                     rank_report, svd)
+                     rank_report)
 from .oracle import Verdict
 
 _witness_verdict = partial(oracle.witness_verdict, oracle.verify_witness_pure)
@@ -92,9 +93,8 @@ def coefficient_matrix(psi: PureState, cut: Optional[Sequence[int]] = None) -> n
     if not cols:
         raise ValueError("row parties must be a proper subset")
     axes = [p - 1 for p in rows] + [p - 1 for p in cols]
-    m = int(np.prod([dims[p - 1] for p in rows]))
-    n = int(np.prod([dims[p - 1] for p in cols]))
-    return psi.amplitudes.reshape(dims).transpose(axes).reshape(m, n)
+    m = math.prod(dims[p - 1] for p in rows)
+    return psi.amplitudes.reshape(dims).transpose(axes).reshape(m, -1)
 
 
 def rank_signature(psi: PureState) -> RankSignature:
@@ -142,16 +142,14 @@ def check_bipartite(phi: PureState, psi: PureState) -> Verdict:
                 "Inequivalent", None, f"Schmidt ranks differ ({r1} vs {r2})", ()
             )
         return _borderline((1,), r1, r2)
-    x1, s1, y1 = svd(m1)
-    x2, s2, y2 = svd(m2)
+    x1, s1, y1 = np.linalg.svd(m1)
+    x2, s2, y2 = np.linalg.svd(m2)
     m, n = m1.shape
-    b1 = np.ones(m)
-    b2 = np.ones(n)
-    for k in range(r1):
-        b1[k] = np.sqrt(s1[k] / s2[k])
-        b2[k] = np.sqrt(s1[k] / s2[k])
-    c1 = x1 @ np.diag(b1) @ x2.conj().T
-    c2 = (y2.conj().T @ np.diag(b2) @ y1).T
+    # the Schmidt diagonal, sqrt(s1 / s2) on the support and 1 off it
+    b = np.ones(max(m, n))
+    b[:r1] = np.sqrt(s1[:r1] / s2[:r1])
+    c1 = x1 @ np.diag(b[:m]) @ x2.conj().T
+    c2 = (y2.conj().T @ np.diag(b[:n]) @ y1).T
     verdict = _witness_verdict(
         phi, psi, canonicalize([c1, c2]),
         "witness from the two singular decompositions",

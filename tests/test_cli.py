@@ -274,6 +274,27 @@ def test_verify_rejects_wrong_witness(tmp_path, capsys):
     assert json.loads(out)["passed"] is False
 
 
+def test_verify_refuses_a_zero_witness_scale(tmp_path, capsys):
+    m = _state_file(tmp_path, "m.json", MixedState(SystemShape((2, 2)), np.eye(4) / 4.0))
+    eye = FactorSet((np.eye(2, dtype=complex),) * 2, 0.0)
+    w = _write(tmp_path, "w.json", cli.witness_object(eye))
+    code, out, err = _run(capsys, "verify", m, m, w)
+    assert code == cli.EXIT_DATA and out == ""
+    assert err == "data error: invalid witness: witness scale is zero\n"
+
+
+@pytest.mark.parametrize("kind,count", [("matrix", 2**128), ("pure", 2**64), ("mixed", 2**128)],
+                         ids=["matrix", "pure", "mixed"])
+def test_64_party_files_are_refused_on_their_entry_count(tmp_path, capsys, kind, count):
+    # the side 2^64 is exact, so an empty data list is short by all of it
+    path = _write(tmp_path, "wide.json", {
+        "version": 1, "type": kind, "dims": [2] * 64, "data": []})
+    argv = ["factor", path] if kind == "matrix" else [f"check-{kind}", path, path]
+    code, out, err = _run(capsys, *argv)
+    assert code == cli.EXIT_DATA and out == ""
+    assert err.endswith(f" must hold {count} entries\n")
+
+
 @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9])
 def test_verify_refuses_the_ghz_to_w_degeneration(tmp_path, capsys, eps):
     # A (x) A (x) A, A = [[1, -1], [eps, 0]], carries GHZ to within about
@@ -435,6 +456,9 @@ def _error_inputs(tmp_path) -> dict:
         "latin1": _write_bytes(tmp_path, "latin1.json", b"\xff\xfe"),
         "huge": _write_bytes(tmp_path, "huge.json", HUGE_ENTRY_STATE.encode()),
         "deep": _write_bytes(tmp_path, "deep.json", b"[" * 100_000),
+        **{f"wide{kind}": _write(tmp_path, f"wide{kind}.json", {
+            "version": 1, "type": kind, "dims": [2] * 64, "data": []})
+           for kind in ("matrix", "pure", "mixed")},
     }
 
 
@@ -474,10 +498,17 @@ def _write_nan_state(tmp_path, name, obj) -> str:
     (["check-pure", "{deep}", "{deep}"], cli.EXIT_DATA),
     (["check-pure", "{m}", "{m}"], cli.EXIT_DATA),
     (["check-mixed", "{p3}", "{p3}"], cli.EXIT_DATA),
+    # 64 parties: a side of 2^64 entries, which an int64 product wraps to 0
+    (["factor", "{widematrix}"], cli.EXIT_DATA),
+    (["realign", "{widematrix}", "--party", "1"], cli.EXIT_DATA),
+    (["check-pure", "{widepure}", "{widepure}"], cli.EXIT_DATA),
+    (["check-mixed", "{widemixed}", "{widemixed}"], cli.EXIT_DATA),
 ], ids=["gen-dims-1", "gen-dims-a", "factor-dims-x", "shape-mismatch",
         "singular-witness", "nan-state", "gen-negative-seed",
         "check-mixed-negative-seed", "check-pure-seed", "nan-witness-scale", "not-utf8",
-        "huge-integer-entry", "deep-nesting", "check-pure-of-mixed", "check-mixed-of-pure"])
+        "huge-integer-entry", "deep-nesting", "check-pure-of-mixed", "check-mixed-of-pure",
+        "factor-64-parties", "realign-64-parties", "check-pure-64-parties",
+        "check-mixed-64-parties"])
 def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
     paths = _error_inputs(tmp_path)
     args = [a.format(out=str(tmp_path / "gen"), **paths) for a in argv]

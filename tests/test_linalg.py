@@ -22,7 +22,6 @@ from statekit.linalg import (
     rank_report,
     realign,
     realign_inverse,
-    svd,
     unvec,
     vec,
 )
@@ -151,14 +150,6 @@ def test_bipartition_view_is_permutation_similarity():
     assert np.allclose(np.linalg.eigvalsh(view), np.linalg.eigvalsh(a))
 
 
-def test_svd_reconstructs():
-    rng = np.random.default_rng(3)
-    a = random_complex(rng, 4, 6)
-    u, s, vh = svd(a)
-    assert np.all(np.diff(s) <= 0)
-    assert np.allclose(u[:, :4] @ np.diag(s) @ vh[:4], a)
-
-
 def test_eigh_desc_sorted_and_reconstructs():
     rng = np.random.default_rng(4)
     g = random_complex(rng, 5, 5)
@@ -262,9 +253,19 @@ def test_kron_list_matches_pairwise():
     assert np.allclose(kron_list(mats), expected)
 
 
+def test_bipartition_view_rejects_a_wrong_shape_and_a_party_out_of_range():
+    with pytest.raises(ValueError, match="expected shape"):
+        bipartition_view(np.eye(6), (2, 3, 2), 1)
+    for party in (0, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            bipartition_view(np.eye(12), (2, 3, 2), party)
+
+
 def test_system_shape_validation():
     assert SystemShape((2, 3)).side == 6
     assert SystemShape((2, 3)).nparties == 2
+    # exact, where an int64 product of 64 twos wraps to 0
+    assert SystemShape((2,) * 64).side == 2**64
     assert as_dims([2, 2]) == (2, 2)
     assert as_dims(SystemShape((4,))) == (4,)
     with pytest.raises(ValueError):

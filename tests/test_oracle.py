@@ -117,6 +117,19 @@ def test_singular_witness_is_rejected():
     rho = random_density((2, 2), 9)
     with pytest.raises(ValueError):
         verify_witness_mixed(rho, rho, singular)
+    zero = FactorSet(_identity_witness((2, 2)).factors, 0.0)
+    for verify, state in ((verify_witness_pure, psi), (verify_witness_mixed, rho)):
+        with pytest.raises(ValueError, match="witness scale is zero"):
+            verify(state, state, zero)
+
+
+def test_a_zero_second_state_has_an_infinite_residual():
+    # raw arrays bypass the state classes' checks, so the image can vanish
+    eye = _identity_witness((2, 2))
+    checks = [verify_witness_pure(random_pure((2, 2), 8), np.zeros(4), eye),
+              verify_witness_mixed(random_density((2, 2), 9), np.zeros((4, 4)), eye)]
+    for check in checks:
+        assert check.relative_residual == np.inf and not check.passed
 
 
 def _ghz_to_w_degeneration(eps) -> FactorSet:

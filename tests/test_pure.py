@@ -181,6 +181,21 @@ def test_constructed_three_qubit_pairs_are_recovered():
         assert verdict.outcome == "Equivalent", verdict.reason
 
 
+@pytest.mark.parametrize("a", [0.6, 0.8, 1 / np.sqrt(2.0)], ids=["0.6", "0.8", "1/sqrt2"])
+def test_ghz_images_are_connected_by_product_vector_pairing(a):
+    # a|000> + b|111>: its coefficient rowspaces are spanned by exact product
+    # rows, the branch of _product_vectors that finds them without a root
+    amp = np.zeros(8)
+    amp[0], amp[7] = a, np.sqrt(1.0 - a * a)
+    psi = PureState(THREE_QUBITS, amp)
+    for seed in range(10):
+        phi, _ = make_equivalent_pair(psi, 300 + seed)
+        for first, second in ((psi, phi), (phi, psi)):
+            verdict = checked_pure(first, second)
+            assert verdict.outcome == "Equivalent", verdict.reason
+            assert verdict.reason == "witness from product-vector pairing"
+
+
 def test_product_factor_splits_off():
     rng = np.random.default_rng(9)
     local = random_complex(rng, 2)
@@ -309,6 +324,13 @@ def test_swapping_arguments_never_contradicts():
         fwd = checked_pure(a, b).outcome
         rev = checked_pure(b, a).outcome
         assert {fwd, rev} != {"Equivalent", "Inequivalent"}
+
+
+def test_check_bipartite_refuses_other_shapes_and_party_counts():
+    with pytest.raises(ValueError, match="different shapes"):
+        check_bipartite(random_pure((2, 2), 0), random_pure((2, 3), 1))
+    with pytest.raises(ValueError, match="exactly two parties"):
+        check_bipartite(GHZ3, GHZ3)
 
 
 def test_bipartite_equal_schmidt_rank_is_equivalent():
