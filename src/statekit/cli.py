@@ -5,6 +5,11 @@ are emitted on standard output as deterministic byte streams: fixed key
 order, floats at 17 significant digits, diagnostics on standard error. Exit
 codes: 0 Equivalent (or plain success), 1 Inequivalent, 2 Inconclusive (or a
 failed witness check), 64 usage, 65 bad data, 66 unreadable file.
+
+Usage, I/O and format errors are reported before numpy is imported, so they
+return at once: each subcommand imports numpy and the statekit modules it
+runs only after its arguments and input files have passed every check plain
+Python can make, and --dims is checked before any file is read.
 """
 
 from __future__ import annotations
@@ -12,25 +17,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .factor import FactorSet, NotDecomposable, decomposability, extract_factors
-from .linalg import SystemShape, bipartition_view, rank_report, realign
-from .mixed import MixedState, check_mixed_equivalence
-from .oracle import (
-    FixtureParams,
-    Verdict,
-    fixtures,
-    make_equivalent_pair,
-    verify_witness_mixed,
-    verify_witness_pure,
-)
-from .pure import PureState, check_pure_equivalence, rank_signature
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .factor import FactorSet
+    from .oracle import FixtureParams, Verdict
 
 EXIT_EQUIVALENT = 0
 EXIT_INEQUIVALENT = 1
@@ -38,6 +36,11 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_IO = 66
+
+# The most complex entries `gen --random` writes: n for a pure state and n**2
+# for a density matrix, where n is the product of the dims (256 MiB of numpy
+# complex numbers, before the JSON text).
+_GEN_MAX_ENTRIES = 2**24
 
 _OUTCOME_CODES = {
     "Equivalent": EXIT_EQUIVALENT,
@@ -61,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt_float(x) -> str:
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         return "null"
     if x == 0.0:
         x = 0.0
@@ -74,9 +77,10 @@ def _emit(value) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    # numpy registers its integer and floating scalars with both classes
+    if isinstance(value, numbers.Integral):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         return _fmt_float(value)
     if isinstance(value, str):
         return json.dumps(value)
@@ -94,8 +98,8 @@ def _pair(z) -> list:
     return [z.real, z.imag]
 
 
-def _vector_pairs(v) -> list:
-    return [_pair(z) for z in np.asarray(v).reshape(-1)]
+def _vector_pairs(v: np.ndarray) -> list:
+    return [_pair(z) for z in v.reshape(-1)]
 
 
 def _load_source(src: str) -> dict:
@@ -147,10 +151,10 @@ def _finite(x) -> bool:
 
 def _complex_array(data, count: int, what: str) -> np.ndarray:
     """`count` [re, im] pairs of finite numbers as a complex vector; the
-    errors name `what`."""
+    errors name `what`. Every entry is checked before numpy loads."""
     if not isinstance(data, list) or len(data) != count:
         raise DataFormatError(f"{what} must hold {count} entries")
-    out = np.empty(count, dtype=complex)
+    values = []
     for i, cell in enumerate(data):
         if (
             not isinstance(cell, list)
@@ -160,25 +164,31 @@ def _complex_array(data, count: int, what: str) -> np.ndarray:
             raise DataFormatError(f"entry {i} of {what} must be a [re, im] pair of numbers")
         if not (_finite(cell[0]) and _finite(cell[1])):
             raise DataFormatError(f"entry {i} of {what} is not finite")
-        out[i] = complex(cell[0], cell[1])
-    return out
+        values.append(complex(cell[0], cell[1]))
+    import numpy as np
+
+    return np.array(values, dtype=complex)
 
 
 def parse_state(src: str):
     """Parse a state file (path or JSON text) into a pure or mixed state."""
     obj = _load_source(src)
     kind, dims = _check_header(obj, ("pure", "mixed"))
+    n = math.prod(dims)
+    count, what = (n, "a pure state") if kind == "pure" else (n * n, "a density matrix")
+    data = _complex_array(obj.get("data"), count, f"{what} over dims {list(dims)}")
+    from .linalg import SystemShape
+
     shape = SystemShape(dims)
-    n = shape.side
     if kind == "pure":
-        amp = _complex_array(obj.get("data"), n, f"a pure state over dims {list(dims)}")
+        from .pure import PureState
+
         try:
-            return PureState(shape, amp)
+            return PureState(shape, data)
         except ValueError as exc:
             raise DataFormatError(f"invalid pure state: {exc}") from None
-    data = _complex_array(
-        obj.get("data"), n * n, f"a density matrix over dims {list(dims)}"
-    )
+    from .mixed import MixedState
+
     try:
         return MixedState(shape, data.reshape(n, n))
     except ValueError as exc:
@@ -204,11 +214,19 @@ def parse_witness(src: str) -> FactorSet:
     for d, entries in zip(dims, factors):
         mats.append(_complex_array(entries, d * d, f"a {d}x{d} factor").reshape(d, d))
     scale = _complex_array([obj.get("scale", [1.0, 0.0])], 1, "the witness scale")
+    from .factor import FactorSet
+
     return FactorSet(tuple(mats), complex(scale[0]))
 
 
+def _is_pure(state) -> bool:
+    """Whether a state is a PureState, told without importing statekit.pure:
+    a MixedState holds `rho` where a PureState holds `amplitudes`."""
+    return hasattr(state, "amplitudes")
+
+
 def state_object(state, label: Optional[str] = None) -> dict:
-    pure = isinstance(state, PureState)
+    pure = _is_pure(state)
     obj = {
         "version": 1,
         "type": "pure" if pure else "mixed",
@@ -225,7 +243,7 @@ def witness_object(fs: FactorSet) -> dict:
         "version": 1,
         "type": "witness",
         "dims": list(fs.dims),
-        "factors": [_vector_pairs(f.reshape(-1)) for f in fs.factors],
+        "factors": [_vector_pairs(f) for f in fs.factors],
         "scale": _pair(fs.scale),
     }
 
@@ -253,11 +271,12 @@ def _print(obj: dict):
 def _parse_dims(text: str) -> tuple[int, ...]:
     """Party dimensions from a comma-separated --dims value."""
     try:
-        return SystemShape(tuple(int(d) for d in text.split(","))).dims
+        dims = tuple(int(d) for d in text.split(","))
     except ValueError:
-        raise UsageError(
-            f"--dims must list integers of at least 2, got {text!r}"
-        ) from None
+        dims = ()
+    if not dims or min(dims) < 2:
+        raise UsageError(f"--dims must list integers of at least 2, got {text!r}")
+    return dims
 
 
 def _require_same_shape(first, second):
@@ -273,6 +292,8 @@ def _cmd_realign(args) -> int:
     k = len(dims)
     if not 1 <= args.party <= k:
         raise UsageError(f"--party must be between 1 and {k}")
+    from .linalg import bipartition_view, rank_report, realign
+
     view = bipartition_view(matrix, dims, args.party)
     m = dims[args.party - 1]
     n = math.prod(dims) // m
@@ -289,12 +310,16 @@ def _cmd_realign(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    # --dims is checked before the file is read
+    dims = _parse_dims(args.dims) if args.dims else None
     matrix, file_dims = _parse_matrix(args.file)
-    dims = _parse_dims(args.dims) if args.dims else file_dims
+    dims = dims or file_dims
     if math.prod(dims) != matrix.shape[0]:
         raise DataFormatError(
             f"dims {list(dims)} do not match matrix side {matrix.shape[0]}"
         )
+    from .factor import NotDecomposable, decomposability, extract_factors
+
     rep = decomposability(matrix, dims)
     out = {
         "invertible": rep.invertible,
@@ -306,7 +331,7 @@ def _cmd_factor(args) -> int:
     }
     try:
         fs = extract_factors(matrix, dims)
-        out["factors"] = [_vector_pairs(f.reshape(-1)) for f in fs.factors]
+        out["factors"] = [_vector_pairs(f) for f in fs.factors]
         out["scale"] = _pair(fs.scale)
     except NotDecomposable as exc:
         out["error"] = str(exc)
@@ -316,8 +341,10 @@ def _cmd_factor(args) -> int:
 
 def _cmd_classify(args) -> int:
     state = parse_state(args.file)
-    if not isinstance(state, PureState):
+    if not _is_pure(state):
         raise DataFormatError("classify requires a pure state file")
+    from .pure import rank_signature
+
     sig = rank_signature(state)
     _print({
         "dims": list(state.shape.dims),
@@ -329,11 +356,15 @@ def _cmd_classify(args) -> int:
 def _cmd_check(args) -> int:
     first = parse_state(args.first)
     second = parse_state(args.second)
-    if not isinstance(first, args.state_class) or not isinstance(second, args.state_class):
+    if args.command == "check-pure":
+        from .pure import PureState as state_class, check_pure_equivalence as check
+    else:
+        from .mixed import MixedState as state_class, check_mixed_equivalence as check
+    if not isinstance(first, state_class) or not isinstance(second, state_class):
         kind = args.command.removeprefix("check-")
         raise DataFormatError(f"{args.command} requires two {kind} state files")
     _require_same_shape(first, second)
-    verdict = args.check(first, second)
+    verdict = check(first, second)
     _print(_verdict_report(verdict))
     return _OUTCOME_CODES[verdict.outcome]
 
@@ -342,12 +373,16 @@ def _cmd_verify(args) -> int:
     first = parse_state(args.first)
     second = parse_state(args.second)
     witness = parse_witness(args.witness)
-    if isinstance(first, PureState) != isinstance(second, PureState):
+    if _is_pure(first) != _is_pure(second):
         raise DataFormatError("verify requires two states of the same kind")
     _require_same_shape(first, second)
     if witness.dims != first.shape.dims:
         raise DataFormatError("witness dims do not match the states")
-    verify = verify_witness_pure if isinstance(first, PureState) else verify_witness_mixed
+    import numpy as np
+
+    from .oracle import verify_witness_mixed, verify_witness_pure
+
+    verify = verify_witness_pure if _is_pure(first) else verify_witness_mixed
     try:
         with np.errstate(over="raise", invalid="raise"):
             check = verify(first, second, witness)
@@ -364,11 +399,9 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_fixture_params(text: Optional[str]) -> FixtureParams:
-    if not text:
-        return FixtureParams()
     kwargs = {}
     scalar = {"a", "b", "c", "alpha", "beta", "gamma"}
-    for item in text.split(","):
+    for item in text.split(",") if text else ():
         key, sep, val = item.partition("=")
         key = key.strip()
         val = val.strip()
@@ -383,6 +416,8 @@ def _parse_fixture_params(text: Optional[str]) -> FixtureParams:
                 raise UsageError(f"unknown parameter {key!r}")
         except ValueError:
             raise UsageError(f"parameter {key!r} has a non-numeric value") from None
+    from .oracle import FixtureParams
+
     return FixtureParams(**kwargs)
 
 
@@ -396,6 +431,8 @@ def _cmd_gen(args) -> int:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.example is not None:
         params = _parse_fixture_params(args.params)
+        from .oracle import fixtures
+
         try:
             first, second = fixtures(args.example, params)
         except ValueError as exc:
@@ -403,19 +440,36 @@ def _cmd_gen(args) -> int:
         names = [f"fixture{args.example}{tag}" for tag in ("a", "b")]
         objs = [state_object(state, name) for state, name in zip((first, second), names)]
     else:
-        shape = SystemShape(_parse_dims(args.dims))
+        dims = _parse_dims(args.dims)
+        n = math.prod(dims)
+        entries = n if args.random == "pure" else n * n
+        if entries > _GEN_MAX_ENTRIES:
+            raise UsageError(
+                f"a {args.random} state over dims {list(dims)} has {entries} entries; "
+                f"gen writes at most 2**24 = {_GEN_MAX_ENTRIES}"
+            )
+        import numpy as np
+
+        from .linalg import SystemShape
+
+        shape = SystemShape(dims)
         rng = np.random.default_rng(args.seed)
-        n = shape.side
         if args.random == "pure":
+            from .pure import PureState
+
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             state = PureState(shape, v / np.linalg.norm(v))
         else:
+            from .mixed import MixedState
+
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             rho = g @ g.conj().T
             state = MixedState(shape, rho / np.trace(rho).real)
         names = ["state_a"]
         objs = [state_object(state, "state_a")]
         if args.equivalent_pair:
+            from .oracle import make_equivalent_pair
+
             partner, fs = make_equivalent_pair(state, args.seed)
             names += ["state_b", "witness"]
             objs += [state_object(partner, "state_b"), witness_object(fs)]
@@ -449,12 +503,11 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_classify)
 
-    for kind, state_class, check in (("pure", PureState, check_pure_equivalence),
-                                     ("mixed", MixedState, check_mixed_equivalence)):
+    for kind in ("pure", "mixed"):
         p = sub.add_parser(f"check-{kind}", help=f"equivalence verdict for two {kind} states")
         p.add_argument("first")
         p.add_argument("second")
-        p.set_defaults(func=_cmd_check, state_class=state_class, check=check)
+        p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("verify", help="check a claimed witness by substitution")
     p.add_argument("first")

@@ -422,13 +422,123 @@ def test_float_formatting_is_normalized():
     assert payload == '{"x":[1,true,null,"s"]}'
 
 
-def test_import_leaves_scipy_unloaded():
+def _python(probe: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a Python probe in a fresh interpreter that imports this statekit."""
     src = str(Path(statekit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, statekit.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_import_leaves_scipy_unloaded():
+    out = _python("import sys, statekit.cli; print('scipy' in sys.modules)")
+    assert out.returncode == 0
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_numpy_unloaded():
+    out = _python("import sys, statekit.cli; print('numpy' in sys.modules)")
+    assert out.returncode == 0
+    assert out.stdout.strip() == "False"
+
+
+# Runs main on the given arguments like the console script, then prints, as
+# its last line of output, the loaded modules among numpy and statekit's own.
+MAIN_PROBE = """
+import sys
+from statekit.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --help and --version
+    code = exc.code
+loaded = [m for m in sys.modules if m == "numpy" or m.startswith("statekit.")]
+print(" ".join(sorted(loaded)))
+sys.exit(code)
+"""
+
+
+def _probe_main(tmp_path, argv) -> tuple[int, set]:
+    """Run `argv` through MAIN_PROBE with {name} placeholders filled from
+    _error_inputs; the exit code and the set of loaded modules."""
+    paths = _error_inputs(tmp_path)
+    args = [a.format(out=str(tmp_path / "gen"), missing=str(tmp_path / "missing.json"), **paths)
+            for a in argv]
+    run = _python(MAIN_PROBE, *args)
+    assert "Traceback" not in run.stderr
+    return run.returncode, set(run.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--help"], 0),
+    (["--version"], 0),
+    (["frobnicate"], cli.EXIT_USAGE),
+    (["gen", "--random", "pure", "--dims", "1,2", "--out", "{out}"], cli.EXIT_USAGE),
+    (["gen", "--random", "mixed", "--dims", ",".join(["2"] * 64), "--out", "{out}"],
+     cli.EXIT_USAGE),
+    # --dims is checked before the file is read
+    (["factor", "{missing}", "--dims", "x"], cli.EXIT_USAGE),
+    (["check-pure", "{missing}", "{p3}"], cli.EXIT_IO),
+    (["check-pure", "{nan}", "{nan}"], cli.EXIT_DATA),
+], ids=["help", "version", "unknown-command", "gen-dims-1", "gen-64-parties",
+        "factor-dims-x-missing-file", "missing-file", "nan-state"])
+def test_refusals_exit_before_numpy_loads(tmp_path, argv, expected):
+    code, loaded = _probe_main(tmp_path, argv)
+    assert code == expected
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["check-pure", "{p3}", "{p3}"], {"statekit.mixed"}),
+    (["classify", "{p3}"], {"statekit.mixed"}),
+    (["check-mixed", "{m}", "{m}"], {"statekit.pure"}),
+    (["factor", "{k}"], {"statekit.mixed", "statekit.pure", "statekit.oracle"}),
+], ids=["check-pure", "classify", "check-mixed", "factor"])
+def test_subcommands_load_only_the_modules_they_run(tmp_path, argv, unloaded):
+    code, loaded = _probe_main(tmp_path, argv)
+    assert code == 0
+    assert "numpy" in loaded
+    assert not loaded & unloaded
+
+
+# Checks the lazy package namespace in a fresh interpreter and prints one
+# JSON object of findings.
+EXPORTS_PROBE = """
+import importlib, json, sys
+import statekit
+found = {"numpy_on_import": "numpy" in sys.modules}
+star = {}
+exec("from statekit import *", star)
+found["star_missing"] = sorted(set(statekit.__all__) - set(star))
+found["not_home"] = [
+    name for name in statekit.__all__ if name != "__version__" and not (
+        getattr(statekit, name) is star[name]
+        is getattr(importlib.import_module("statekit." + statekit._HOME[name]), name)
+        and getattr(star[name], "__module__", None) in (None, "statekit." + statekit._HOME[name])
+    )
+]
+found["dir_missing"] = sorted(set(statekit.__all__) - set(dir(statekit)))
+try:
+    statekit.no_such_name
+    found["unknown"] = "no error"
+except AttributeError as exc:
+    found["unknown"] = str(exc)
+found["module"] = statekit.pure.__name__
+print(json.dumps(found))
+"""
+
+
+def test_public_names_are_their_home_modules_objects():
+    run = _python(EXPORTS_PROBE)
+    assert run.returncode == 0, run.stderr
+    found = json.loads(run.stdout)
+    assert found == {
+        "numpy_on_import": False,
+        "star_missing": [],
+        "not_home": [],
+        "dir_missing": [],
+        "unknown": "module 'statekit' has no attribute 'no_such_name'",
+        "module": "statekit.pure",
+    }
 
 
 def _error_inputs(tmp_path) -> dict:
@@ -503,12 +613,22 @@ def _write_nan_state(tmp_path, name, obj) -> str:
     (["realign", "{widematrix}", "--party", "1"], cli.EXIT_DATA),
     (["check-pure", "{widepure}", "{widepure}"], cli.EXIT_DATA),
     (["check-mixed", "{widemixed}", "{widemixed}"], cli.EXIT_DATA),
+    # more than 2**24 complex entries to generate
+    (["gen", "--random", "pure", "--dims", ",".join(["2"] * 25), "--out", "{out}"],
+     cli.EXIT_USAGE),
+    (["gen", "--random", "mixed", "--dims", ",".join(["2"] * 13), "--out", "{out}"],
+     cli.EXIT_USAGE),
+    (["gen", "--random", "pure", "--dims", ",".join(["2"] * 64), "--out", "{out}"],
+     cli.EXIT_USAGE),
+    (["gen", "--random", "mixed", "--dims", ",".join(["2"] * 64), "--out", "{out}"],
+     cli.EXIT_USAGE),
 ], ids=["gen-dims-1", "gen-dims-a", "factor-dims-x", "shape-mismatch",
         "singular-witness", "nan-state", "gen-negative-seed",
         "check-mixed-negative-seed", "check-pure-seed", "nan-witness-scale", "not-utf8",
         "huge-integer-entry", "deep-nesting", "check-pure-of-mixed", "check-mixed-of-pure",
         "factor-64-parties", "realign-64-parties", "check-pure-64-parties",
-        "check-mixed-64-parties"])
+        "check-mixed-64-parties", "gen-pure-25-qubits", "gen-mixed-13-qubits",
+        "gen-pure-64-parties", "gen-mixed-64-parties"])
 def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
     paths = _error_inputs(tmp_path)
     args = [a.format(out=str(tmp_path / "gen"), **paths) for a in argv]

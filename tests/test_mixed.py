@@ -124,6 +124,15 @@ def test_kernel_ratio_needs_a_qubit_first_party():
     assert _kernel_ratio([np.eye(3)] * 2, rho, rho, (3, 3)) is None
 
 
+def test_kernel_ratio_needs_the_kernel_paired_with_itself():
+    # identity factors pair each eigenvector of rho1 with its own basis
+    # vector in rho2's eigenbasis: the pairing is [0, 1, 3, 2], so rho1's
+    # kernel meets rho2's 0.2 and rho1's 0.2 would be divided by rho2's 0
+    rho1 = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
+    rho2 = np.diag([0.5, 0.3, 0.0, 0.2]).astype(complex)
+    assert _kernel_ratio([np.eye(2)] * 2, rho1, rho2, (2, 2)) is None
+
+
 def test_kernel_ratio_of_a_single_qubit_is_none():
     # n = 2: support rank n - 1 and the kernel fixed, but row 1 holds only
     # the kernel entry
