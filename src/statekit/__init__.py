@@ -27,7 +27,7 @@ _EXPORTS = {
         "decomposability", "extract_factors",
     ),
     "mixed": (
-        "MixedState", "SpectralData", "spectral_prep", "normal_form", "invariant_screen",
+        "MixedState", "SpectralData", "spectral_prep", "NoNormalForm", "normal_form",
         "check_mixed_equivalence",
     ),
     "pure": (

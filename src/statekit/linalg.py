@@ -168,15 +168,12 @@ def decisive_rank(a: np.ndarray) -> tuple[int, bool]:
     return rank, decisive
 
 
-def rank_mismatch(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int]]:
-    """The decisive ranks of a and b when both are decisive and differ, else
-    None. This is the only rank evidence that may become an Inequivalent
-    verdict."""
-    r1, d1 = decisive_rank(a)
-    r2, d2 = decisive_rank(b)
-    if d1 and d2 and r1 != r2:
-        return r1, r2
-    return None
+def rank_mismatch(a: tuple[int, bool], b: tuple[int, bool]) -> Optional[tuple[int, int]]:
+    """The ranks of two decisive_rank results when both are decisive and
+    differ, else None. This is the only rank evidence that may become an
+    Inequivalent verdict."""
+    (r1, d1), (r2, d2) = a, b
+    return (r1, r2) if d1 and d2 and r1 != r2 else None
 
 
 def local_supports(mats1: Sequence[np.ndarray], mats2: Sequence[np.ndarray],

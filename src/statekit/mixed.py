@@ -167,59 +167,10 @@ def _relaxation(omega: float, rate: float) -> float:
     return 2.0 / (1.0 + math.sqrt(1.0 - mu2)) if mu2 < 1.0 else omega
 
 
-def _filtered(rho: np.ndarray, dims: Sequence[int]):
-    """The filtering iteration of normal_form on a trace-one rho: (r,
-    filters), or None on a refusal. r is the iterate, not yet certified."""
-    n = math.prod(dims)
-    # (before, d, after) per party: the sizes that split an index of the
-    # product space around that party
-    views = [(math.prod(dims[:p]), d, math.prod(dims[p + 1:])) for p, d in enumerate(dims)]
-    r = rho
-    filters = [np.eye(d, dtype=complex) for d in dims]
-    best = np.inf
-    since_gain = 0
-    omega, last, ratio = 1.0, np.inf, None
-    for _ in range(FILTER_SWEEPS):
-        dev = 0.0
-        power = -omega / 2.0
-        for party, (before, d, after) in enumerate(views):
-            red = np.einsum("aibajb->ij", r.reshape(before, d, after, before, d, after))
-            if d == 2:
-                f, low, high = _qubit_power(red, power)
-                if low < d * FILTER_FLOOR:  # low is the least eigenvalue of m
-                    return None
-                dev = max(dev, math.hypot(low - 1.0, high - 1.0))
-            else:
-                w, v = np.linalg.eigh(red * (d / red.trace().real))
-                if w[0] < d * FILTER_FLOOR:  # eigh sorts ascending
-                    return None
-                e = w - 1.0
-                dev = max(dev, math.sqrt(e @ e))
-                f = (v * w ** power) @ v.conj().T
-            # conjugate by the filter: rows split as (before, party, after),
-            # then columns split the same way behind all n rows
-            t = f @ r.reshape(before, d, -1)
-            t = f.conj() @ t.reshape(n * before, d, -1)
-            r = t.reshape(n, n)
-            filters[party] = f @ filters[party]
-        r = r / r.trace().real
-        if dev < FILTER_TOL:
-            return r, filters
-        if dev < 0.9 * best:
-            best = dev
-            since_gain = 0
-        else:
-            since_gain += 1
-            if since_gain > 200:
-                return (r, filters) if dev < FILTER_SOFT_TOL else None
-        rate = dev / last
-        if rate > 2.0:
-            omega, rate = 1.0 + (omega - 1.0) / 2.0, None
-        elif (len(dims) == 2 and rate < 1.0 and ratio is not None
-              and abs(rate - ratio) <= 0.05 * (1.0 - rate)):
-            omega = _relaxation(omega, rate)
-        last, ratio = dev, rate
-    return None
+class NoNormalForm(ValueError):
+    """Raised by normal_form for a state it brings to no certified normal
+    form. Its one argument is the cause: singular_marginal, stalled,
+    sweep_cap or uncertified."""
 
 
 def normal_form(rho: np.ndarray, shape):
@@ -244,40 +195,89 @@ def normal_form(rho: np.ndarray, shape):
     Young's relation does not hold, and over-relaxed sweeps can stall states
     near a pure one short of their normal form, so omega stays 1.
 
-    Returns the filtered state and the per-party filters, or None when a
-    reduced matrix turns singular, when 200 sweeps without a 10% gain end
-    above FILTER_SOFT_TOL (a state without a normal form, such as the W
-    class, stalls so while its filters grow without bound), or after
-    FILTER_SWEEPS sweeps. FILTER_TOL is accepted at once, and a plateau
-    between FILTER_TOL and FILTER_SOFT_TOL after those 200 sweeps, which is
-    the double precision floor for ill-conditioned inputs.
+    Returns the filtered state and the per-party filters. FILTER_TOL is
+    accepted at once, and a plateau between FILTER_TOL and FILTER_SOFT_TOL
+    after 200 sweeps without a 10% gain, which is the double precision floor
+    for ill-conditioned inputs. Otherwise raises NoNormalForm with its
+    cause: singular_marginal when a reduced matrix turns singular, stalled
+    when those 200 sweeps end above FILTER_SOFT_TOL (a state without a
+    normal form, such as the W class, stalls so while its filters grow
+    without bound), and sweep_cap after FILTER_SWEEPS sweeps.
 
-    An accepted iterate is certified before it is returned: g = F rho F^dag
-    / tr, with F = (x)filters, is recomputed from the input, and the
+    An accepted iterate r is certified before it is returned: g = F rho
+    F^dag / tr, with F = (x)filters, is recomputed from the input, and the
     Hermitian part of g is returned only when ||g - r|| / ||r|| and the
     deviation of g's reduced matrices (partial_trace_keep) from I/d are both
-    within
-    FILTER_SOFT_TOL; else None. Rounding through ill-conditioned filters
-    can carry the iterate off Hermitian and off the state the filters
-    reach, as for images of W, which have no normal form.
+    within FILTER_SOFT_TOL; else the cause is uncertified. Rounding through
+    ill-conditioned filters can carry the iterate off Hermitian and off the
+    state the filters reach, as for images of W, which have no normal form.
     """
     dims = as_dims(shape)
     rho = np.asarray(rho, dtype=complex)
     rho = rho / np.trace(rho).real
-    out = _filtered(rho, dims)
-    if out is None:
-        return None
-    r, filters = out
+    n = math.prod(dims)
+    # (before, d, after) per party: the sizes that split an index of the
+    # product space around that party
+    views = [(math.prod(dims[:p]), d, math.prod(dims[p + 1:])) for p, d in enumerate(dims)]
+    r = rho
+    filters = [np.eye(d, dtype=complex) for d in dims]
+    best = np.inf
+    since_gain = 0
+    omega, last, ratio = 1.0, np.inf, None
+    for _ in range(FILTER_SWEEPS):
+        dev = 0.0
+        power = -omega / 2.0
+        for party, (before, d, after) in enumerate(views):
+            red = np.einsum("aibajb->ij", r.reshape(before, d, after, before, d, after))
+            if d == 2:
+                f, low, high = _qubit_power(red, power)
+                if low < d * FILTER_FLOOR:  # low is the least eigenvalue of m
+                    raise NoNormalForm("singular_marginal")
+                dev = max(dev, math.hypot(low - 1.0, high - 1.0))
+            else:
+                w, v = np.linalg.eigh(red * (d / red.trace().real))
+                if w[0] < d * FILTER_FLOOR:  # eigh sorts ascending
+                    raise NoNormalForm("singular_marginal")
+                e = w - 1.0
+                dev = max(dev, math.sqrt(e @ e))
+                f = (v * w ** power) @ v.conj().T
+            # conjugate by the filter: rows split as (before, party, after),
+            # then columns split the same way behind all n rows
+            t = f @ r.reshape(before, d, -1)
+            t = f.conj() @ t.reshape(n * before, d, -1)
+            r = t.reshape(n, n)
+            filters[party] = f @ filters[party]
+        r = r / r.trace().real
+        if dev < FILTER_TOL:
+            break
+        if dev < 0.9 * best:
+            best = dev
+            since_gain = 0
+        else:
+            since_gain += 1
+            if since_gain > 200:
+                if dev < FILTER_SOFT_TOL:
+                    break
+                raise NoNormalForm("stalled")
+        rate = dev / last
+        if rate > 2.0:
+            omega, rate = 1.0 + (omega - 1.0) / 2.0, None
+        elif (len(dims) == 2 and rate < 1.0 and ratio is not None
+              and abs(rate - ratio) <= 0.05 * (1.0 - rate)):
+            omega = _relaxation(omega, rate)
+        last, ratio = dev, rate
+    else:
+        raise NoNormalForm("sweep_cap")
     big = kron_list(filters)
     g = big @ rho @ big.conj().T
     g = g / np.trace(g).real
     if float(np.linalg.norm(g - r)) > FILTER_SOFT_TOL * float(np.linalg.norm(r)):
-        return None
+        raise NoNormalForm("uncertified")
     g = (g + g.conj().T) / 2.0
     for party, d in enumerate(dims, start=1):
         red = partial_trace_keep(g, dims, party)
         if float(np.linalg.norm(d * red - np.eye(d))) > FILTER_SOFT_TOL:
-            return None
+            raise NoNormalForm("uncertified")
     return g, filters
 
 
@@ -542,28 +542,6 @@ def _two_qubit_unitaries(f1: np.ndarray, f2: np.ndarray) -> Optional[list[np.nda
     return [_su2_lift(o_a), _su2_lift(o_b)]
 
 
-def invariant_screen(rho1: np.ndarray, rho2: np.ndarray, shape) -> Optional[str]:
-    """Rank invariants that prove inequivalence when they differ.
-
-    Conjugation by invertible local factors preserves the global rank and
-    the rank of every single-party reduced matrix. Mismatches are reported
-    only when both ranks are decisive (clear spectral gap); borderline
-    spectra return None so the caller goes on.
-    """
-    dims = as_dims(shape)
-    ranks = rank_mismatch(rho1, rho2)
-    if ranks is not None:
-        return f"global rank mismatch ({ranks[0]} vs {ranks[1]})"
-    for party in range(1, len(dims) + 1):
-        ranks = rank_mismatch(
-            partial_trace_keep(rho1, dims, party),
-            partial_trace_keep(rho2, dims, party),
-        )
-        if ranks is not None:
-            return f"party {party} reduced rank mismatch ({ranks[0]} vs {ranks[1]})"
-    return None
-
-
 def _kernel_ratio(factors: Sequence[np.ndarray], rho1: np.ndarray, rho2: np.ndarray,
                   dims: Sequence[int]) -> Optional[float]:
     """The ratio that fills the one kernel entry of the diagonal which a
@@ -648,21 +626,23 @@ def _compressed_factors(rho1: MixedState, rho2: MixedState, reds,
 def check_mixed_equivalence(rho1, rho2) -> Verdict:
     """Decide equivalence of two density matrices, or refuse honestly.
 
-    Inequivalent only on decisive rank mismatches; a global one between
-    two states that filter must hold on their better-conditioned normal
-    forms too. Equivalent only with an independently verified witness.
-    Filtered spectra that differ end the verdict Inconclusive. Otherwise
-    the local unitary between the normal forms is solved in closed form
-    (_two_qubit_unitaries, else _covariant_unitaries, then
-    _eigenbasis_unitaries) and composed with the filters. States with a
-    decisively singular reduced matrix are decided through the supports
-    (_compressed_factors). The oracle alone accepts a candidate
-    (_first_verdict). An Equivalent verdict reports a kernel ratio in the
-    one case _kernel_ratio covers: a qubit first party, both support ranks
-    n - 1, and a pairing that fixes the kernel. Everything else is
-    Inconclusive; a full-rank state whose filtering converges but whose
-    normal form is not certified is told apart from one that stalls by
-    running its filtering again.
+    The first step is the rank screen: invertible local maps keep the
+    global rank and every single-party reduced rank, each taken once by
+    decisive_rank. A reduced mismatch (rank_mismatch) is Inequivalent at
+    once; a global one only when either state has no normal form or their
+    better-conditioned normal forms mismatch too. Equivalent only with an
+    independently verified witness. Filtered spectra that differ end the
+    verdict Inconclusive. Otherwise the local unitary between the normal
+    forms is solved in closed form (_two_qubit_unitaries, else
+    _covariant_unitaries, then _eigenbasis_unitaries) and composed with the
+    filters. A pair with no normal form (NoNormalForm) whose reduced
+    matrices are not all full rank is decided through their supports
+    (_compressed_factors); else its Inconclusive reason follows the cause,
+    "normal form not certified" for uncertified and "marginals stay short"
+    for the others. The oracle alone accepts a candidate (_first_verdict).
+    An Equivalent verdict reports a kernel ratio in the one case
+    _kernel_ratio covers: a qubit first party, both support ranks n - 1,
+    and a pairing that fixes the kernel. Everything else is Inconclusive.
     """
     if not (isinstance(rho1, MixedState) and isinstance(rho2, MixedState)):
         raise ValueError("check_mixed_equivalence expects MixedState inputs")
@@ -670,40 +650,45 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
         raise ValueError("states have different shapes")
     r1, r2 = rho1.rho, rho2.rho
     dims = rho1.shape.dims
+    reds = [[partial_trace_keep(r, dims, p) for p in range(1, len(dims) + 1)] for r in (r1, r2)]
+    ranks = [[decisive_rank(red) for red in side] for side in reds]
 
-    mismatch = invariant_screen(r1, r2, dims)
-    nf1 = nf2 = None
-    if mismatch is None or mismatch.startswith("global rank"):
-        nf1 = normal_form(r1, dims)
-        nf2 = None if nf1 is None else normal_form(r2, dims)
-    if mismatch is not None and (nf2 is None or rank_mismatch(nf1[0], nf2[0]) is not None):
-        return Verdict("Inequivalent", None, mismatch, ())
+    # the rank screen: invertible local maps keep the global rank and every
+    # reduced rank, and a global mismatch must hold on the normal forms too
+    mismatch = rank_mismatch(decisive_rank(r1), decisive_rank(r2))
+    if mismatch is None:
+        for party, pair in enumerate(zip(*ranks), start=1):
+            reduced = rank_mismatch(*pair)
+            if reduced is not None:
+                return Verdict("Inequivalent", None, "party {} reduced rank mismatch ({} vs {})"
+                               .format(party, *reduced), ())
+    cause = None
+    try:
+        (f1t, filt1), (f2t, filt2) = normal_form(r1, dims), normal_form(r2, dims)
+    except NoNormalForm as exc:
+        cause = str(exc)
+    if mismatch is not None and (cause is not None or rank_mismatch(
+            decisive_rank(f1t), decisive_rank(f2t)) is not None):
+        return Verdict("Inequivalent", None,
+                       "global rank mismatch ({} vs {})".format(*mismatch), ())
 
     verdict = None
-    if nf2 is None:
-        # a singular reduced matrix stops the filtering at once; with
-        # full-rank ones the marginals stalled (no normal form, as for the
-        # W class), were still gaining at FILTER_SWEEPS, or reached a state
-        # that the filters, applied to the input, do not reproduce
-        reds = [[partial_trace_keep(r, dims, p) for p in range(1, len(dims) + 1)]
-                for r in (r1, r2)]
-        ranks = [[decisive_rank(red) for red in side] for side in reds]
+    if cause is not None:
+        # a singular reduced matrix sends the pair to its supports; with
+        # full-rank ones the reason follows the cause
         singular = any(k < d for side in ranks for (k, _), d in zip(side, dims))
         factors = _compressed_factors(rho1, rho2, reds, ranks) if singular else None
         if factors is not None:
             verdict = _first_verdict(rho1, rho2, [factors], dims)
         if verdict is None:
-            failed = r1 if nf1 is None else r2
             if singular:
                 reason = "filtering did not converge (rank-deficient state)"
-            elif _filtered(failed / np.trace(failed).real, dims) is not None:
+            elif cause == "uncertified":
                 reason = "normal form not certified"
             else:
                 reason = "filtering did not converge (marginals stay short of maximally mixed)"
             return Verdict("Inconclusive", None, reason, ())
     else:
-        (f1t, filt1), (f2t, filt2) = nf1, nf2
-
         def composed(candidates):
             return [[np.linalg.solve(filt1[k], u[k] @ filt2[k]) for k in range(len(dims))]
                     for u in candidates or []]

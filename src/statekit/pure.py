@@ -28,8 +28,8 @@ import numpy as np
 
 from . import oracle
 from .factor import canonicalize
-from .linalg import (SystemShape, kron_list, lift_supports, local_supports, rank_mismatch,
-                     rank_report)
+from .linalg import (SystemShape, decisive_rank, kron_list, lift_supports, local_supports,
+                     rank_mismatch, rank_report)
 from .oracle import Verdict
 
 _witness_verdict = partial(oracle.witness_verdict, oracle.verify_witness_pure)
@@ -137,7 +137,7 @@ def check_bipartite(phi: PureState, psi: PureState) -> Verdict:
     r1 = rank_report(m1).numerical_rank
     r2 = rank_report(m2).numerical_rank
     if r1 != r2:
-        if rank_mismatch(m1, m2) is not None:
+        if rank_mismatch(decisive_rank(m1), decisive_rank(m2)) is not None:
             return Verdict(
                 "Inequivalent", None, f"Schmidt ranks differ ({r1} vs {r2})", ()
             )
@@ -284,7 +284,8 @@ def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
         r1, r2 = sig1.entries[cut], sig2.entries[cut]
         if r1 == r2:
             continue
-        if rank_mismatch(coefficient_matrix(phi, cut), coefficient_matrix(psi, cut)) is not None:
+        if rank_mismatch(decisive_rank(coefficient_matrix(phi, cut)),
+                         decisive_rank(coefficient_matrix(psi, cut))) is not None:
             return Verdict(
                 "Inequivalent", None,
                 f"rank signature differs on cut {cut} ({r1} vs {r2})", (),

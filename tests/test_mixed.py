@@ -1,6 +1,8 @@
 """Tests for spectral preparation, filtering, the closed-form local unitaries
 and mixed verdicts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,10 +10,13 @@ from hypothesis import strategies as st
 
 from statekit import mixed, oracle
 from statekit.factor import canonicalize, kron as kron_factors
-from statekit.linalg import SystemShape, kron_list, partial_trace_keep
+from statekit.linalg import (SystemShape, decisive_rank, kron_list, partial_trace_keep,
+                             rank_mismatch)
 from statekit.mixed import (
     MixedState,
+    NoNormalForm,
     _covariant_unitaries,
+    _eigenbasis_unitaries,
     _first_verdict,
     _kernel_ratio,
     _party_covariants,
@@ -21,7 +26,6 @@ from statekit.mixed import (
     _torus_phases,
     _two_qubit_unitaries,
     check_mixed_equivalence,
-    invariant_screen,
     normal_form,
     spectral_prep,
 )
@@ -185,25 +189,25 @@ def test_mixed_witness_scale_maps_without_renormalization(pair):
 
 
 def test_invariant_screen_global_rank():
-    rank2 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    full = random_density((2, 2), 3).rho
-    message = invariant_screen(rank2, full, (2, 2))
-    assert message is not None and "global rank" in message
+    rank2 = MixedState(TWO_QUBITS, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+    full = random_density((2, 2), 3)
+    verdict = checked_mixed(rank2, full)
+    assert verdict.outcome == "Inequivalent" and "global rank" in verdict.reason
 
 
 def test_invariant_screen_reduced_rank():
     # equal global ranks, different single-party reduced ranks
-    rho_a = kron_list([np.diag([1.0, 0.0]), np.eye(2) / 2.0])
-    rho_b = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    message = invariant_screen(rho_a, rho_b, (2, 2))
-    assert message is not None and "party 1" in message
+    rho_a = MixedState(TWO_QUBITS, kron_list([np.diag([1.0, 0.0]), np.eye(2) / 2.0]))
+    rho_b = MixedState(TWO_QUBITS, np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))
+    verdict = checked_mixed(rho_a, rho_b)
+    assert verdict.outcome == "Inequivalent" and "party 1" in verdict.reason
 
 
 def test_invariant_screen_passes_constructed_pairs():
     for seed in range(6):
         base = random_density((2, 2, 2), 400 + seed)
         other, _ = make_equivalent_pair(base, 500 + seed)
-        assert invariant_screen(base.rho, other.rho, (2, 2, 2)) is None
+        assert checked_mixed(base, other).outcome == "Equivalent"
 
 
 def test_normal_form_reaches_maximally_mixed_marginals():
@@ -306,15 +310,14 @@ def test_normal_form_matches_tensordot_reference(dims):
     # a pure first party leaves its reduced matrix singular: no normal form
     rest = random_density(dims[1:], 810).rho
     states.append(np.kron(np.diag([1.0, 0.0]), rest).astype(complex))
-    for rho in states:
+    for rho in states[:-1]:
         got = normal_form(rho, dims)
         want = _normal_form_reference(rho, dims)
-        assert (got is None) == (want is None)
-        if want is None:
-            continue
         for a, b in zip((got[0], *got[1]), (want[0], *want[1])):
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
-    assert normal_form(states[-1], dims) is None
+    assert _normal_form_reference(states[-1], dims) is None
+    with pytest.raises(NoNormalForm, match="^singular_marginal$"):
+        normal_form(states[-1], dims)
 
 
 def _counted_steps(monkeypatch):
@@ -411,17 +414,54 @@ def test_w_projector_has_no_normal_form_and_warns_nothing():
     # without bound; the filtering ends at the no-gain plateau, before the
     # filters overflow (pytest turns any warning into an error)
     w = MixedState(THREE_QUBITS, np.outer(W3.amplitudes, W3.amplitudes.conj()))
-    assert normal_form(w.rho, (2, 2, 2)) is None
+    with pytest.raises(NoNormalForm, match="^stalled$"):
+        normal_form(w.rho, (2, 2, 2))
     verdict = checked_mixed(w, w)
     assert verdict.outcome == "Inconclusive"
     assert "filtering did not converge (marginals stay short of maximally mixed)" in verdict.reason
     assert "rank-deficient" not in verdict.reason
 
 
+def test_w_verdict_filters_the_state_once(monkeypatch):
+    # the check reads the cause normal_form raises, so an Inconclusive
+    # |W><W| verdict costs one filtering and no second run to choose its
+    # reason
+    w = MixedState(THREE_QUBITS, np.outer(W3.amplitudes, W3.amplitudes.conj()))
+    steps = _counted_steps(monkeypatch)
+    with pytest.raises(NoNormalForm, match="^stalled$"):
+        normal_form(w.rho, (2, 2, 2))
+    alone, steps[0] = steps[0], 0
+    assert checked_mixed(w, w).outcome == "Inconclusive"
+    assert steps[0] == alone > 0
+
+
+def test_ill_conditioned_image_is_accepted_on_the_plateau(monkeypatch):
+    # a pure (2,2) state under rotated diag(1, 1e-2) factors: the image's
+    # filtering stops gaining between FILTER_TOL and FILTER_SOFT_TOL, the
+    # double precision floor, where the plateau accepts it and the
+    # certificate passes it
+    rng = np.random.default_rng(0)
+    g = random_complex(rng, 4, 1)
+    rho = g @ g.conj().T
+    base = MixedState(TWO_QUBITS, rho / np.trace(rho).real)
+    a = kron_list([np.linalg.qr(random_complex(rng, 2, 2))[0] @ np.diag([1.0, 1e-2])
+                   for _ in range(2)])
+    image = a @ base.rho @ a.conj().T
+    other = MixedState(TWO_QUBITS, (image + image.conj().T) / (2.0 * np.trace(image).real))
+    normal_form(other.rho, (2, 2))
+    for first, second in ((base, other), (other, base)):
+        assert checked_mixed(first, second).outcome == "Equivalent"
+    # with no plateau tolerance the same iteration ends as stalled
+    monkeypatch.setattr(mixed, "FILTER_SOFT_TOL", 0.0)
+    with pytest.raises(NoNormalForm, match="^stalled$"):
+        normal_form(other.rho, (2, 2))
+
+
 def test_normal_form_refuses_singular_marginal():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    assert normal_form(rho, (2, 2)) is None
+    with pytest.raises(NoNormalForm, match="^singular_marginal$"):
+        normal_form(rho, (2, 2))
 
 
 def test_check_requires_tagged_states():
@@ -481,10 +521,12 @@ def test_product_state_without_normal_form_is_decided_through_its_supports():
     maps = [np.kron(np.diag([1.0, 2.0]), np.diag([1.0, 0.5j])),
             np.kron(np.eye(2), np.array([[1.0, 0.4], [0.2, 1.0]]))]
     maps += [kron_list(random_ilo((2, 2), 60 + s).factors) for s in range(9)]
-    assert normal_form(base.rho, (2, 2)) is None
+    with pytest.raises(NoNormalForm, match="^singular_marginal$"):
+        normal_form(base.rho, (2, 2))
     for a in maps:
         other = _conjugated(rho, a)
-        assert normal_form(other.rho, (2, 2)) is None
+        with pytest.raises(NoNormalForm, match="^singular_marginal$"):
+            normal_form(other.rho, (2, 2))
         for first, second in ((base, other), (other, base)):
             verdict = checked_mixed(first, second)
             assert verdict.outcome == "Equivalent", verdict.reason
@@ -511,7 +553,8 @@ def test_states_with_a_singular_marginal_are_decided_through_their_supports():
             other = MixedState(base.shape, image / np.trace(image).real)
         else:
             other, _ = make_equivalent_pair(base, 1430 + s)
-        assert normal_form(other.rho, (2, 3)) is None
+        with pytest.raises(NoNormalForm, match="^singular_marginal$"):
+            normal_form(other.rho, (2, 3))
         for first, second in ((base, other), (other, base)):
             verdict = checked_mixed(first, second)
             assert verdict.outcome == "Equivalent", (s, verdict.reason)
@@ -521,6 +564,22 @@ def test_states_with_a_singular_marginal_are_decided_through_their_supports():
     verdict = checked_mixed(first, second)
     assert verdict.outcome == "Inconclusive"
     assert verdict.reason == "filtering did not converge (rank-deficient state)"
+
+
+def test_indecisive_reduced_rank_is_not_compressed(monkeypatch):
+    # |W><W| (x) diag(1 - delta, delta): the fourth party's reduced rank is
+    # 1 inside the indecision band, so the supports it would compress to
+    # are not trusted, and the pair is refused before any compression
+    delta = 1e-9
+    w = np.outer(W3.amplitudes, W3.amplitudes.conj())
+    base = MixedState(SystemShape((2, 2, 2, 2)), np.kron(w, np.diag([1.0 - delta, delta])))
+    other, _ = make_equivalent_pair(base, 3)
+    compressions = []
+    monkeypatch.setattr(mixed, "local_supports", lambda *args: compressions.append(args))
+    verdict = checked_mixed(base, other)
+    assert verdict.outcome == "Inconclusive"
+    assert verdict.reason == "filtering did not converge (rank-deficient state)"
+    assert compressions == []
 
 
 def _werner33(p: float) -> MixedState:
@@ -680,7 +739,8 @@ def test_sweep_cap_ends_the_verdict_short_of_maximally_mixed(monkeypatch):
     monkeypatch.setattr(mixed, "FILTER_SWEEPS", 50)
     base = MixedState(TWO_QUBITS, _gram_plus_identity(1, 1e-4))
     other, _ = make_equivalent_pair(base, 3)
-    assert normal_form(base.rho, (2, 2)) is None
+    with pytest.raises(NoNormalForm, match="^sweep_cap$"):
+        normal_form(base.rho, (2, 2))
     for first, second in ((base, other), (other, base)):
         verdict = checked_mixed(first, second)
         assert verdict.outcome == "Inconclusive"
@@ -702,7 +762,8 @@ def test_uncertified_normal_forms_are_never_trusted():
                 assert verdict.outcome != "Inequivalent", (s, verdict.reason)
                 reasons.add(verdict.reason)
     assert "normal form not certified" in reasons
-    assert normal_form(w_image(0).rho, (2, 2, 2)) is None
+    with pytest.raises(NoNormalForm, match="^uncertified$"):
+        normal_form(w_image(0).rho, (2, 2, 2))
 
 
 def _local_unitary_image(f, dims, rng):
@@ -870,6 +931,65 @@ def test_torus_phases_satisfy_every_row_of_a_consistent_system():
                        np.exp(1j * np.array([0.3, -1.1])))
 
 
+def test_torus_phases_stop_once_every_variable_has_a_unit_pivot():
+    # rows enter in decreasing magnitude, so the leading rows fix theta and
+    # a later row that disagrees with them is left to the oracle
+    got = _torus_phases(np.array([[1, 0], [0, 1], [1, 1]]), np.array([0.1, 0.2, 0.5]))
+    assert np.array_equal(got, [0.1, 0.2])
+
+
+def _eigenbasis_equations(p1, p2, top):
+    """The phase equations _eigenbasis_unitaries solves, written as a loop:
+    entries of the Gram stacks above COVARIANT_GAP of top in decreasing
+    magnitude, the first of each pair of index sets {i, j'} and {j, i'},
+    and of those the rows that do not cancel. Also the number of entries
+    dropped as repeats."""
+    n = math.isqrt(p1.shape[1])
+    m1 = np.abs(p1)
+    entries = list(zip(*np.nonzero(np.triu(m1 > mixed.COVARIANT_GAP * top, 1))))
+    entries.sort(key=lambda e: -m1[e])
+    seen, rows, kept = set(), [], []
+    for k, a, b in entries:
+        (i, j), (i2, j2) = divmod(a, n), divmod(b, n)
+        key = (tuple(sorted((i, j2))), tuple(sorted((j, i2))))
+        if key in seen:
+            continue
+        seen.add(key)
+        row = np.zeros(n, dtype=int)
+        np.add.at(row, [i, j2], 1)
+        np.add.at(row, [j, i2], -1)
+        if row[1:].any():
+            rows.append(row[1:])
+            kept.append((k, a, b))
+    k, a, b = np.array(kept).T
+    return np.array(rows), p1[k, a, b] * p2[k, a, b].conj(), len(entries) - len(seen)
+
+
+def test_eigenbasis_solve_keeps_each_equation_once_at_its_largest_entry(monkeypatch):
+    # forced eigenbasis solves between random (2,2,2) normal forms and
+    # their local unitary images: a repeated equation at a smaller entry
+    # would replace the leading one's phase in the torus solve
+    dims = (2, 2, 2)
+    rng = np.random.default_rng(1570)
+    seen = []
+    inner = mixed._phase_vectors
+
+    def spy(rows, ratio, frames, top):
+        seen.append((rows, ratio, _eigenbasis_equations(*frames, top)))
+        return inner(rows, ratio, frames, top)
+
+    monkeypatch.setattr(mixed, "_phase_vectors", spy)
+    for s in range(3):
+        f1 = normal_form(random_density(dims, 1580 + s).rho, dims)[0]
+        f2 = _local_unitary_image(f1, dims, rng)
+        assert _eigenbasis_unitaries(spectral_prep(f1), spectral_prep(f2), dims) is not None
+    assert len(seen) == 3
+    for rows, ratio, (want_rows, want_ratio, repeats) in seen:
+        assert repeats > 0
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(ratio, want_ratio)
+
+
 def test_sign_solutions_are_every_solution_over_gf2():
     rng = np.random.default_rng(1510)
     for _ in range(200):
@@ -943,7 +1063,7 @@ def test_global_rank_mismatch_must_hold_on_the_normal_forms():
         rho = u @ np.diag([0.5, 0.3, 0.2, 1e-6]) @ u.conj().T
         base = MixedState(TWO_QUBITS, (rho + rho.conj().T) / (2.0 * np.trace(rho).real))
         other = _conjugated(base.rho, a)
-        assert "global rank mismatch (4 vs 3)" == invariant_screen(base.rho, other.rho, (2, 2))
+        assert rank_mismatch(decisive_rank(base.rho), decisive_rank(other.rho)) == (4, 3)
         for first, second in ((base, other), (other, base)):
             verdict = checked_mixed(first, second)
             assert verdict.outcome == "Equivalent", (s, verdict.reason)
