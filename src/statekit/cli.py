@@ -170,10 +170,15 @@ def _complex_array(data, count: int, what: str) -> np.ndarray:
     return np.array(values, dtype=complex)
 
 
-def parse_state(src: str):
-    """Parse a state file (path or JSON text) into a pure or mixed state."""
+def _state_header(src: str) -> tuple[dict, str, tuple[int, ...]]:
+    """A state file's JSON object, kind and dims, with its header checked
+    and its data not yet read."""
     obj = _load_source(src)
-    kind, dims = _check_header(obj, ("pure", "mixed"))
+    return (obj, *_check_header(obj, ("pure", "mixed")))
+
+
+def _state_from(obj: dict, kind: str, dims: tuple[int, ...]):
+    """The pure or mixed state of a checked header (_state_header)."""
     n = math.prod(dims)
     count, what = (n, "a pure state") if kind == "pure" else (n * n, "a density matrix")
     data = _complex_array(obj.get("data"), count, f"{what} over dims {list(dims)}")
@@ -193,6 +198,11 @@ def parse_state(src: str):
         return MixedState(shape, data.reshape(n, n))
     except ValueError as exc:
         raise DataFormatError(f"invalid density matrix: {exc}") from None
+
+
+def parse_state(src: str):
+    """Parse a state file (path or JSON text) into a pure or mixed state."""
+    return _state_from(*_state_header(src))
 
 
 def _parse_matrix(src: str) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -279,12 +289,9 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _require_same_shape(first, second):
-    if first.shape != second.shape:
-        raise DataFormatError(
-            f"states have different dims ({list(first.shape.dims)} vs "
-            f"{list(second.shape.dims)})"
-        )
+def _require_same_dims(first: tuple[int, ...], second: tuple[int, ...]):
+    if first != second:
+        raise DataFormatError(f"states have different dims ({list(first)} vs {list(second)})")
 
 
 def _cmd_realign(args) -> int:
@@ -354,28 +361,32 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    first = parse_state(args.first)
-    second = parse_state(args.second)
-    if args.command == "check-pure":
-        from .pure import PureState as state_class, check_pure_equivalence as check
-    else:
-        from .mixed import MixedState as state_class, check_mixed_equivalence as check
-    if not isinstance(first, state_class) or not isinstance(second, state_class):
-        kind = args.command.removeprefix("check-")
+    # both headers are checked, and a kind or dims mismatch refused, before
+    # either file's data is read
+    heads = [_state_header(src) for src in (args.first, args.second)]
+    kind = args.command.removeprefix("check-")
+    if any(k != kind for _, k, _ in heads):
         raise DataFormatError(f"{args.command} requires two {kind} state files")
-    _require_same_shape(first, second)
+    _require_same_dims(heads[0][2], heads[1][2])
+    first, second = (_state_from(*head) for head in heads)
+    if kind == "pure":
+        from .pure import check_pure_equivalence as check
+    else:
+        from .mixed import check_mixed_equivalence as check
     verdict = check(first, second)
     _print(_verdict_report(verdict))
     return _OUTCOME_CODES[verdict.outcome]
 
 
 def _cmd_verify(args) -> int:
-    first = parse_state(args.first)
-    second = parse_state(args.second)
-    witness = parse_witness(args.witness)
-    if _is_pure(first) != _is_pure(second):
+    # as in _cmd_check, the states' headers come before their data
+    heads = [_state_header(src) for src in (args.first, args.second)]
+    (_, kind1, dims1), (_, kind2, dims2) = heads
+    if kind1 != kind2:
         raise DataFormatError("verify requires two states of the same kind")
-    _require_same_shape(first, second)
+    _require_same_dims(dims1, dims2)
+    first, second = (_state_from(*head) for head in heads)
+    witness = parse_witness(args.witness)
     if witness.dims != first.shape.dims:
         raise DataFormatError("witness dims do not match the states")
     import numpy as np

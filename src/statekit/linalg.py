@@ -158,7 +158,12 @@ def decisive_rank(a: np.ndarray) -> tuple[int, bool]:
     decisive ranks; borderline spectra fall through to the rest of the check.
     """
     a = np.atleast_2d(np.asarray(a))
-    s = np.linalg.svd(a, compute_uv=False)
+    return _decisive(np.linalg.svd(a, compute_uv=False))
+
+
+def _decisive(s: np.ndarray) -> tuple[int, bool]:
+    """decisive_rank's decision on singular values s, nonincreasing: for a
+    caller that reads the same values again."""
     if s.size == 0 or s[0] <= 0.0:
         return 0, True
     hard = 1e-11 * s.size * s[0]

@@ -9,11 +9,13 @@ draws a random number.
 
 Filtering brings both states to the local form whose single-party reduced
 matrices are all maximally mixed (Verstraete, Dehaene and De Moor, PRA 68,
-012103), over-relaxed over two parties and in closed form for qubits. A
-normal form counts only once the accumulated filters, applied to the input,
-reproduce it (normal_form). States equivalent under invertible local maps
-have filtered forms related by a local unitary U = (x)U_k, with equal
-spectra (a mismatch ends the verdict). One-copy covariants, reduced matrices
+012103), over-relaxed over two parties and in closed form for qubits. The
+filters act on a square-root factor G of the state, rho = G G^dag, so each
+step takes one product for the reduced matrix and one for the filter. A
+normal form counts only once the accumulated filters, applied to the input
+rather than to G, reproduce it (normal_form). States equivalent under
+invertible local maps have filtered forms related by a local unitary
+U = (x)U_k, with equal spectra (a mismatch ends the verdict). One-copy covariants, reduced matrices
 of powers of the filtered state, are conjugated by U party by party (the
 mixed analogue of Kraus's local-unitary standard form, PRL 104, 020504).
 Their eigenbases fix U up to one diagonal phase per party, and those phases
@@ -42,8 +44,8 @@ from . import oracle
 from .factor import NotDecomposable, canonicalize, decomposability, extract_factors
 from .linalg import (
     SystemShape,
+    _decisive,
     as_dims,
-    bipartition_view,
     decisive_rank,
     eigh_desc,
     kron_list,
@@ -177,14 +179,20 @@ def normal_form(rho: np.ndarray, shape):
     """Iterative local filtering toward the form whose every single-party
     reduced matrix is maximally mixed.
 
+    The filtering acts on a factor G with rho = G G^dag, not on rho: G is
+    rho's Cholesky factor, or, where Cholesky refuses a singular rho, the
+    eigenvectors of its positive eigenvalues scaled by their square roots.
     Cyclically applies f = m^(-omega/2) on each party, with m = d red / tr
-    red: the reduced matrix comes from one einsum over a (before, d,
-    after)^2 view whose shape is fixed once per call, f from the closed
-    form _qubit_power when d = 2 and from the eigendecomposition of m
-    otherwise, and the conjugation by f on the party's row and column
-    indices from two broadcast matmuls over reshaped views. The deviation of
-    a reduced matrix from I/d is read off the eigenvalues w of m as
-    ||w - 1||, and the trace is renormalized once per sweep.
+    red, and G -> (f (x) I) G. G is kept with the party being filtered on
+    its leading axis: with x = G reshaped to (d, rest), red = x x^dag, and
+    x^T f^T is the filtered G with that party moved behind the rest, so the
+    next party leads. Each step is one product for the reduced matrix and
+    one for the filter; after a sweep the column axis leads, and one
+    transpose brings it back behind the rows. f comes from the closed form
+    _qubit_power when d = 2 and from the eigendecomposition of m otherwise.
+    The deviation of a reduced matrix from I/d is read off the eigenvalues w
+    of m as ||w - 1||, and G is renormalized to tr G G^dag = 1 once per
+    sweep.
 
     The over-relaxation factor omega comes from the iteration alone and
     starts at 1, plain filtering. With two parties, once two successive
@@ -204,22 +212,27 @@ def normal_form(rho: np.ndarray, shape):
     normal form, such as the W class, stalls so while its filters grow
     without bound), and sweep_cap after FILTER_SWEEPS sweeps.
 
-    An accepted iterate r is certified before it is returned: g = F rho
-    F^dag / tr, with F = (x)filters, is recomputed from the input, and the
-    Hermitian part of g is returned only when ||g - r|| / ||r|| and the
-    deviation of g's reduced matrices (partial_trace_keep) from I/d are both
-    within FILTER_SOFT_TOL; else the cause is uncertified. Rounding through
-    ill-conditioned filters can carry the iterate off Hermitian and off the
-    state the filters reach, as for images of W, which have no normal form.
+    An accepted iterate r = G G^dag, formed once, is certified before it is
+    returned: g = F rho F^dag / tr, with F = (x)filters, is recomputed from
+    the input, and the Hermitian part of g is returned only when
+    ||g - r|| / ||r|| and the deviation of g's reduced matrices
+    (partial_trace_keep) from I/d are both within FILTER_SOFT_TOL; else the
+    cause is uncertified. The certificate reads rho, not G: rounding through
+    ill-conditioned filters can carry the iterate off the state the filters
+    reach, as for images of W, which have no normal form, and the factor
+    itself is exact only up to rounding (or to the eigenvalues dropped as
+    not positive).
     """
     dims = as_dims(shape)
     rho = np.asarray(rho, dtype=complex)
     rho = rho / np.trace(rho).real
     n = math.prod(dims)
-    # (before, d, after) per party: the sizes that split an index of the
-    # product space around that party
-    views = [(math.prod(dims[:p]), d, math.prod(dims[p + 1:])) for p, d in enumerate(dims)]
-    r = rho
+    try:
+        factor = np.linalg.cholesky(rho)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(rho)
+        live = w > 0.0
+        factor = v[:, live] * np.sqrt(w[live])
     filters = [np.eye(d, dtype=complex) for d in dims]
     best = np.inf
     since_gain = 0
@@ -227,8 +240,9 @@ def normal_form(rho: np.ndarray, shape):
     for _ in range(FILTER_SWEEPS):
         dev = 0.0
         power = -omega / 2.0
-        for party, (before, d, after) in enumerate(views):
-            red = np.einsum("aibajb->ij", r.reshape(before, d, after, before, d, after))
+        for party, d in enumerate(dims):
+            x = factor.reshape(d, -1)
+            red = x @ x.conj().T
             if d == 2:
                 f, low, high = _qubit_power(red, power)
                 if low < d * FILTER_FLOOR:  # low is the least eigenvalue of m
@@ -241,13 +255,12 @@ def normal_form(rho: np.ndarray, shape):
                 e = w - 1.0
                 dev = max(dev, math.sqrt(e @ e))
                 f = (v * w ** power) @ v.conj().T
-            # conjugate by the filter: rows split as (before, party, after),
-            # then columns split the same way behind all n rows
-            t = f @ r.reshape(before, d, -1)
-            t = f.conj() @ t.reshape(n * before, d, -1)
-            r = t.reshape(n, n)
+            # (f (x) I) G with the party moved behind the rest
+            factor = x.T @ f.T
             filters[party] = f @ filters[party]
-        r = r / r.trace().real
+        # the column axis leads after a full sweep: put it back behind rows
+        factor = factor.reshape(-1, n).T
+        factor = factor / math.sqrt(np.vdot(factor, factor).real)
         if dev < FILTER_TOL:
             break
         if dev < 0.9 * best:
@@ -268,6 +281,7 @@ def normal_form(rho: np.ndarray, shape):
         last, ratio = dev, rate
     else:
         raise NoNormalForm("sweep_cap")
+    r = factor @ factor.conj().T
     big = kron_list(filters)
     g = big @ rho @ big.conj().T
     g = g / np.trace(g).real
@@ -281,19 +295,29 @@ def normal_form(rho: np.ndarray, shape):
     return g, filters
 
 
-def _party_covariants(f: np.ndarray, dims: Sequence[int], party: int) -> np.ndarray:
-    """The (4, d, d) stack Tr_rest of f^2, f^3, f E and f E^2 for `party`
-    (0-based), where E = I_party (x) Tr_party(f^2) and rest is every other
-    party. Each is Hermitian, since a partial trace is cyclic in operators
-    on the parties it traces out."""
-    d = dims[party]
-    m = math.prod(dims) // d
+def _powers(f: np.ndarray) -> np.ndarray:
+    """The (3, n, n) stack of f, f^2 and f^3, taken once per state for
+    _party_covariants."""
     sq = f @ f
-    one, two, three = bipartition_view(np.stack([f, sq, sq @ f]), dims, party + 1).reshape(
-        3, d, m, d, m)
-    g = np.einsum("arat->rt", two)
-    fe = one @ g
-    return np.einsum("xarbr->xab", np.stack([two, three, fe, fe @ g]))
+    return np.stack([f, sq, sq @ f])
+
+
+def _party_covariants(powers: np.ndarray, dims: Sequence[int], party: int) -> np.ndarray:
+    """The (4, d, d) stack Tr_rest of f^2, f^3, f E and f E^2 for `party`
+    (0-based), from `powers`, the stack of f, f^2 and f^3 (_powers), where
+    E = I_party (x) Tr_party(f^2) and rest is every other party. Each is
+    Hermitian, since a partial trace is cyclic in operators on the parties
+    it traces out.
+
+    The traces contract (before, d, after) views of the powers. f E and
+    f E^2 are never formed: Tr_rest(f E^j) pairs f's rest indices with
+    those of (Tr_party f^2)^j."""
+    before, d, after = math.prod(dims[:party]), dims[party], math.prod(dims[party + 1:])
+    v = powers.reshape(3, before, d, after, before, d, after)
+    g = np.einsum("aicbie->acbe", v[1]).reshape(before * after, before * after)
+    e = np.stack([g, g @ g]).reshape(2, before, after, before, after)
+    return np.concatenate([np.einsum("xaicajc->xij", v[1:]),
+                           np.einsum("aicbje,xbeac->xij", v[0], e)])
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -395,8 +419,9 @@ def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
     sign-flip stabilizer fixes no vector), so it always gives None.
     """
     bases = []
+    p1, p2 = _powers(f1), _powers(f2)
     for k in range(len(dims)):
-        c1, c2 = _party_covariants(f1, dims, k), _party_covariants(f2, dims, k)
+        c1, c2 = _party_covariants(p1, dims, k), _party_covariants(p2, dims, k)
         w1, a = np.linalg.eigh(c1)
         w2, b = np.linalg.eigh(c2)
         scale = np.maximum(np.max(np.abs(w1), axis=1), 1e-300)
@@ -602,11 +627,13 @@ def _compressed_factors(rho1: MixedState, rho2: MixedState, reds,
                         ranks) -> Optional[list[np.ndarray]]:
     """Local factors mapping rho2 onto rho1 through the supports of their
     reduced matrices `reds` (per state, per party) of decisive_rank `ranks`,
-    or None. None when a party's two ranks are not both decisive and
-    equal, or when check_mixed_equivalence, deciding the pair compressed to
-    those supports with rank-1 parties dropped, does not find it Equivalent.
+    or None. None when a party's rank is not decisive in both states, or
+    when check_mixed_equivalence, deciding the pair compressed to those
+    supports with rank-1 parties dropped, does not find it Equivalent. The
+    caller has already found no decisive mismatch (rank_mismatch), so two
+    decisive ranks are equal.
     """
-    if not all(d1 and d2 and k1 == k2 for (k1, d1), (k2, d2) in zip(*ranks)):
+    if not all(d for side in ranks for _, d in side):
         return None
     splits = local_supports(*reds, [k for k, _ in ranks[0]])
     kept = tuple(k for k, _ in ranks[0] if k > 1)
@@ -641,8 +668,10 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     "normal form not certified" for uncertified and "marginals stay short"
     for the others. The oracle alone accepts a candidate (_first_verdict).
     An Equivalent verdict reports a kernel ratio in the one case
-    _kernel_ratio covers: a qubit first party, both support ranks n - 1,
-    and a pairing that fixes the kernel. Everything else is Inconclusive.
+    _kernel_ratio covers: a qubit first party, both support ranks n - 1
+    (read first off the rank screen's singular values, so that no other
+    state is eigendecomposed for it), and a pairing that fixes the kernel.
+    Everything else is Inconclusive.
     """
     if not (isinstance(rho1, MixedState) and isinstance(rho2, MixedState)):
         raise ValueError("check_mixed_equivalence expects MixedState inputs")
@@ -654,8 +683,10 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     ranks = [[decisive_rank(red) for red in side] for side in reds]
 
     # the rank screen: invertible local maps keep the global rank and every
-    # reduced rank, and a global mismatch must hold on the normal forms too
-    mismatch = rank_mismatch(decisive_rank(r1), decisive_rank(r2))
+    # reduced rank, and a global mismatch must hold on the normal forms too.
+    # The global singular values also give _kernel_ratio's precondition
+    svals = [np.linalg.svd(r, compute_uv=False) for r in (r1, r2)]
+    mismatch = rank_mismatch(*map(_decisive, svals))
     if mismatch is None:
         for party, pair in enumerate(zip(*ranks), start=1):
             reduced = rank_mismatch(*pair)
@@ -712,5 +743,12 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
                         rho1, rho2, composed(_eigenbasis_unitaries(t1, t2, dims)), dims)
     if verdict is None:
         return Verdict("Inconclusive", None, "no decomposable connector found", ())
-    # the ratio reads only the pairing, which the witness's scale leaves alone
+    # the ratio needs both support ranks n - 1; for a state, whose
+    # eigenvalues are at least -1e-10, singular values give those ranks by
+    # the same cutoff, so the raw states are eigendecomposed only when it
+    # can report. It reads only the pairing, which the witness's scale
+    # leaves alone
+    n = math.prod(dims)
+    if not all(numerical_rank(s, n) == n - 1 for s in svals):
+        return verdict
     return replace(verdict, kernel_ratio=_kernel_ratio(verdict.witness.factors, r1, r2, dims))

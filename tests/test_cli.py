@@ -479,12 +479,32 @@ def _probe_main(tmp_path, argv) -> tuple[int, set]:
     (["factor", "{missing}", "--dims", "x"], cli.EXIT_USAGE),
     (["check-pure", "{missing}", "{p3}"], cli.EXIT_IO),
     (["check-pure", "{nan}", "{nan}"], cli.EXIT_DATA),
+    # both headers are read, and a mismatch refused, before either file's data
+    (["check-pure", "{p3}", "{p2}"], cli.EXIT_DATA),
+    (["check-mixed", "{m}", "{p2}"], cli.EXIT_DATA),
+    (["verify", "{p3}", "{m}", "{wsing}"], cli.EXIT_DATA),
+    (["verify", "{p3}", "{p2}", "{wsing}"], cli.EXIT_DATA),
 ], ids=["help", "version", "unknown-command", "gen-dims-1", "gen-64-parties",
-        "factor-dims-x-missing-file", "missing-file", "nan-state"])
+        "factor-dims-x-missing-file", "missing-file", "nan-state", "check-dims-mismatch",
+        "check-kind-mismatch", "verify-kind-mismatch", "verify-dims-mismatch"])
 def test_refusals_exit_before_numpy_loads(tmp_path, argv, expected):
     code, loaded = _probe_main(tmp_path, argv)
     assert code == expected
     assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check-pure", "{p3}", "{p2}"], "states have different dims ([2, 2, 2] vs [2, 2])"),
+    (["check-mixed", "{m}", "{p2}"], "check-mixed requires two mixed state files"),
+    (["verify", "{p3}", "{m}", "{wsing}"], "verify requires two states of the same kind"),
+    (["verify", "{p3}", "{p2}", "{wsing}"], "states have different dims ([2, 2, 2] vs [2, 2])"),
+], ids=["check-dims", "check-kind", "verify-kind", "verify-dims"])
+def test_mismatched_inputs_are_refused_with_their_message(tmp_path, capsys, argv, message):
+    paths = _error_inputs(tmp_path)
+    assert cli.main([a.format(**paths) for a in argv]) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {message}\n"
 
 
 @pytest.mark.parametrize("argv,unloaded", [

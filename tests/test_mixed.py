@@ -21,6 +21,7 @@ from statekit.mixed import (
     _kernel_ratio,
     _party_covariants,
     _phase_fix_columns,
+    _powers,
     _qubit_power,
     _sign_solutions,
     _torus_phases,
@@ -157,6 +158,29 @@ def test_kernel_ratio_needs_proportional_rows():
 
     assert abs(ratio(2.0) - 2.0) <= 1e-12
     assert ratio(3.0) is None
+
+
+def test_full_rank_verdict_eigendecomposes_only_the_normal_forms(monkeypatch):
+    # the kernel ratio needs both support ranks n - 1, and the rank screen's
+    # singular values already rule that out for full-rank states, so the
+    # raw states are never eigendecomposed: only the two normal forms are
+    dims = (2, 2, 2)
+    base = random_density(dims, 1340)
+    other, _ = make_equivalent_pair(base, 1341)
+    forms = [normal_form(state.rho, dims)[0] for state in (base, other)]
+    seen = []
+    inner = mixed.spectral_prep
+
+    def spy(rho):
+        seen.append(rho)
+        return inner(rho)
+
+    monkeypatch.setattr(mixed, "spectral_prep", spy)
+    verdict = checked_mixed(base, other)
+    assert verdict.outcome == "Equivalent" and verdict.kernel_ratio is None
+    assert len(seen) == 2
+    for rho, form in zip(seen, forms):
+        assert np.array_equal(rho, form)
 
 
 def test_first_verdict_leaves_an_ill_conditioned_connector_to_the_oracle():
@@ -750,9 +774,10 @@ def test_sweep_cap_ends_the_verdict_short_of_maximally_mixed(monkeypatch):
 
 def test_uncertified_normal_forms_are_never_trusted():
     # GHZ against W images and W images against each other, in both orders:
-    # the iterates drift off Hermitian (once a ValueError from spectral_prep)
-    # and off the states their filters reach, so the certificate refuses
-    # them, and no verdict raises or is Inequivalent
+    # the iterates drift off the states their filters reach (when rho itself
+    # was filtered, also off Hermitian, once a ValueError from spectral_prep),
+    # so the certificate refuses them, and no verdict raises or is
+    # Inequivalent
     ghz = MixedState(THREE_QUBITS, np.outer(GHZ3.amplitudes, GHZ3.amplitudes.conj()))
     reasons = set()
     for s in range(20):
@@ -789,7 +814,7 @@ def test_covariant_solve_refuses_two_qubits():
     dims = (2, 2)
     f1 = normal_form(random_density(dims, 1310).rho, dims)[0]
     for party in range(2):
-        for c in _party_covariants(f1, dims, party):
+        for c in _party_covariants(_powers(f1), dims, party):
             assert np.linalg.norm(c - np.trace(c) / 2.0 * np.eye(2)) <= 1e-12 * np.linalg.norm(c)
     f2 = _local_unitary_image(f1, dims, np.random.default_rng(1311))
     assert _covariant_unitaries(f1, f2, dims) is None
@@ -863,7 +888,7 @@ def test_phase_symmetric_pairs_are_certified_by_the_torus_solve(dims, corners):
         other, _ = make_equivalent_pair(base, 100 + s)
         f1 = normal_form(base.rho, dims)[0]
         for k in range(len(dims)):
-            for c in _party_covariants(f1, dims, k):
+            for c in _party_covariants(_powers(f1), dims, k):
                 assert np.linalg.norm(c - np.diag(np.diag(c))) <= 1e-12 * np.linalg.norm(c)
         for first, second in ((base, other), (other, base)):
             verdict = checked_mixed(first, second)
@@ -898,7 +923,7 @@ def test_ghz_diagonal_pairs_are_certified_over_the_eigenbases(dims):
         g = rng.standard_normal((2 ** k, 2 ** k)) if s % 2 else random_complex(rng, 2 ** k, 2 ** k)
         base = MixedState(SystemShape(dims), _twirled(g, group))
         f1 = normal_form(base.rho, dims)[0]
-        for c in _party_covariants(f1, dims, 0):
+        for c in _party_covariants(_powers(f1), dims, 0):
             assert np.linalg.norm(c - np.trace(c) / 2.0 * np.eye(2)) <= 1e-12 * np.linalg.norm(c)
         if s % 2:
             a = kron_list([np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in dims])
