@@ -16,11 +16,11 @@ import numpy as np
 
 from .linalg import (
     RANK1_ACCEPT,
+    _rank1_residual,
     as_dims,
     bipartition_view,
     kron_list,
     numerical_rank,
-    rank_report,
     realign,
     unvec,
 )
@@ -85,30 +85,36 @@ def kron(fs: FactorSet) -> np.ndarray:
     return fs.scale * kron_list(fs.factors)
 
 
+def _cuts(a: np.ndarray, dims: tuple[int, ...]) -> tuple[DecomposabilityReport, list]:
+    """decomposability's report on `a`, and per party the leading left
+    singular vector of its cut's realignment: one thin SVD per cut serves
+    both. Raises ValueError on a wrong shape."""
+    side = math.prod(dims)
+    rows, heads = [], []
+    # each cut: the party-to-front view realigned with block size
+    # (n_party, side / n_party)
+    for p, d in enumerate(dims, start=1):
+        r = realign(bipartition_view(a, dims, p), d, side // d)
+        u, s, _ = np.linalg.svd(r, full_matrices=False)
+        rows.append((p, _rank1_residual(s), numerical_rank(s, max(r.shape))))
+        heads.append(u[:, 0])
+    invertible = numerical_rank(np.linalg.svd(a, compute_uv=False), side) == side
+    ok = invertible and all(res <= RANK1_ACCEPT for _, res, _ in rows)
+    return DecomposabilityReport(tuple(rows), ok, invertible), heads
+
+
 def decomposability(a: np.ndarray, shape) -> DecomposabilityReport:
     """Test whether `a` is a Kronecker product over the given shape.
 
     The matrix is decomposable when it is invertible and the realignment of
     every single-party cut is rank one, i.e. its rank-one residual
     sigma_2 / sigma_1 is at most RANK1_ACCEPT, the threshold factor
-    extraction applies. Numerical ranks are reported alongside.
+    extraction applies. Numerical ranks are reported alongside. Each cut
+    takes one thin SVD, the one extract_factors reads its factor from.
     Non-invertible input is flagged and reported as not decomposable rather
     than raised.
     """
-    dims = as_dims(shape)
-    side = math.prod(dims)
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (side, side):
-        raise ValueError(f"expected shape {(side, side)}, got {a.shape}")
-    invertible = numerical_rank(np.linalg.svd(a, compute_uv=False), side) == side
-    # each cut: the party-to-front view realigned with block size
-    # (n_party, side / n_party)
-    cuts = [rank_report(realign(bipartition_view(a, dims, p), d, side // d))
-            for p, d in enumerate(dims, start=1)]
-    rows = tuple((p, rep.rank1_residual, rep.numerical_rank)
-                 for p, rep in enumerate(cuts, start=1))
-    ok = invertible and all(res <= RANK1_ACCEPT for _, res, _ in rows)
-    return DecomposabilityReport(rows, ok, invertible)
+    return _cuts(np.asarray(a, dtype=complex), as_dims(shape))[0]
 
 
 def extract_factors(a: np.ndarray, shape) -> FactorSet:
@@ -116,25 +122,22 @@ def extract_factors(a: np.ndarray, shape) -> FactorSet:
     normalized, with the global scale chosen so kron reconstructs `a`.
 
     Party k's factor is the leading left singular vector of its own cut's
-    realignment, the one decomposability gates, unvec'd to n_k x n_k. The
-    canonical product has unit norm, so the least-squares scale is its
-    inner product with `a`. Raises NotDecomposable when the matrix is
-    singular, any realignment is not rank one, or the reconstruction misses
-    `a` by more than 1e-8 relative; decomposability raises ValueError on a
-    wrong shape.
+    realignment, unvec'd to n_k x n_k, taken from the same SVD whose
+    singular values decomposability gates: one SVD per cut, plus one for
+    invertibility. The canonical product has unit norm, so the
+    least-squares scale is its inner product with `a`. Raises
+    NotDecomposable when the matrix is singular, any realignment is not
+    rank one, or the reconstruction misses `a` by more than 1e-8 relative;
+    raises ValueError on a wrong shape.
     """
     dims = as_dims(shape)
-    side = math.prod(dims)
     a = np.asarray(a, dtype=complex)
-    report = decomposability(a, dims)
+    report, heads = _cuts(a, dims)
     if not report.invertible:
         raise NotDecomposable("matrix is numerically singular")
     if not report.decomposable:
         worst = max(report.residuals)
         raise NotDecomposable(f"worst realignment residual {worst:.3e}")
-    heads = [np.linalg.svd(realign(bipartition_view(a, dims, p), d, side // d),
-                           full_matrices=False)[0][:, 0]
-             for p, d in enumerate(dims, start=1)]
     unit = canonicalize([unvec(u, d, d) for u, d in zip(heads, dims)])
     fs = FactorSet(unit.factors, complex(np.vdot(kron_list(unit.factors), a)))
     rebuilt = kron(fs)

@@ -99,22 +99,19 @@ def realign_inverse(r: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def bipartition_view(a: np.ndarray, shape, party: int) -> np.ndarray:
-    """Permute row and column tensor indices so `party` (1-based) is the
-    outer block index; the remaining parties keep their original order.
-    Leading axes, if any, index a stack of matrices permuted alike."""
+    """Permute row and column tensor indices of one square matrix so `party`
+    (1-based) is the outer block index; the remaining parties keep their
+    original order."""
     dims = as_dims(shape)
     k = len(dims)
     side = math.prod(dims)
     a = np.asarray(a)
-    if a.shape[-2:] != (side, side):
+    if a.shape != (side, side):
         raise ValueError(f"expected shape {(side, side)}, got {a.shape}")
     if not 1 <= party <= k:
         raise ValueError(f"party {party} out of range 1..{k}")
-    lead = a.shape[:-2]
-    b = len(lead)
     perm = [party - 1] + [p for p in range(k) if p != party - 1]
-    axes = list(range(b)) + [b + p for p in perm] + [b + k + p for p in perm]
-    return a.reshape(lead + dims + dims).transpose(axes).reshape(lead + (side, side))
+    return a.reshape(dims + dims).transpose(perm + [k + p for p in perm]).reshape(side, side)
 
 
 def eigh_desc(h: np.ndarray):
@@ -144,8 +141,7 @@ def rank_report(a: np.ndarray) -> RankReport:
     residual sigma_2 / sigma_1."""
     a = np.atleast_2d(np.asarray(a))
     s = np.linalg.svd(a, compute_uv=False)
-    residual = float(s[1] / s[0]) if s.size > 1 and s[0] > 0.0 else 0.0
-    return RankReport(s, numerical_rank(s, max(a.shape)), residual)
+    return RankReport(s, numerical_rank(s, max(a.shape)), _rank1_residual(s))
 
 
 def decisive_rank(a: np.ndarray) -> tuple[int, bool]:
@@ -171,6 +167,12 @@ def _decisive(s: np.ndarray) -> tuple[int, bool]:
     rank = int(np.sum(s >= soft))
     decisive = bool(np.all((s >= soft) | (s <= hard)))
     return rank, decisive
+
+
+def _rank1_residual(s: np.ndarray) -> float:
+    """The rank-one residual sigma_2 / sigma_1 of singular values s,
+    nonincreasing: 0.0 for a single value or when s[0] is zero."""
+    return float(s[1] / s[0]) if s.size > 1 and s[0] > 0.0 else 0.0
 
 
 def rank_mismatch(a: tuple[int, bool], b: tuple[int, bool]) -> Optional[tuple[int, int]]:

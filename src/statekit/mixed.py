@@ -606,10 +606,10 @@ def _first_verdict(rho1: MixedState, rho2: MixedState, candidates,
     order). Its witness gets the positive scale 1/sqrt(tr(F rho2 F^dag)), F
     the Kronecker product of those factors, so that it maps rho2 onto rho1
     with no renormalization, and the verdict reports the rank-one residuals
-    of the raw connector's cuts (decomposability)."""
-    ranked = sorted(((canonicalize(factors), factors) for factors in candidates),
-                    key=lambda pair: round(_negativity_cost(pair[0].factors), 9))
-    for fs, factors in ranked:
+    of F's cuts (decomposability)."""
+    ranked = sorted(map(canonicalize, candidates),
+                    key=lambda fs: round(_negativity_cost(fs.factors), 9))
+    for fs in ranked:
         verdict = oracle.witness_verdict(
             oracle.verify_witness_mixed, rho1, rho2, fs,
             "connector composed through filtered frames",
@@ -619,7 +619,7 @@ def _first_verdict(rho1: MixedState, rho2: MixedState, candidates,
             scale = 1.0 / math.sqrt(float(np.trace(f @ rho2.rho @ f.conj().T).real))
             return replace(
                 verdict, witness=replace(verdict.witness, scale=complex(scale)),
-                residuals=decomposability(kron_list(factors), dims).residuals)
+                residuals=decomposability(f, dims).residuals)
     return None
 
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import oracle
 from .factor import canonicalize
-from .linalg import (SystemShape, decisive_rank, kron_list, lift_supports, local_supports,
-                     rank_mismatch, rank_report)
+from .linalg import (SystemShape, _decisive, decisive_rank, kron_list, lift_supports,
+                     local_supports, numerical_rank, rank_mismatch, rank_report)
 from .oracle import Verdict
 
 _witness_verdict = partial(oracle.witness_verdict, oracle.verify_witness_pure)
@@ -124,9 +124,10 @@ def _borderline(cut: tuple[int, ...], r1: int, r2: int) -> Verdict:
 
 def check_bipartite(phi: PureState, psi: PureState) -> Verdict:
     """Two-party equivalence: decided by Schmidt rank alone, with the witness
-    assembled from the two singular value decompositions. Inequivalent only
-    when the two Schmidt ranks are decisive and differ; Inconclusive when
-    they differ inside the indecision band.
+    assembled from the two singular value decompositions. One SVD per
+    coefficient matrix serves the numerical ranks, their decisiveness and
+    the witness. Inequivalent only when the two Schmidt ranks are decisive
+    and differ; Inconclusive when they differ inside the indecision band.
     """
     if phi.shape != psi.shape:
         raise ValueError("states have different shapes")
@@ -134,17 +135,16 @@ def check_bipartite(phi: PureState, psi: PureState) -> Verdict:
         raise ValueError("check_bipartite requires exactly two parties")
     m1 = coefficient_matrix(phi)
     m2 = coefficient_matrix(psi)
-    r1 = rank_report(m1).numerical_rank
-    r2 = rank_report(m2).numerical_rank
+    x1, s1, y1 = np.linalg.svd(m1)
+    x2, s2, y2 = np.linalg.svd(m2)
+    m, n = m1.shape
+    r1, r2 = numerical_rank(s1, max(m, n)), numerical_rank(s2, max(m, n))
     if r1 != r2:
-        if rank_mismatch(decisive_rank(m1), decisive_rank(m2)) is not None:
+        if rank_mismatch(_decisive(s1), _decisive(s2)) is not None:
             return Verdict(
                 "Inequivalent", None, f"Schmidt ranks differ ({r1} vs {r2})", ()
             )
         return _borderline((1,), r1, r2)
-    x1, s1, y1 = np.linalg.svd(m1)
-    x2, s2, y2 = np.linalg.svd(m2)
-    m, n = m1.shape
     # the Schmidt diagonal, sqrt(s1 / s2) on the support and 1 off it
     b = np.ones(max(m, n))
     b[:r1] = np.sqrt(s1[:r1] / s2[:r1])

@@ -143,3 +143,38 @@ def test_shape_mismatch_raises():
         decomposability(np.eye(6), (2, 2))
     with pytest.raises(ValueError):
         extract_factors(np.eye(6), (2, 2))
+
+
+def test_reconstruction_miss_is_refused_after_a_passing_product_test():
+    # a (2,2,2,2) product plus complex Gaussian noise scaled so the worst
+    # cut residual is 0.95e-8: every cut passes RANK1_ACCEPT, yet the noise
+    # the four cuts do not see leaves the rebuilt product 1.6e-8 away
+    rng = np.random.default_rng(0)
+    dims = (2, 2, 2, 2)
+    a = kron_list([random_complex(rng, 2, 2) for _ in dims])
+    noise = random_complex(rng, 16, 16)
+    noise *= np.linalg.norm(a) / np.linalg.norm(noise)
+    worst = max(decomposability(a + 1e-8 * noise, dims).residuals)
+    noisy = a + 1e-8 * (0.95e-8 / worst) * noise
+    rep = decomposability(noisy, dims)
+    assert rep.decomposable and np.isclose(max(rep.residuals), 0.95e-8, rtol=1e-6)
+    with pytest.raises(NotDecomposable, match="reconstruction error"):
+        extract_factors(noisy, dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (2, 2, 2, 2)],
+                         ids=["2x2", "2x3x2", "2x2x2x2"])
+def test_extraction_takes_one_svd_per_cut(dims, monkeypatch):
+    # one for invertibility, then one per cut serves both the product test
+    # and the factor read-out
+    a = kron(random_ilo(dims, 5))
+    calls = []
+    inner = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    extract_factors(a, dims)
+    assert len(calls) == 1 + len(dims)

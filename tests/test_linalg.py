@@ -99,15 +99,6 @@ def test_vec_is_linear(seed, alpha, beta):
     assert np.allclose(vec(alpha * a + beta * b), alpha * vec(a) + beta * vec(b))
 
 
-def test_stacks_are_permuted_matrix_by_matrix():
-    rng = np.random.default_rng(2)
-    stack = random_complex(rng, 3, 2, 12, 12)
-    views = bipartition_view(stack, (2, 3, 2), 2)
-    for i in range(3):
-        for j in range(2):
-            assert np.array_equal(views[i, j], bipartition_view(stack[i, j], (2, 3, 2), 2))
-
-
 def test_bipartition_view_party_one_is_identity():
     rng = np.random.default_rng(1)
     a = random_complex(rng, 12, 12)

@@ -271,6 +271,8 @@ def test_half_corner_parameters_are_validated():
         fixtures(3, FixtureParams(a=0.5, b=0.58, c=0.54))
     with pytest.raises(ValueError):
         fixtures(3, FixtureParams(a=0.64, b=0.64, c=0.54))
+    with pytest.raises(ValueError, match="must be positive"):
+        fixtures(3, FixtureParams(a=0.64, b=-0.58, c=0.54))
 
 
 def test_half_corner_pair_admits_middle_rotation_witness():

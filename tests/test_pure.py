@@ -22,6 +22,8 @@ THREE_QUBITS = SystemShape((2, 2, 2))
 def test_state_requires_near_unit_norm():
     with pytest.raises(ValueError):
         PureState(SystemShape((2,)), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="expected 4 amplitudes, got 3"):
+        PureState(SystemShape((2, 2)), np.array([1.0, 0.0, 0.0]))
     amp = np.array([1.0, 0.0]) * (1 + 5e-7)
     assert np.isclose(np.linalg.norm(PureState(SystemShape((2,)), amp).amplitudes), 1.0)
 
@@ -331,6 +333,25 @@ def test_check_bipartite_refuses_other_shapes_and_party_counts():
         check_bipartite(random_pure((2, 2), 0), random_pure((2, 3), 1))
     with pytest.raises(ValueError, match="exactly two parties"):
         check_bipartite(GHZ3, GHZ3)
+
+
+def test_bipartite_verdict_takes_one_svd_per_state(monkeypatch):
+    # the numerical ranks, their decisiveness and the witness all read the
+    # same decomposition of each coefficient matrix; the two calls after
+    # those are the oracle's condition numbers of the 2x2 and 3x3 factors
+    phi = _schmidt_state(2, 3, 2, 20)
+    psi = _schmidt_state(2, 3, 2, 21)
+    calls = []
+    inner = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    verdict = check_bipartite(phi, psi)
+    assert verdict.outcome == "Equivalent"
+    assert calls == [(2, 3), (2, 3), (2, 2), (3, 3)]
 
 
 def test_bipartite_equal_schmidt_rank_is_equivalent():
