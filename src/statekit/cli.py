@@ -347,9 +347,11 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    state = parse_state(args.file)
-    if not _is_pure(state):
+    # the kind is refused from the header, before the data is read
+    obj, kind, dims = _state_header(args.file)
+    if kind != "pure":
         raise DataFormatError("classify requires a pure state file")
+    state = _state_from(obj, kind, dims)
     from .pure import rank_signature
 
     sig = rank_signature(state)

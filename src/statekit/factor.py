@@ -88,7 +88,10 @@ def kron(fs: FactorSet) -> np.ndarray:
 def _cuts(a: np.ndarray, dims: tuple[int, ...]) -> tuple[DecomposabilityReport, list]:
     """decomposability's report on `a`, and per party the leading left
     singular vector of its cut's realignment: one thin SVD per cut serves
-    both. Raises ValueError on a wrong shape."""
+    both. Raises ValueError, before any SVD, on a non-finite entry, and on
+    a wrong shape."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     side = math.prod(dims)
     rows, heads = [], []
     # each cut: the party-to-front view realigned with block size
@@ -112,7 +115,7 @@ def decomposability(a: np.ndarray, shape) -> DecomposabilityReport:
     extraction applies. Numerical ranks are reported alongside. Each cut
     takes one thin SVD, the one extract_factors reads its factor from.
     Non-invertible input is flagged and reported as not decomposable rather
-    than raised.
+    than raised; a non-finite entry raises ValueError before any SVD.
     """
     return _cuts(np.asarray(a, dtype=complex), as_dims(shape))[0]
 
@@ -128,7 +131,8 @@ def extract_factors(a: np.ndarray, shape) -> FactorSet:
     least-squares scale is its inner product with `a`. Raises
     NotDecomposable when the matrix is singular, any realignment is not
     rank one, or the reconstruction misses `a` by more than 1e-8 relative;
-    raises ValueError on a wrong shape.
+    raises ValueError, before any SVD, on a wrong shape or a non-finite
+    entry.
     """
     dims = as_dims(shape)
     a = np.asarray(a, dtype=complex)

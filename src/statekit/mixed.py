@@ -67,7 +67,8 @@ FILTER_SOFT_TOL = 1e-9
 FILTER_FLOOR = 1e-14
 # Filtered-frame solve: the least relative eigengap that fixes a basis, and
 # the least relative entry that enters a phase solve; and the relative
-# distance within which two spectra or magnitude tables agree.
+# distance within which two normal forms or their filtered spectra agree,
+# and within which a frame's imaginary part counts as zero.
 COVARIANT_GAP = 1e-6
 COVARIANT_MATCH = 1e-8
 # The Pauli matrices x, y and z.
@@ -222,9 +223,14 @@ def normal_form(rho: np.ndarray, shape):
     reach, as for images of W, which have no normal form, and the factor
     itself is exact only up to rounding (or to the eigenvalues dropped as
     not positive).
+
+    Raises ValueError, before any decomposition, when an entry of rho is
+    not finite.
     """
     dims = as_dims(shape)
     rho = np.asarray(rho, dtype=complex)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix entries must be finite")
     rho = rho / np.trace(rho).real
     n = math.prod(dims)
     try:
@@ -407,27 +413,30 @@ def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
     """Candidates for the local unitaries U_k with (x)U_k f2 (x)U_k^dag = f1
     for two filtered states, or None when the covariants fix no U.
 
-    U conjugates every covariant of party k by U_k, so the covariant with
-    the widest relative eigengap (at least COVARIANT_GAP, spectra matching
-    within COVARIANT_MATCH) gives eigenbases A_k, B_k with
+    U conjugates every covariant of party k by U_k, so f1's covariant with
+    the widest relative eigengap (at least COVARIANT_GAP) and the same
+    covariant of f2 give eigenbases A_k, B_k with
     U_k = A_k diag(e^{i theta_k}) B_k^dag. In A = (x)A_k and B = (x)B_k,
-    g1 = A^dag f1 A and g2 = B^dag f2 B must agree in magnitude, and each
-    off-diagonal entry above COVARIANT_GAP of the largest gives
+    with g1 = A^dag f1 A and g2 = B^dag f2 B, each off-diagonal entry of
+    g1 above COVARIANT_GAP of the largest gives
     sum_k theta_k(i_k) - theta_k(j_k) = arg(g1_ij / g2_ij), theta_k(0) = 0,
-    solved by _phase_vectors in decreasing |g1_ij|. Every covariant of a
-    two-qubit normal form is a multiple of I (its correlation tensor's
-    sign-flip stabilizer fixes no vector), so it always gives None.
+    solved by _phase_vectors in decreasing |g1_ij|. The candidates are
+    proposals: the two states' covariant spectra and tables are not
+    compared here, and the oracle refuses a U that does not map f2 onto
+    f1. Every covariant of a two-qubit normal form is a multiple of I (its
+    correlation tensor's sign-flip stabilizer fixes no vector), so it
+    always gives None.
     """
     bases = []
     p1, p2 = _powers(f1), _powers(f2)
     for k in range(len(dims)):
         c1, c2 = _party_covariants(p1, dims, k), _party_covariants(p2, dims, k)
         w1, a = np.linalg.eigh(c1)
-        w2, b = np.linalg.eigh(c2)
+        b = np.linalg.eigh(c2)[1]
         scale = np.maximum(np.max(np.abs(w1), axis=1), 1e-300)
         gap = np.min(np.diff(w1, axis=1), axis=1) / scale
         x = int(np.argmax(gap))
-        if gap[x] < COVARIANT_GAP or np.max(np.abs(w1[x] - w2[x])) > COVARIANT_MATCH * scale[x]:
+        if gap[x] < COVARIANT_GAP:
             return None
         bases.append((a[x], b[x]))
     a = kron_list([p for p, _ in bases])
@@ -436,8 +445,6 @@ def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
     g2 = b.conj().T @ f2 @ b
     m1 = np.abs(g1)
     top = float(m1.max())
-    if float(np.max(np.abs(m1 - np.abs(g2)))) > COVARIANT_MATCH * top:
-        return None
     i, j = np.triu_indices(len(g1), 1)
     keep = m1[i, j] > COVARIANT_GAP * top
     order = np.argsort(-m1[i, j][keep], kind="stable")
@@ -480,11 +487,12 @@ def _eigenbasis_unitaries(s1: SpectralData, s2: SpectralData,
     U maps each eigenvector b_i onto e^{i phi_i} a_i, so U = A diag(e^{i phi})
     B^dag, and U is local when it keeps each party's operators local. For
     party k, Q_ij = Tr_rest |a_j><a_i| obeys Q2_ij = e^{-i (phi_i - phi_j)}
-    U_k^dag Q1_ij U_k, so the Gram matrices P_k[(ij), (i'j')] =
-    Tr Q_i'j'^dag Q_ij must agree in magnitude, and each entry above
-    COVARIANT_GAP of the largest gives
-    phi_i - phi_j - phi_i' + phi_j' = arg(P1 / P2), phi_0 = 0, solved by
-    _phase_vectors. Candidates are kept when extract_factors splits U.
+    U_k^dag Q1_ij U_k, so in the Gram matrices P_k[(ij), (i'j')] =
+    Tr Q_i'j'^dag Q_ij each entry of P1 above COVARIANT_GAP of its largest
+    gives phi_i - phi_j - phi_i' + phi_j' = arg(P1 / P2), phi_0 = 0, solved
+    by _phase_vectors. The two Gram matrices are not compared here:
+    candidates are kept when extract_factors splits U, and the oracle
+    refuses the rest.
 
     Both eigenbases are first brought to one column gauge
     (_phase_fix_columns), so that the witness does not depend on the column
@@ -504,8 +512,6 @@ def _eigenbasis_unitaries(s1: SpectralData, s2: SpectralData,
     p1, p2 = (np.stack([gram(v, k, d) for k, d in enumerate(dims)]) for v in (a, b))
     m1 = np.abs(p1)
     top = float(m1.max())
-    if float(np.max(np.abs(m1 - np.abs(p2)))) > COVARIANT_MATCH * top:
-        return None
     k, pq, pq2 = np.nonzero(np.triu(m1 > COVARIANT_GAP * top, 1))
     (i, j), (i2, j2) = np.divmod(pq, n), np.divmod(pq2, n)
     # an equation depends on its index pairs {i, j'} and {j, i'} alone: keep
@@ -540,28 +546,29 @@ def _su2_lift(o: np.ndarray) -> np.ndarray:
     return np.linalg.svd(m)[2][-1].conj().reshape(2, 2)
 
 
-def _two_qubit_unitaries(f1: np.ndarray, f2: np.ndarray) -> Optional[list[np.ndarray]]:
-    """Local unitaries [U_A, U_B] with U f2 U^dag = f1 for two two-qubit
-    normal forms, read off their correlation tensors, or None.
+def _two_qubit_unitaries(f1: np.ndarray, f2: np.ndarray) -> list[np.ndarray]:
+    """The local unitaries [U_A, U_B] proposed for U f2 U^dag = f1 for two
+    two-qubit normal forms, read off their correlation tensors.
 
     U maps T_ij = Tr f (sigma_i (x) sigma_j) to O_A T O_B^T (Verstraete,
     Dehaene and De Moor, PRA 64, 010101(R)). SVDs T1 = P1 S Q1^T and
-    T2 = P2 S Q2^T (singular values matching within COVARIANT_MATCH) give
-    O_A = P1 D_A P2^T and O_B = Q1 D_B Q2^T, with D = diag(1, 1, +-1) chosen
-    for determinant +1; D_A and D_B may differ only on a zero singular
-    value. Each rotation lifts to SU(2) by _su2_lift.
+    T2 = P2 S Q2^T give O_A = P1 D_A P2^T and O_B = Q1 D_B Q2^T, with
+    D = diag(1, 1, +-1) chosen for determinant +1. Each rotation lifts to
+    SU(2) by _su2_lift. Nothing is compared here. A two-qubit normal form
+    is a local-unitary image of a Bell-diagonal state, and two of those
+    with equal spectra have correlation tensors related by a signed
+    permutation with an even number of sign flips: equal singular values
+    and determinants of one sign. So the filtered-spectra screen leaves
+    D_A != D_B only on a zero singular value, and the oracle refuses a U
+    that does not map f2 onto f1.
     """
     # T_ij = sum f[(a c), (b d)] sigma_i[b, a] sigma_j[d, c]
     t1, t2 = (np.einsum("iba,jdc,acbd->ij", _PAULI, _PAULI, f.reshape(2, 2, 2, 2)).real
               for f in (f1, f2))
-    p1, s1, q1 = np.linalg.svd(t1)
-    p2, s2, q2 = np.linalg.svd(t2)
-    if float(np.max(np.abs(s1 - s2))) > COVARIANT_MATCH * float(s1[0]):
-        return None
+    p1, _, q1 = np.linalg.svd(t1)
+    p2, _, q2 = np.linalg.svd(t2)
     sign_a = np.sign(np.linalg.det(p1) * np.linalg.det(p2))
     sign_b = np.sign(np.linalg.det(q1) * np.linalg.det(q2))
-    if sign_a != sign_b and s1[2] > COVARIANT_MATCH * s1[0]:
-        return None
     o_a = (p1 * [1.0, 1.0, sign_a]) @ p2.T
     o_b = (q1.T * [1.0, 1.0, sign_b]) @ q2
     return [_su2_lift(o_a), _su2_lift(o_b)]
@@ -653,25 +660,30 @@ def _compressed_factors(rho1: MixedState, rho2: MixedState, reds,
 def check_mixed_equivalence(rho1, rho2) -> Verdict:
     """Decide equivalence of two density matrices, or refuse honestly.
 
-    The first step is the rank screen: invertible local maps keep the
-    global rank and every single-party reduced rank, each taken once by
-    decisive_rank. A reduced mismatch (rank_mismatch) is Inequivalent at
-    once; a global one only when either state has no normal form or their
-    better-conditioned normal forms mismatch too. Equivalent only with an
-    independently verified witness. Filtered spectra that differ end the
-    verdict Inconclusive. Otherwise the local unitary between the normal
-    forms is solved in closed form (_two_qubit_unitaries, else
-    _covariant_unitaries, then _eigenbasis_unitaries) and composed with the
-    filters. A pair with no normal form (NoNormalForm) whose reduced
-    matrices are not all full rank is decided through their supports
-    (_compressed_factors); else its Inconclusive reason follows the cause,
-    "normal form not certified" for uncertified and "marginals stay short"
-    for the others. The oracle alone accepts a candidate (_first_verdict).
-    An Equivalent verdict reports a kernel ratio in the one case
-    _kernel_ratio covers: a qubit first party, both support ranks n - 1
-    (read first off the rank screen's singular values, so that no other
-    state is eigendecomposed for it), and a pairing that fixes the kernel.
-    Everything else is Inconclusive.
+    Both inputs are MixedStates, which refuse non-finite entries. The first
+    step is the rank screen: invertible local maps keep the global rank and
+    every single-party reduced rank, each taken once by decisive_rank. A
+    reduced mismatch (rank_mismatch) is Inequivalent at once; a global one
+    only when either state has no normal form or their better-conditioned
+    normal forms mismatch too. Equivalent only with an independently
+    verified witness. Filtered spectra that differ end the verdict
+    Inconclusive: this is the one invariant screen on the normal forms.
+    Otherwise the local unitary between the normal forms is solved in
+    closed form (_two_qubit_unitaries, else _covariant_unitaries, then
+    _eigenbasis_unitaries) and composed with the filters. The solvers only
+    propose, and give no candidate only when they cannot build one (no
+    covariant gap, a degenerate filtered spectrum, or no product factor). A
+    pair with no normal form (NoNormalForm) whose reduced matrices are not
+    all full rank is decided through their supports (_compressed_factors);
+    else its Inconclusive reason follows the cause, "normal form not
+    certified" for uncertified and "marginals stay short" for the others.
+    The oracle alone accepts a candidate (_first_verdict), and "no
+    decomposable connector found" means that no candidate was built or
+    none passed it. An Equivalent verdict reports a kernel ratio in the one
+    case _kernel_ratio covers: a qubit first party, both support ranks
+    n - 1 (read first off the rank screen's singular values, so that no
+    other state is eigendecomposed for it), and a pairing that fixes the
+    kernel. Everything else is Inconclusive.
     """
     if not (isinstance(rho1, MixedState) and isinstance(rho2, MixedState)):
         raise ValueError("check_mixed_equivalence expects MixedState inputs")
@@ -733,8 +745,8 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
                     or float(np.max(np.abs(t1.eigvals - t2.eigvals))) > COVARIANT_MATCH):
                 return Verdict("Inconclusive", None, "filtered spectra mismatch", ())
             if dims == (2, 2):
-                u = _two_qubit_unitaries(f1t, f2t)
-                verdict = _first_verdict(rho1, rho2, composed(None if u is None else [u]), dims)
+                verdict = _first_verdict(
+                    rho1, rho2, composed([_two_qubit_unitaries(f1t, f2t)]), dims)
             else:
                 verdict = _first_verdict(
                     rho1, rho2, composed(_covariant_unitaries(f1t, f2t, dims)), dims)

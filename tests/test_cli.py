@@ -484,9 +484,12 @@ def _probe_main(tmp_path, argv) -> tuple[int, set]:
     (["check-mixed", "{m}", "{p2}"], cli.EXIT_DATA),
     (["verify", "{p3}", "{m}", "{wsing}"], cli.EXIT_DATA),
     (["verify", "{p3}", "{p2}", "{wsing}"], cli.EXIT_DATA),
+    # classify refuses a mixed file from its header
+    (["classify", "{m}"], cli.EXIT_DATA),
 ], ids=["help", "version", "unknown-command", "gen-dims-1", "gen-64-parties",
         "factor-dims-x-missing-file", "missing-file", "nan-state", "check-dims-mismatch",
-        "check-kind-mismatch", "verify-kind-mismatch", "verify-dims-mismatch"])
+        "check-kind-mismatch", "verify-kind-mismatch", "verify-dims-mismatch",
+        "classify-mixed"])
 def test_refusals_exit_before_numpy_loads(tmp_path, argv, expected):
     code, loaded = _probe_main(tmp_path, argv)
     assert code == expected

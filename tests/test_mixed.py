@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statekit import mixed, oracle
-from statekit.factor import canonicalize, kron as kron_factors
+from statekit.factor import (NotDecomposable, canonicalize, decomposability, extract_factors,
+                             kron as kron_factors)
 from statekit.linalg import (SystemShape, decisive_rank, kron_list, partial_trace_keep,
                              rank_mismatch)
 from statekit.mixed import (
@@ -55,6 +56,18 @@ def test_non_finite_density_is_rejected():
     rho[1, 2] = rho[2, 1] = np.nan
     with pytest.raises(ValueError):
         MixedState(TWO_QUBITS, rho)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [decomposability, extract_factors, normal_form],
+                         ids=lambda f: f.__name__)
+def test_non_finite_matrices_are_refused_before_any_decomposition(call, value):
+    # an SVD of a matrix with an inf entry need not return, and NaN entries
+    # fail every comparison of normal_form's certificate
+    a = np.eye(4, dtype=complex) / 4.0
+    a[0, 1] = value
+    with pytest.raises(ValueError, match="entries must be finite"):
+        call(a, (2, 2))
 
 
 def test_spectral_prep_full_corner_spectrum():
@@ -127,6 +140,12 @@ def test_kernel_ratio_needs_a_qubit_first_party():
     rho = state - np.linalg.eigvalsh(state)[0] * np.eye(9)
     rho /= np.trace(rho).real
     assert _kernel_ratio([np.eye(3)] * 2, rho, rho, (3, 3)) is None
+
+
+def test_kernel_ratio_needs_both_support_ranks_n_minus_one():
+    # a full-rank state has no kernel entry to fill
+    rho = random_density((2, 2), 6).rho
+    assert _kernel_ratio([np.eye(2)] * 2, rho, rho, (2, 2)) is None
 
 
 def test_kernel_ratio_needs_the_kernel_paired_with_itself():
@@ -791,6 +810,24 @@ def test_uncertified_normal_forms_are_never_trusted():
         normal_form(w_image(0).rho, (2, 2, 2))
 
 
+def test_normal_form_certifies_the_marginals_of_the_recomputed_state(monkeypatch):
+    # with FILTER_TOL at 1e-3 filtering stops early: the filters reproduce
+    # the iterate they reached, but its marginals are short of I/d by more
+    # than FILTER_SOFT_TOL, and the certificate refuses it at the first party
+    monkeypatch.setattr(mixed, "FILTER_TOL", 1e-3)
+    marginals = []
+    inner = mixed.partial_trace_keep
+
+    def spy(rho, dims, party):
+        marginals.append(party)
+        return inner(rho, dims, party)
+
+    monkeypatch.setattr(mixed, "partial_trace_keep", spy)
+    with pytest.raises(NoNormalForm, match="^uncertified$"):
+        normal_form(random_density((2, 2, 2), 900).rho, (2, 2, 2))
+    assert marginals == [1]
+
+
 def _local_unitary_image(f, dims, rng):
     local = kron_list([np.linalg.qr(random_complex(rng, d, d))[0] for d in dims])
     return local @ f @ local.conj().T
@@ -822,8 +859,18 @@ def test_covariant_solve_refuses_two_qubits():
 
 @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)], ids=lambda d: "x".join(map(str, d)))
 def test_covariant_solve_refuses_unrelated_states(dims):
-    f1, f2 = (normal_form(random_density(dims, s).rho, dims)[0] for s in (1320, 1321))
-    assert _covariant_unitaries(f1, f2, dims) is None
+    # the solver only proposes: it compares no spectra, so it proposes a
+    # unitary for unrelated states too, and the refusal is left to the
+    # filtered-spectra screen and the oracle
+    states = [random_density(dims, s) for s in (1320, 1321)]
+    f1, f2 = (normal_form(state.rho, dims)[0] for state in states)
+    candidates = _covariant_unitaries(f1, f2, dims)
+    assert candidates
+    for factors in candidates:
+        u = kron_list(factors)
+        assert np.linalg.norm(u @ f2 @ u.conj().T - f1) > 1e-3 * np.linalg.norm(f1)
+    for first, second in (states, states[::-1]):
+        assert checked_mixed(first, second).outcome != "Equivalent"
 
 
 def test_seed_nine_r23_pair_is_equivalent():
@@ -935,6 +982,40 @@ def test_ghz_diagonal_pairs_are_certified_over_the_eigenbases(dims):
             verdict = checked_mixed(first, second)
             assert verdict.outcome == "Equivalent", (s, verdict.reason)
             assert verdict.reason == "connector composed through filtered frames"
+
+
+def test_eigenbasis_candidates_that_do_not_split_are_skipped(monkeypatch):
+    # GHZ-diagonal (2,2,2) states are their own normal forms. With the
+    # weights permuted non-locally, two have equal spectra and no covariant
+    # fixes a basis, so the eigenbasis route proposes a U that maps one
+    # spectrum onto the other but does not split into local factors
+    w = np.array([0.3, 0.2, 0.15, 0.12, 0.1, 0.07, 0.04, 0.02])
+    ghz = np.zeros((8, 8))
+    for x in range(4):  # rows |0x> + |1x'> and |0x> - |1x'>, x' = x with bits flipped
+        ghz[2 * x, [x, x ^ 7]] = 1.0
+        ghz[2 * x + 1, [x, x ^ 7]] = 1.0, -1.0
+    ghz /= np.sqrt(2.0)
+    refused = []
+    inner = mixed.extract_factors
+
+    def spy(a, dims):
+        try:
+            return inner(a, dims)
+        except NotDecomposable:
+            refused.append(dims)
+            raise
+
+    monkeypatch.setattr(mixed, "extract_factors", spy)
+    base = MixedState(THREE_QUBITS, (ghz.T * w) @ ghz + 0j)
+    rng = np.random.default_rng(1590)
+    for _ in range(3):
+        other = MixedState(THREE_QUBITS, (ghz.T * w[rng.permutation(8)]) @ ghz + 0j)
+        for first, second in ((base, other), (other, base)):
+            refused.clear()
+            verdict = checked_mixed(first, second)
+            assert verdict.outcome == "Inconclusive"
+            assert verdict.reason == "no decomposable connector found"
+            assert refused == [(2, 2, 2)]
 
 
 def test_torus_phases_satisfy_every_row_of_a_consistent_system():
@@ -1063,7 +1144,8 @@ def test_rank_two_two_qubit_pairs_are_certified_by_the_correlation_tensor():
 
 def test_two_qubit_solve_recovers_the_local_unitary():
     rng = np.random.default_rng(1520)
-    forms = [normal_form(random_density((2, 2), 1530 + s).rho, (2, 2))[0] for s in range(4)]
+    states = [random_density((2, 2), 1530 + s) for s in range(4)]
+    forms = [normal_form(state.rho, (2, 2))[0] for state in states]
     # a zero singular value, where the two rotations' sign choices may differ
     forms.append((BELL.T * (0.5, 0.25, 0.25, 0.0)) @ BELL)
     for f1 in forms:
@@ -1072,8 +1154,14 @@ def test_two_qubit_solve_recovers_the_local_unitary():
             u = kron_list(_two_qubit_unitaries(f1, f2))
             u = u / np.abs(np.linalg.det(u)) ** 0.25
             assert np.linalg.norm(u @ f2 @ u.conj().T - f1) <= 1e-9 * np.linalg.norm(f1)
+    # unrelated forms still get a proposal, which maps neither onto the
+    # other; the pipeline refuses the pair
     f1, f2 = forms[0], forms[1]
-    assert _two_qubit_unitaries(f1, f2) is None
+    u = kron_list(_two_qubit_unitaries(f1, f2))
+    u = u / np.abs(np.linalg.det(u)) ** 0.25
+    assert np.linalg.norm(u @ f2 @ u.conj().T - f1) > 1e-3 * np.linalg.norm(f1)
+    for first, second in ((states[0], states[1]), (states[1], states[0])):
+        assert checked_mixed(first, second).outcome != "Equivalent"
 
 
 def test_global_rank_mismatch_must_hold_on_the_normal_forms():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from statekit import pure
+from statekit import oracle, pure
 from statekit.factor import kron as kron_factors
 from statekit.linalg import SystemShape, kron_list
 from statekit.oracle import fixtures, make_equivalent_pair, random_ilo, verify_witness_pure
@@ -260,6 +260,19 @@ def test_several_product_parties_factor_out(dims, nlocal):
         assert "remainder equivalent" in verdict.reason
 
 
+def test_singular_product_vector_pairing_is_skipped(monkeypatch):
+    # one product vector found twice makes both pairings' column factors
+    # singular, so neither yields a candidate
+    inner = pure._product_vectors
+    monkeypatch.setattr(pure, "_product_vectors", lambda basis: [inner(basis)[0]] * 2)
+    psi = random_pure((2, 2, 2), 200)
+    phi, _ = make_equivalent_pair(psi, 300)
+    assert list(pure._three_qubit_witness(phi, psi)) == []
+    verdict = checked_pure(phi, psi)
+    assert verdict.outcome == "Inconclusive"
+    assert verdict.reason == "no verifiable connector found in the computed frames"
+
+
 def test_refused_lift_is_inconclusive(monkeypatch):
     # a lifted witness that the oracle refuses ends as a remainder that
     # could not be connected, never as Equivalent
@@ -362,6 +375,15 @@ def test_bipartite_equal_schmidt_rank_is_equivalent():
         assert verdict.outcome == "Equivalent"
         verified = checked_pure(phi, psi)
         assert verified.outcome == "Equivalent"
+
+
+def test_bipartite_witness_the_oracle_refuses_is_inconclusive(monkeypatch):
+    # a backward-error bound below zero fails every witness, the Schmidt one
+    # of an equivalent pair included
+    monkeypatch.setattr(oracle, "BACKWARD_TOL", -1.0)
+    verdict = check_bipartite(_schmidt_state(2, 3, 2, 20), _schmidt_state(2, 3, 2, 21))
+    assert verdict.outcome == "Inconclusive"
+    assert verdict.reason == "constructed witness failed verification"
 
 
 def test_bipartite_unequal_schmidt_rank_is_inequivalent():
