@@ -4,7 +4,9 @@ State files are JSON with complex entries as [re, im] pairs. Verdict reports
 are emitted on standard output as deterministic byte streams: fixed key
 order, floats at 17 significant digits, diagnostics on standard error. Exit
 codes: 0 Equivalent (or plain success), 1 Inequivalent, 2 Inconclusive (or a
-failed witness check), 64 usage, 65 bad data, 66 unreadable file.
+failed witness check), 64 usage, 65 bad data, 66 unreadable file, 70 internal
+error (any other exception, such as running out of memory, reported on one
+line of standard error).
 
 Usage, I/O and format errors are reported before numpy is imported, so they
 return at once: each subcommand imports numpy and the statekit modules it
@@ -36,6 +38,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_IO = 66
+EXIT_SOFTWARE = 70
 
 # The most complex entries `gen --random` writes: n for a pure state and n**2
 # for a density matrix, where n is the product of the dims (256 MiB of numpy
@@ -556,6 +559,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        # an uncaught exception would exit 1, the Inequivalent code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

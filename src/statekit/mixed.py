@@ -3,9 +3,10 @@
 Two density matrices are equivalent when some Kronecker product of invertible
 per-party factors conjugates one into the other (up to trace normalization).
 The pipeline: rank screens that can prove inequivalence, filtering to a
-normal form, a local unitary between the normal forms in closed form, and an
-independent witness verification before any Equivalent verdict. No stage
-draws a random number.
+normal form, a local unitary between the normal forms, proposed in closed
+form and polished or found by one Gauss-Newton aligner, and an independent
+witness verification before any Equivalent verdict. No stage draws a random
+number.
 
 Filtering brings both states to the local form whose single-party reduced
 matrices are all maximally mixed (Verstraete, Dehaene and De Moor, PRA 68,
@@ -20,14 +21,15 @@ of powers of the filtered state, are conjugated by U party by party (the
 mixed analogue of Kraus's local-unitary standard form, PRL 104, 020504).
 Their eigenbases fix U up to one diagonal phase per party, and those phases
 are solved on the torus from the normal forms' entries in the eigenbases.
-Where symmetry leaves every covariant a multiple of I, the phases of the
-eigenvectors of a non-degenerate filtered spectrum are solved instead.
 Two-qubit normal forms use their correlation tensors (Verstraete, Dehaene
-and De Moor, PRA 64, 010101(R)). States with a singular reduced matrix have
-no normal form and are first compressed to the supports of their reduced
-matrices. The unitary, composed with the filters, is the verdict once the
-oracle passes it. A kernel ratio is read in one case only: a qubit first
-party whose two states each have a one-dimensional kernel, which the
+and De Moor, PRA 64, 010101(R)). Where those proposals fail the oracle, or
+symmetry leaves every covariant a multiple of I and there are none, the
+aligner (_align) takes Gauss-Newton steps on the local unitary group from
+each proposal and from fixed starts. States with a singular reduced matrix
+have no normal form and are first compressed to the supports of their
+reduced matrices. The unitary, composed with the filters, is the verdict
+once the oracle passes it. A kernel ratio is read in one case only: a qubit
+first party whose two states each have a one-dimensional kernel, which the
 connector's pairing of the raw eigenbases fixes.
 """
 
@@ -41,7 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import oracle
-from .factor import NotDecomposable, canonicalize, decomposability, extract_factors
+from .factor import canonicalize, decomposability
 from .linalg import (
     SystemShape,
     _decisive,
@@ -71,6 +73,12 @@ FILTER_FLOOR = 1e-14
 # and within which a frame's imaginary part counts as zero.
 COVARIANT_GAP = 1e-6
 COVARIANT_MATCH = 1e-8
+# Gauss-Newton alignment of two normal forms (_align): the steps per start,
+# the residual, relative to the target's norm, that ends a start early, and
+# the angle of the fixed start off the identity.
+ALIGN_STEPS = 60
+ALIGN_TOL = 1e-12
+ALIGN_START = 1e-2
 # The Pauli matrices x, y and z.
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -104,8 +112,7 @@ class MixedState:
 @dataclass(frozen=True)
 class SpectralData:
     """Eigendecomposition with support bookkeeping. The eigenvectors are
-    eigh_desc's, in LAPACK's column phases; _eigenbasis_unitaries, the one
-    reader that depends on those phases, fixes them itself."""
+    eigh_desc's, in LAPACK's column phases."""
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
@@ -114,8 +121,7 @@ class SpectralData:
 
 def spectral_prep(rho: np.ndarray) -> SpectralData:
     """Eigendecomposition sorted nonincreasing, eigenvalues clipped at zero,
-    with support rank by numerical_rank over the side. The eigenvectors are
-    eigh_desc's, unchanged: no column gauge is applied."""
+    with support rank by numerical_rank over the side."""
     q, w = eigh_desc(rho)
     w = np.clip(w, 0.0, None)
     return SpectralData(q, w, numerical_rank(w, w.size))
@@ -463,76 +469,56 @@ def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
     ]
 
 
-def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvector gauge: largest-magnitude entry of each
-    column made real positive."""
-    v = np.array(v, dtype=complex)
-    piv = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    # hypot, not np.abs, is abs() of one complex scalar to the last bit; and
-    # each column is multiplied as a row of the transpose by its own scalar,
-    # the product numpy forms for one column times one scalar
-    mag = np.hypot(piv.real, piv.imag)
-    live = mag > 0.0
-    v[:, live] = (v.T[live] * (mag[live] / piv[live])[:, None]).T
-    return v
+def _expi(h: np.ndarray) -> np.ndarray:
+    """exp(i h) for a Hermitian matrix h."""
+    w, q = np.linalg.eigh(h)
+    return (q * np.exp(1j * w)) @ q.conj().T
 
 
-def _eigenbasis_unitaries(s1: SpectralData, s2: SpectralData,
-                          dims: Sequence[int]) -> Optional[list[list[np.ndarray]]]:
-    """Candidates for the local unitaries between two filtered states with
-    no relative spectral gap under COVARIANT_GAP, or None. This serves
-    normal forms whose symmetry leaves every covariant a multiple of I, such
-    as the GHZ-diagonal ones.
+def _align(f1: np.ndarray, f2: np.ndarray, dims: Sequence[int],
+           start: Optional[Sequence[np.ndarray]] = None) -> list[np.ndarray]:
+    """Local unitaries U_k, from `start`, that bring V = U f2 U^dag toward
+    f1 for U = (x)U_k, by Gauss-Newton steps on the local unitary group.
 
-    U maps each eigenvector b_i onto e^{i phi_i} a_i, so U = A diag(e^{i phi})
-    B^dag, and U is local when it keeps each party's operators local. For
-    party k, Q_ij = Tr_rest |a_j><a_i| obeys Q2_ij = e^{-i (phi_i - phi_j)}
-    U_k^dag Q1_ij U_k, so in the Gram matrices P_k[(ij), (i'j')] =
-    Tr Q_i'j'^dag Q_ij each entry of P1 above COVARIANT_GAP of its largest
-    gives phi_i - phi_j - phi_i' + phi_j' = arg(P1 / P2), phi_0 = 0, solved
-    by _phase_vectors. The two Gram matrices are not compared here:
-    candidates are kept when extract_factors splits U, and the oracle
-    refuses the rest.
+    A step solves i[H, V] = f1 - V in the least-squares sense over local
+    Hermitian H = sum_k H_k, H_k acting on party k: a real problem of 2 n^2
+    equations in sum_k d_k^2 unknowns. It then sets U_k <- exp(i H_k) U_k.
+    The steps stop at a residual ||f1 - V|| of ALIGN_TOL relative to ||f1||,
+    or after ALIGN_STEPS; a step that raises the residual does not stop
+    them, since Gauss-Newton is not monotone far from a solution. The result
+    is a proposal, which the oracle judges.
 
-    Both eigenbases are first brought to one column gauge
-    (_phase_fix_columns), so that the witness does not depend on the column
-    phases LAPACK returns; spectral_prep leaves them as they come.
+    With no start given, U_k starts at exp(i ALIGN_START T_k), T_k the sum
+    of party k's basis: just off the identity, which is a stationary point
+    whenever f1 and f2 commute (as GHZ-diagonal normal forms do), since
+    every step direction i[H, f2] is then orthogonal to f1 - f2.
     """
-    lam = s1.eigvals
-    n = lam.size
-    if np.min(lam[:-1] - lam[1:]) < COVARIANT_GAP * lam[0]:
-        return None
-    a, b = _phase_fix_columns(s1.eigvecs), _phase_fix_columns(s2.eigvecs)
-
-    def gram(v, k, d):
-        vs = v.T.reshape(n, math.prod(dims[:k]), d, -1).transpose(0, 2, 1, 3).reshape(n, d, -1)
-        q = np.einsum("jyr,ixr->ijyx", vs, vs.conj()).reshape(n * n, d * d)
-        return q @ q.conj().T
-
-    p1, p2 = (np.stack([gram(v, k, d) for k, d in enumerate(dims)]) for v in (a, b))
-    m1 = np.abs(p1)
-    top = float(m1.max())
-    k, pq, pq2 = np.nonzero(np.triu(m1 > COVARIANT_GAP * top, 1))
-    (i, j), (i2, j2) = np.divmod(pq, n), np.divmod(pq2, n)
-    # an equation depends on its index pairs {i, j'} and {j, i'} alone: keep
-    # each once, at its largest entry, in decreasing magnitude
-    plus, minus = np.sort([i, j2], axis=0), np.sort([j, i2], axis=0)
-    key = ((plus[0] * n + plus[1]) * n + minus[0]) * n + minus[1]
-    order = np.argsort(-m1[k, pq, pq2], kind="stable")
-    pick = order[np.sort(np.unique(key[order], return_index=True)[1])]
-    k, pq, pq2, i, j, i2, j2 = (x[pick] for x in (k, pq, pq2, i, j, i2, j2))
-    eye = np.eye(n, dtype=int)
-    rows = (eye[i] + eye[j2] - eye[j] - eye[i2])[:, 1:]
-    live = np.any(rows, axis=1)
-    ratio = (p1[k, pq, pq2] * p2[k, pq, pq2].conj())[live]
-    out = []
-    for ph in _phase_vectors(rows[live], ratio, (p1, p2), top):
-        try:
-            fs = extract_factors((a * np.concatenate([[1.0], ph])) @ b.conj().T, dims)
-        except NotDecomposable:
-            continue
-        out.append([complex(fs.scale) * fs.factors[0], *fs.factors[1:]])
-    return out or None
+    local = []  # per party, the d^2 Hermitian d x d matrices of a real basis
+    for d in dims:
+        es = np.zeros((d, d, d, d), dtype=complex)
+        for a, b in itertools.product(range(d), repeat=2):
+            es[a, b, a, b] = 1.0 if a <= b else 1j
+            es[a, b, b, a] = es[a, b, a, b].conjugate()
+        local.append(es.reshape(d * d, d, d))
+    # each basis matrix lifted to the whole system
+    lifted = np.concatenate([
+        [np.kron(np.kron(np.eye(math.prod(dims[:k])), e), np.eye(math.prod(dims[k + 1:])))
+         for e in es] for k, es in enumerate(local)])
+    bounds = np.cumsum([0] + [d * d for d in dims])
+    u = list(start) if start is not None else [_expi(ALIGN_START * es.sum(0)) for es in local]
+    tol = ALIGN_TOL * float(np.linalg.norm(f1))
+    for _ in range(ALIGN_STEPS):
+        big = kron_list(u)
+        v = big @ f2 @ big.conj().T
+        r = f1 - v
+        if float(np.linalg.norm(r)) <= tol:
+            break
+        c = 1j * (lifted @ v - v @ lifted)
+        jac = np.concatenate([c.real, c.imag], axis=1).reshape(len(c), -1).T
+        x = np.linalg.lstsq(jac, np.concatenate([r.real, r.imag]).ravel(), rcond=None)[0]
+        for k, es in enumerate(local):
+            u[k] = _expi(np.tensordot(x[bounds[k]:bounds[k + 1]], es, 1)) @ u[k]
+    return u
 
 
 def _su2_lift(o: np.ndarray) -> np.ndarray:
@@ -668,11 +654,13 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     normal forms mismatch too. Equivalent only with an independently
     verified witness. Filtered spectra that differ end the verdict
     Inconclusive: this is the one invariant screen on the normal forms.
-    Otherwise the local unitary between the normal forms is solved in
-    closed form (_two_qubit_unitaries, else _covariant_unitaries, then
-    _eigenbasis_unitaries) and composed with the filters. The solvers only
-    propose, and give no candidate only when they cannot build one (no
-    covariant gap, a degenerate filtered spectrum, or no product factor). A
+    Otherwise the local unitary between the normal forms is proposed in
+    closed form (_two_qubit_unitaries, else _covariant_unitaries, which
+    gives none without a covariant gap) and composed with the filters. When
+    no proposal passes the oracle, _align runs from each proposal in turn,
+    then from its fixed start, then from that start with the two normal
+    forms swapped (its result inverted), and the oracle judges each result
+    before the next start runs. A
     pair with no normal form (NoNormalForm) whose reduced matrices are not
     all full rank is decided through their supports (_compressed_factors);
     else its Inconclusive reason follows the cause, "normal form not
@@ -734,7 +722,7 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     else:
         def composed(candidates):
             return [[np.linalg.solve(filt1[k], u[k] @ filt2[k]) for k in range(len(dims))]
-                    for u in candidates or []]
+                    for u in candidates]
 
         if float(np.linalg.norm(f1t - f2t)) <= COVARIANT_MATCH * float(np.linalg.norm(f1t)):
             verdict = _first_verdict(
@@ -744,15 +732,20 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
             if (t1.support_rank != t2.support_rank
                     or float(np.max(np.abs(t1.eigvals - t2.eigvals))) > COVARIANT_MATCH):
                 return Verdict("Inconclusive", None, "filtered spectra mismatch", ())
-            if dims == (2, 2):
-                verdict = _first_verdict(
-                    rho1, rho2, composed([_two_qubit_unitaries(f1t, f2t)]), dims)
-            else:
-                verdict = _first_verdict(
-                    rho1, rho2, composed(_covariant_unitaries(f1t, f2t, dims)), dims)
-                if verdict is None:
-                    verdict = _first_verdict(
-                        rho1, rho2, composed(_eigenbasis_unitaries(t1, t2, dims)), dims)
+            proposals = ([_two_qubit_unitaries(f1t, f2t)] if dims == (2, 2)
+                         else _covariant_unitaries(f1t, f2t, dims) or [])
+
+            def candidates():
+                # the proposals, then one aligned result per start, each
+                # judged before the next start runs
+                yield proposals
+                for start in proposals:
+                    yield [_align(f1t, f2t, dims, start)]
+                yield [_align(f1t, f2t, dims)]
+                yield [[w.conj().T for w in _align(f2t, f1t, dims)]]
+
+            verdict = next(filter(None, (_first_verdict(rho1, rho2, composed(group), dims)
+                                         for group in candidates())), None)
     if verdict is None:
         return Verdict("Inconclusive", None, "no decomposable connector found", ())
     # the ratio needs both support ranks n - 1; for a state, whose

@@ -21,7 +21,7 @@ from statekit.linalg import SystemShape
 from statekit.mixed import MixedState
 from statekit.oracle import FixtureParams, fixtures, make_equivalent_pair
 from statekit.pure import PureState
-from util import GHZ3, W3, qubit_supported, random_complex, w_image
+from util import GHZ3, W3, qubit_supported, random_complex, random_density, w_image
 
 EX2_PARAMS = "a=0.3,b=0.4,c=0.5,alpha=0.6,beta=1.6,gamma=4.0"
 ONE_PARTY_PURE = '{"version":1,"type":"pure","dims":[2],"data":[[1,0],[0,0]]}'
@@ -161,6 +161,46 @@ def test_uncertified_normal_form_exits_two_without_a_traceback(tmp_path):
     report = json.loads(run.stdout)
     assert report["outcome"] == "Inconclusive"
     assert report["reason"] == "normal form not certified"
+
+
+def test_internal_error_exits_seventy_on_one_line(tmp_path, capsys, monkeypatch):
+    # an exception that leaves main uncaught exits 1, the Inequivalent code
+    import statekit.mixed
+
+    def exhausted(*args):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(statekit.mixed, "check_mixed_equivalence", exhausted)
+    path = _state_file(tmp_path, "m.json",
+                       MixedState(SystemShape((2, 2)), np.eye(4, dtype=complex) / 4.0))
+    code, out, err = _run(capsys, "check-mixed", path, path)
+    assert code == cli.EXIT_SOFTWARE == 70
+    assert out == ""
+    assert err == "internal error: MemoryError: cannot allocate\n"
+
+
+def test_six_qubit_pair_is_decided_within_one_gibibyte(tmp_path):
+    # a verdict on 64 x 64 states fits in 1 GiB: one n^2 x n^2 matrix per
+    # party would take 1.5 GiB, and its MemoryError, escaping main, would
+    # exit 1, the Inequivalent code
+    import resource
+
+    base = random_density((2,) * 6, 314)
+    image, _ = make_equivalent_pair(base, 414)
+    a = _state_file(tmp_path, "a.json", base)
+    b = _state_file(tmp_path, "b.json", image)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(statekit.__file__).resolve().parents[1])
+    # each BLAS thread reserves a buffer of its own within the limit
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-m", "statekit.cli", "check-mixed", a, b], env=env,
+                         preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == cli.EXIT_EQUIVALENT, run.stderr
+    assert json.loads(run.stdout)["outcome"] == "Equivalent"
 
 
 def test_corner_pair_exits_zero_with_kernel_ratio(tmp_path, capsys):
@@ -574,12 +614,17 @@ def _error_inputs(tmp_path) -> dict:
     singular = FactorSet((np.ones((2, 2), dtype=complex), np.eye(2, dtype=complex)))
     nan_witness = cli.witness_object(FactorSet((np.eye(2, dtype=complex),) * 2))
     nan_witness["scale"] = [float("nan"), 0.0]
+    short_witness = cli.witness_object(FactorSet((np.eye(2, dtype=complex),) * 2))
+    short_witness["factors"].pop()
     product = np.kron(random_complex(rng, 2, 2), random_complex(rng, 2, 2))
     return {
         "p3": _state_file(tmp_path, "p3.json", pure3),
         "p2": _state_file(tmp_path, "p2.json", pure2),
         "m": _state_file(tmp_path, "m.json", MixedState(SystemShape((2, 2)), rho)),
         "wsing": _write(tmp_path, "wsing.json", cli.witness_object(singular)),
+        "wshort": _write(tmp_path, "wshort.json", short_witness),
+        "w3": _write(tmp_path, "w3.json",
+                     cli.witness_object(FactorSet((np.eye(2, dtype=complex),) * 3))),
         "k": _write(tmp_path, "k.json", {
             "version": 1, "type": "matrix", "dims": [2, 2],
             "data": [[z.real, z.imag] for z in product.reshape(-1)],
@@ -645,13 +690,18 @@ def _write_nan_state(tmp_path, name, obj) -> str:
      cli.EXIT_USAGE),
     (["gen", "--random", "mixed", "--dims", ",".join(["2"] * 64), "--out", "{out}"],
      cli.EXIT_USAGE),
+    (["verify", "{m}", "{m}", "{wshort}"], cli.EXIT_DATA),
+    (["verify", "{m}", "{m}", "{w3}"], cli.EXIT_DATA),
+    (["gen", "--example", "1", "--params", "zeta=1", "--out", "{out}"], cli.EXIT_USAGE),
+    (["gen", "--example", "1", "--params", "a=x", "--out", "{out}"], cli.EXIT_USAGE),
 ], ids=["gen-dims-1", "gen-dims-a", "factor-dims-x", "shape-mismatch",
         "singular-witness", "nan-state", "gen-negative-seed",
         "check-mixed-negative-seed", "check-pure-seed", "nan-witness-scale", "not-utf8",
         "huge-integer-entry", "deep-nesting", "check-pure-of-mixed", "check-mixed-of-pure",
         "factor-64-parties", "realign-64-parties", "check-pure-64-parties",
         "check-mixed-64-parties", "gen-pure-25-qubits", "gen-mixed-13-qubits",
-        "gen-pure-64-parties", "gen-mixed-64-parties"])
+        "gen-pure-64-parties", "gen-mixed-64-parties", "witness-short-of-parties",
+        "witness-dims-mismatch", "gen-unknown-param", "gen-non-numeric-param"])
 def test_bad_input_exits_with_documented_code(tmp_path, argv, expected):
     paths = _error_inputs(tmp_path)
     args = [a.format(out=str(tmp_path / "gen"), **paths) for a in argv]

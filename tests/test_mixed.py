@@ -1,27 +1,22 @@
 """Tests for spectral preparation, filtering, the closed-form local unitaries
 and mixed verdicts."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statekit import mixed, oracle
-from statekit.factor import (NotDecomposable, canonicalize, decomposability, extract_factors,
-                             kron as kron_factors)
+from statekit.factor import canonicalize, decomposability, extract_factors, kron as kron_factors
 from statekit.linalg import (SystemShape, decisive_rank, kron_list, partial_trace_keep,
                              rank_mismatch)
 from statekit.mixed import (
     MixedState,
     NoNormalForm,
     _covariant_unitaries,
-    _eigenbasis_unitaries,
     _first_verdict,
     _kernel_ratio,
     _party_covariants,
-    _phase_fix_columns,
     _powers,
     _qubit_power,
     _sign_solutions,
@@ -99,32 +94,6 @@ def test_spectral_prep_reconstructs_and_clusters():
     assert np.allclose(data.eigvals, [0.4, 0.4, 0.2, 0.0], atol=1e-15)
     q, w = data.eigvecs, data.eigvals
     assert np.allclose(q @ np.diag(w) @ q.conj().T, rho)
-
-
-def _phase_fix_loop(v):
-    """The column gauge one column at a time, as a reference."""
-    v = np.array(v, dtype=complex)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        piv = col[int(np.argmax(np.abs(col)))]
-        if abs(piv) > 0.0:
-            v[:, j] = col * (abs(piv) / piv)
-    return v
-
-
-def test_phase_fix_matches_the_column_loop_bit_for_bit():
-    rng = np.random.default_rng(21)
-    for trial in range(400):
-        rows, cols = rng.integers(1, 17, size=2)
-        v = random_complex(rng, rows, cols)
-        if trial % 3 == 0:
-            v *= 10.0 ** rng.uniform(-300, 300, size=(rows, cols))
-        if trial % 4 == 0:
-            v = v.real.astype(complex)
-        # zero columns, one of negative zeros, keep their bits
-        v[:, rng.integers(cols)] = 0.0
-        v[:, rng.integers(cols)] = complex(-0.0, -0.0)
-        assert _phase_fix_columns(v).tobytes() == _phase_fix_loop(v).tobytes()
 
 
 def test_kernel_ratio_of_the_matched_corner_pair_is_a_quarter():
@@ -634,19 +603,19 @@ def _werner33(p: float) -> MixedState:
 
 
 @pytest.mark.parametrize("p", [0.2, 0.35])
-def test_werner_images_end_with_no_connector(p):
+def test_werner_images_are_certified_by_the_aligner(p):
     # a Werner state is its own normal form, and its U (x) U symmetry makes
     # every covariant a multiple of I and its spectrum degenerate, so no
-    # closed-form solver fixes a local unitary: the pair is refused, never
-    # separated
+    # closed-form solver fixes a local unitary; the aligner finds one from
+    # the identity
     rho = _werner33(p)
     assert checked_mixed(rho, rho).outcome == "Equivalent"
     for seed in range(3):
         image, _ = make_equivalent_pair(rho, seed)
         for pair in ((rho, image), (image, rho)):
             verdict = checked_mixed(*pair)
-            assert verdict.outcome == "Inconclusive"
-            assert verdict.reason == "no decomposable connector found"
+            assert verdict.outcome == "Equivalent", (seed, verdict.reason)
+            assert verdict.reason == "connector composed through filtered frames"
 
 
 def test_rank_mismatch_is_inequivalent():
@@ -681,9 +650,9 @@ def test_swapping_arguments_never_contradicts():
 
 
 def test_search_count_per_verdict(monkeypatch):
-    # no verdict searches: the module holds no search, and a verdict draws
-    # no random number, so every reference pair below is decided in closed
-    # form with the reason given
+    # no verdict draws a random number: the module holds no seeded search,
+    # and every reference pair below is decided in closed form with the
+    # reason given
     for name in ("gauge_search", "cluster_pairings", "GaugeResult", "N_STARTS"):
         assert not hasattr(mixed, name)
     filtered = "connector composed through filtered frames"
@@ -954,10 +923,10 @@ def _twirled(g, group):
 def test_ghz_diagonal_pairs_are_certified_over_the_eigenbases(dims):
     # a state diagonal in the GHZ basis commutes with Z (x) Z on every
     # neighbouring pair and with X on every party, so every one-copy
-    # covariant is a multiple of I and no covariant fixes a basis; its
-    # spectrum is not degenerate, so the phases of its eigenvectors are
-    # solved on the torus. A real state under orthogonal maps keeps the
-    # frames real, where GF(2) finds one solution per symmetry
+    # covariant is a multiple of I and no covariant fixes a basis. The
+    # aligner finds the local unitary from its start near the identity or,
+    # where that start stalls in a local minimum, from the same start with
+    # the two normal forms swapped
     x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
     k = len(dims)
     generators = [kron_list([z if p in (q, q + 1) else np.eye(2) for p in range(k)])
@@ -984,38 +953,130 @@ def test_ghz_diagonal_pairs_are_certified_over_the_eigenbases(dims):
             assert verdict.reason == "connector composed through filtered frames"
 
 
-def test_eigenbasis_candidates_that_do_not_split_are_skipped(monkeypatch):
-    # GHZ-diagonal (2,2,2) states are their own normal forms. With the
-    # weights permuted non-locally, two have equal spectra and no covariant
-    # fixes a basis, so the eigenbasis route proposes a U that maps one
-    # spectrum onto the other but does not split into local factors
-    w = np.array([0.3, 0.2, 0.15, 0.12, 0.1, 0.07, 0.04, 0.02])
+def _ghz_basis() -> np.ndarray:
+    """The (2,2,2) GHZ basis as rows: |0x> + |1x'> and |0x> - |1x'> for each
+    x, with x' = x with bits flipped."""
     ghz = np.zeros((8, 8))
-    for x in range(4):  # rows |0x> + |1x'> and |0x> - |1x'>, x' = x with bits flipped
+    for x in range(4):
         ghz[2 * x, [x, x ^ 7]] = 1.0
         ghz[2 * x + 1, [x, x ^ 7]] = 1.0, -1.0
-    ghz /= np.sqrt(2.0)
-    refused = []
-    inner = mixed.extract_factors
+    return ghz / np.sqrt(2.0)
 
-    def spy(a, dims):
-        try:
-            return inner(a, dims)
-        except NotDecomposable:
-            refused.append(dims)
-            raise
 
-    monkeypatch.setattr(mixed, "extract_factors", spy)
+def test_eigenbasis_candidates_that_do_not_split_are_skipped():
+    # GHZ-diagonal (2,2,2) states are their own normal forms. With the
+    # weights permuted non-locally, two have equal spectra and no covariant
+    # fixes a basis, and no start of the aligner reaches a local unitary
+    # that the oracle passes
+    w = np.array([0.3, 0.2, 0.15, 0.12, 0.1, 0.07, 0.04, 0.02])
+    ghz = _ghz_basis()
     base = MixedState(THREE_QUBITS, (ghz.T * w) @ ghz + 0j)
     rng = np.random.default_rng(1590)
     for _ in range(3):
         other = MixedState(THREE_QUBITS, (ghz.T * w[rng.permutation(8)]) @ ghz + 0j)
         for first, second in ((base, other), (other, base)):
-            refused.clear()
             verdict = checked_mixed(first, second)
             assert verdict.outcome == "Inconclusive"
             assert verdict.reason == "no decomposable connector found"
-            assert refused == [(2, 2, 2)]
+
+
+def test_repeated_weight_ghz_diagonal_pairs_are_certified_by_the_aligner():
+    # a repeated weight leaves the filtered spectrum degenerate, as well as
+    # every covariant a multiple of I
+    w = np.array([0.3, 0.2, 0.15, 0.1, 0.1, 0.07, 0.06, 0.02])
+    ghz = _ghz_basis()
+    base = MixedState(THREE_QUBITS, (ghz.T * w) @ ghz + 0j)
+    for s in range(6):
+        other, _ = make_equivalent_pair(base, s)
+        for first, second in ((base, other), (other, base)):
+            verdict = checked_mixed(first, second)
+            assert verdict.outcome == "Equivalent", (s, verdict.reason)
+
+
+def test_ghz_diagonal_pairs_related_by_a_local_clifford_are_certified():
+    # these local maps permute the GHZ basis, so the two states commute and
+    # the identity is a stationary point of the alignment, which the
+    # aligner's own starts sit just off
+    w = np.array([0.3, 0.2, 0.15, 0.12, 0.1, 0.07, 0.04, 0.02])
+    ghz = _ghz_basis()
+    base = MixedState(THREE_QUBITS, (ghz.T * w) @ ghz + 0j)
+    x, eye = np.array([[0, 1], [1, 0]]), np.eye(2)
+    for factors in ([np.diag([1, -1j]), x @ np.diag([1j, 1]), eye], [x, eye, eye]):
+        u = kron_list(factors)
+        other = MixedState(THREE_QUBITS, u @ base.rho @ u.conj().T)
+        assert np.linalg.norm(base.rho @ other.rho - other.rho @ base.rho) <= 1e-15
+        assert np.linalg.norm(base.rho - other.rho) > 0.1
+        for first, second in ((base, other), (other, base)):
+            verdict = checked_mixed(first, second)
+            assert verdict.outcome == "Equivalent", verdict.reason
+
+
+def test_aligner_polishes_a_proposal_the_oracle_refuses(monkeypatch):
+    # each proposal of the covariant solve is moved off by exp(i 1e-3 H_k)
+    # on every party, far outside the oracle's tolerance
+    dims = (2, 2, 3)
+    rng = np.random.default_rng(1600)
+    inner_solve, inner_align = mixed._covariant_unitaries, mixed._align
+    proposals, starts, refused = [], [], []
+
+    def nudged(f1, f2, dims):
+        out = []
+        for factors in inner_solve(f1, f2, dims):
+            kicked = []
+            for u in factors:
+                h = random_complex(rng, len(u), len(u))
+                w, q = np.linalg.eigh(h + h.conj().T)
+                kicked.append(u @ (q * np.exp(1e-3j * w)) @ q.conj().T)
+            out.append(kicked)
+        proposals.extend(out)
+        return out
+
+    def spied_align(f1, f2, dims, start=None):
+        starts.append(start)
+        return inner_align(f1, f2, dims, start)
+
+    def spied_verdict(rho1, rho2, candidates, dims):
+        verdict = _first_verdict(rho1, rho2, candidates, dims)
+        refused.append(verdict is None)
+        return verdict
+
+    monkeypatch.setattr(mixed, "_covariant_unitaries", nudged)
+    monkeypatch.setattr(mixed, "_align", spied_align)
+    monkeypatch.setattr(mixed, "_first_verdict", spied_verdict)
+    base = random_density(dims, 1601)
+    other, _ = make_equivalent_pair(base, 1602)
+    verdict = checked_mixed(base, other)
+    assert verdict.outcome == "Equivalent", verdict.reason
+    # the nudged proposal is refused, and its polish, the first start, passes
+    assert refused == [True, False]
+    assert len(starts) == 1 and starts[0] is proposals[0]
+
+
+def test_aligner_work_is_bounded_by_its_starts(monkeypatch):
+    # a refused pair runs every start to the step cap at most: one per
+    # proposal, the identity, and the identity with the forms swapped
+    w = np.array([0.3, 0.2, 0.15, 0.12, 0.1, 0.07, 0.04, 0.02])
+    ghz = _ghz_basis()
+    base = MixedState(THREE_QUBITS, (ghz.T * w) @ ghz + 0j)
+    other = MixedState(THREE_QUBITS, (ghz.T * w[[3, 0, 6, 1, 7, 2, 5, 4]]) @ ghz + 0j)
+    calls, proposals = [], []
+    inner_lstsq, inner_solve = np.linalg.lstsq, mixed._covariant_unitaries
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner_lstsq(*args, **kwargs)
+
+    def spied(*args):
+        out = inner_solve(*args)
+        proposals.append(len(out or []))
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(mixed, "_covariant_unitaries", spied)
+    verdict = checked_mixed(base, other)
+    assert verdict.outcome == "Inconclusive"
+    assert len(proposals) == 1
+    assert 0 < len(calls) <= (proposals[0] + 2) * mixed.ALIGN_STEPS
 
 
 def test_torus_phases_satisfy_every_row_of_a_consistent_system():
@@ -1042,58 +1103,6 @@ def test_torus_phases_stop_once_every_variable_has_a_unit_pivot():
     # a later row that disagrees with them is left to the oracle
     got = _torus_phases(np.array([[1, 0], [0, 1], [1, 1]]), np.array([0.1, 0.2, 0.5]))
     assert np.array_equal(got, [0.1, 0.2])
-
-
-def _eigenbasis_equations(p1, p2, top):
-    """The phase equations _eigenbasis_unitaries solves, written as a loop:
-    entries of the Gram stacks above COVARIANT_GAP of top in decreasing
-    magnitude, the first of each pair of index sets {i, j'} and {j, i'},
-    and of those the rows that do not cancel. Also the number of entries
-    dropped as repeats."""
-    n = math.isqrt(p1.shape[1])
-    m1 = np.abs(p1)
-    entries = list(zip(*np.nonzero(np.triu(m1 > mixed.COVARIANT_GAP * top, 1))))
-    entries.sort(key=lambda e: -m1[e])
-    seen, rows, kept = set(), [], []
-    for k, a, b in entries:
-        (i, j), (i2, j2) = divmod(a, n), divmod(b, n)
-        key = (tuple(sorted((i, j2))), tuple(sorted((j, i2))))
-        if key in seen:
-            continue
-        seen.add(key)
-        row = np.zeros(n, dtype=int)
-        np.add.at(row, [i, j2], 1)
-        np.add.at(row, [j, i2], -1)
-        if row[1:].any():
-            rows.append(row[1:])
-            kept.append((k, a, b))
-    k, a, b = np.array(kept).T
-    return np.array(rows), p1[k, a, b] * p2[k, a, b].conj(), len(entries) - len(seen)
-
-
-def test_eigenbasis_solve_keeps_each_equation_once_at_its_largest_entry(monkeypatch):
-    # forced eigenbasis solves between random (2,2,2) normal forms and
-    # their local unitary images: a repeated equation at a smaller entry
-    # would replace the leading one's phase in the torus solve
-    dims = (2, 2, 2)
-    rng = np.random.default_rng(1570)
-    seen = []
-    inner = mixed._phase_vectors
-
-    def spy(rows, ratio, frames, top):
-        seen.append((rows, ratio, _eigenbasis_equations(*frames, top)))
-        return inner(rows, ratio, frames, top)
-
-    monkeypatch.setattr(mixed, "_phase_vectors", spy)
-    for s in range(3):
-        f1 = normal_form(random_density(dims, 1580 + s).rho, dims)[0]
-        f2 = _local_unitary_image(f1, dims, rng)
-        assert _eigenbasis_unitaries(spectral_prep(f1), spectral_prep(f2), dims) is not None
-    assert len(seen) == 3
-    for rows, ratio, (want_rows, want_ratio, repeats) in seen:
-        assert repeats > 0
-        assert np.array_equal(rows, want_rows)
-        assert np.array_equal(ratio, want_ratio)
 
 
 def test_sign_solutions_are_every_solution_over_gf2():
