@@ -27,8 +27,7 @@ _EXPORTS = {
         "decomposability", "extract_factors",
     ),
     "mixed": (
-        "MixedState", "SpectralData", "spectral_prep", "NoNormalForm", "normal_form",
-        "check_mixed_equivalence",
+        "MixedState", "NoNormalForm", "normal_form", "check_mixed_equivalence",
     ),
     "pure": (
         "PureState", "RankSignature", "coefficient_matrix", "rank_signature",

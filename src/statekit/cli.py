@@ -10,8 +10,11 @@ line of standard error).
 
 Usage, I/O and format errors are reported before numpy is imported, so they
 return at once: each subcommand imports numpy and the statekit modules it
-runs only after its arguments and input files have passed every check plain
-Python can make, and --dims is checked before any file is read.
+runs only after its arguments and input files have passed those checks, and
+--dims is checked before any file is read. The data refusals that the state
+and witness types make wait for numpy: a density matrix's trace,
+Hermiticity and positivity, a pure state's norm, and a singular witness
+factor.
 """
 
 from __future__ import annotations

@@ -109,24 +109,6 @@ class MixedState:
         object.__setattr__(self, "rho", rho)
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigendecomposition with support bookkeeping. The eigenvectors are
-    eigh_desc's, in LAPACK's column phases."""
-
-    eigvecs: np.ndarray
-    eigvals: np.ndarray
-    support_rank: int
-
-
-def spectral_prep(rho: np.ndarray) -> SpectralData:
-    """Eigendecomposition sorted nonincreasing, eigenvalues clipped at zero,
-    with support rank by numerical_rank over the side."""
-    q, w = eigh_desc(rho)
-    w = np.clip(w, 0.0, None)
-    return SpectralData(q, w, numerical_rank(w, w.size))
-
-
 def _negativity_cost(factors: Sequence[np.ndarray]) -> float:
     """Distance of canonical factors (canonicalize) from entrywise
     nonnegativity; used to pick the canonical representative among certified
@@ -577,13 +559,13 @@ def _kernel_ratio(factors: Sequence[np.ndarray], rho1: np.ndarray, rho2: np.ndar
     n = math.prod(dims)
     if dims[0] != 2 or n < 4:
         return None
-    s1, s2 = spectral_prep(rho1), spectral_prep(rho2)
-    if not s1.support_rank == s2.support_rank == n - 1:
+    (q1, w1), (q2, w2) = eigh_desc(rho1), eigh_desc(rho2)
+    if not numerical_rank(w1, n) == numerical_rank(w2, n) == n - 1:
         return None
-    pi = np.argmax(np.abs(s1.eigvecs.conj().T @ kron_list(factors) @ s2.eigvecs), axis=1)
+    pi = np.argmax(np.abs(q1.conj().T @ kron_list(factors) @ q2), axis=1)
     if np.unique(pi).size != n or pi[-1] != n - 1:
         return None
-    top, low = np.split(np.sqrt(s1.eigvals[:-1] / s2.eigvals[pi[:-1]]), [n // 2])
+    top, low = np.split(np.sqrt(w1[:-1] / w2[pi[:-1]]), [n // 2])
     ref = int(np.argmax(top[:-1]))
     ratio = float(low[ref] / top[ref])
     if np.max(np.abs(low - ratio * top[:-1])) > 1e-6 * max(1.0, float(np.max(low))):
@@ -652,8 +634,10 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     reduced mismatch (rank_mismatch) is Inequivalent at once; a global one
     only when either state has no normal form or their better-conditioned
     normal forms mismatch too. Equivalent only with an independently
-    verified witness. Filtered spectra that differ end the verdict
-    Inconclusive: this is the one invariant screen on the normal forms.
+    verified witness. Each normal form's eigenvalues are taken once, and
+    they serve that recheck and the filtered-spectra screen: spectra that
+    differ end the verdict Inconclusive, the one invariant screen on the
+    normal forms.
     Otherwise the local unitary between the normal forms is proposed in
     closed form (_two_qubit_unitaries, else _covariant_unitaries, which
     gives none without a covariant gap) and composed with the filters. When
@@ -679,6 +663,7 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
         raise ValueError("states have different shapes")
     r1, r2 = rho1.rho, rho2.rho
     dims = rho1.shape.dims
+    n = math.prod(dims)
     reds = [[partial_trace_keep(r, dims, p) for p in range(1, len(dims) + 1)] for r in (r1, r2)]
     ranks = [[decisive_rank(red) for red in side] for side in reds]
 
@@ -698,8 +683,12 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
         (f1t, filt1), (f2t, filt2) = normal_form(r1, dims), normal_form(r2, dims)
     except NoNormalForm as exc:
         cause = str(exc)
+    else:
+        # each normal form's spectrum, nonincreasing and clipped at 0: the
+        # global-rank recheck, the support ranks and the spectra screen read it
+        w1, w2 = (np.clip(np.linalg.eigvalsh(f)[::-1], 0.0, None) for f in (f1t, f2t))
     if mismatch is not None and (cause is not None or rank_mismatch(
-            decisive_rank(f1t), decisive_rank(f2t)) is not None):
+            _decisive(w1), _decisive(w2)) is not None):
         return Verdict("Inequivalent", None,
                        "global rank mismatch ({} vs {})".format(*mismatch), ())
 
@@ -728,9 +717,8 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
             verdict = _first_verdict(
                 rho1, rho2, composed([[np.eye(d, dtype=complex) for d in dims]]), dims)
         else:
-            t1, t2 = spectral_prep(f1t), spectral_prep(f2t)
-            if (t1.support_rank != t2.support_rank
-                    or float(np.max(np.abs(t1.eigvals - t2.eigvals))) > COVARIANT_MATCH):
+            if (numerical_rank(w1, n) != numerical_rank(w2, n)
+                    or float(np.max(np.abs(w1 - w2))) > COVARIANT_MATCH):
                 return Verdict("Inconclusive", None, "filtered spectra mismatch", ())
             proposals = ([_two_qubit_unitaries(f1t, f2t)] if dims == (2, 2)
                          else _covariant_unitaries(f1t, f2t, dims) or [])
@@ -753,7 +741,6 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     # the same cutoff, so the raw states are eigendecomposed only when it
     # can report. It reads only the pairing, which the witness's scale
     # leaves alone
-    n = math.prod(dims)
     if not all(numerical_rank(s, n) == n - 1 for s in svals):
         return verdict
     return replace(verdict, kernel_ratio=_kernel_ratio(verdict.witness.factors, r1, r2, dims))

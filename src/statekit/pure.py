@@ -28,7 +28,7 @@ import numpy as np
 
 from . import oracle
 from .factor import canonicalize
-from .linalg import (SystemShape, _decisive, decisive_rank, kron_list, lift_supports,
+from .linalg import (RankReport, SystemShape, _decisive, kron_list, lift_supports,
                      local_supports, numerical_rank, rank_mismatch, rank_report)
 from .oracle import Verdict
 
@@ -97,18 +97,25 @@ def coefficient_matrix(psi: PureState, cut: Optional[Sequence[int]] = None) -> n
     return psi.amplitudes.reshape(dims).transpose(axes).reshape(m, -1)
 
 
+def _cut_reports(psi: PureState) -> dict[tuple[int, ...], RankReport]:
+    """The rank_report of the coefficient matrix over each cut of psi's rank
+    signature, keyed as rank_signature keys it: one SVD per cut, which the
+    numerical rank and its decisive decision both read."""
+    k = psi.shape.nparties
+    sizes = range(1, k // 2 + 1) if k <= 6 else (1,)
+    cuts = [cut for size in sizes for cut in itertools.combinations(range(1, k + 1), size)
+            if 2 * size < k or cut[0] == 1]
+    return {cut: rank_report(coefficient_matrix(psi, cut)) for cut in cuts}
+
+
 def rank_signature(psi: PureState) -> RankSignature:
     """Ranks of the coefficient matrices over every single-party cut and,
     for up to six parties, over all cuts up to complementation. Each cut is
     keyed by its smaller side, or by the side holding party 1 when both
     sides are the same size. One party has no bipartition, so its signature
     is empty."""
-    k = psi.shape.nparties
-    sizes = range(1, k // 2 + 1) if k <= 6 else (1,)
-    cuts = [cut for size in sizes for cut in itertools.combinations(range(1, k + 1), size)
-            if 2 * size < k or cut[0] == 1]
-    return RankSignature(
-        k, {cut: rank_report(coefficient_matrix(psi, cut)).numerical_rank for cut in cuts})
+    return RankSignature(psi.shape.nparties, {
+        cut: rep.numerical_rank for cut, rep in _cut_reports(psi).items()})
 
 
 def _borderline(cut: tuple[int, ...], r1: int, r2: int) -> Verdict:
@@ -277,15 +284,15 @@ def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
     if k == 2:
         return check_bipartite(phi, psi)
 
-    sig1 = rank_signature(phi)
-    sig2 = rank_signature(psi)
+    reps1, reps2 = _cut_reports(phi), _cut_reports(psi)
     borderline = None
-    for cut in sig1.entries:
-        r1, r2 = sig1.entries[cut], sig2.entries[cut]
+    for cut, rep1 in reps1.items():
+        rep2 = reps2[cut]
+        r1, r2 = rep1.numerical_rank, rep2.numerical_rank
         if r1 == r2:
             continue
-        if rank_mismatch(decisive_rank(coefficient_matrix(phi, cut)),
-                         decisive_rank(coefficient_matrix(psi, cut))) is not None:
+        if rank_mismatch(_decisive(rep1.singular_values),
+                         _decisive(rep2.singular_values)) is not None:
             return Verdict(
                 "Inequivalent", None,
                 f"rank signature differs on cut {cut} ({r1} vs {r2})", (),
@@ -296,7 +303,7 @@ def check_pure_equivalence(phi: PureState, psi: PureState) -> Verdict:
 
     # compress to the supports of the single-party cuts; a rank-1 party
     # drops out, and one party alone is rank 1 with nothing kept
-    ranks = tuple(sig1.rank((p,)) for p in range(1, k + 1)) if k > 1 else (1,)
+    ranks = tuple(reps1[(p,)].numerical_rank for p in range(1, k + 1)) if k > 1 else (1,)
     if any(r < d for r, d in zip(ranks, dims)):
         return _compressed_verdict(phi, psi, ranks)
 

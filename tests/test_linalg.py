@@ -25,7 +25,6 @@ from statekit.linalg import (
     unvec,
     vec,
 )
-from statekit.mixed import spectral_prep
 from util import naive_kron, random_complex
 
 DIMS = st.sampled_from([2, 3, 4])
@@ -185,7 +184,7 @@ def test_every_rank_decision_reads_numerical_rank(spectrum):
     rank = numerical_rank(np.linalg.svd(h, compute_uv=False), 4)
     assert rank == sum(x > 1e-9 for x in spectrum)
     assert rank_report(h).numerical_rank == rank
-    assert spectral_prep(h).support_rank == rank
+    assert numerical_rank(eigh_desc(h)[1], 4) == rank
     assert decomposability(h, (2, 2)).invertible == (rank == 4)
 
 

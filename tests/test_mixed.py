@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from statekit import mixed, oracle
 from statekit.factor import canonicalize, decomposability, extract_factors, kron as kron_factors
-from statekit.linalg import (SystemShape, decisive_rank, kron_list, partial_trace_keep,
-                             rank_mismatch)
+from statekit.linalg import (SystemShape, decisive_rank, eigh_desc, kron_list, numerical_rank,
+                             partial_trace_keep, rank_mismatch)
 from statekit.mixed import (
     MixedState,
     NoNormalForm,
@@ -24,7 +24,6 @@ from statekit.mixed import (
     _two_qubit_unitaries,
     check_mixed_equivalence,
     normal_form,
-    spectral_prep,
 )
 from statekit.oracle import FixtureParams, fixtures, make_equivalent_pair, random_ilo
 from util import GHZ3, W3, checked_mixed, random_complex, random_density, w_image
@@ -70,10 +69,10 @@ def test_spectral_prep_full_corner_spectrum():
     state, _ = fixtures(2, FixtureParams(a=a, b=b, c=c, alpha=0.9, beta=0.8, gamma=0.6))
     k = 2 + a + b + c + 1 / a + 1 / b + 1 / c
     expected = np.array([1 / c, 1 / b, 1 / a, 2.0, a, b, c, 0.0]) / k
-    data = spectral_prep(state.rho)
-    assert np.allclose(data.eigvals, expected, atol=1e-12)
-    assert data.support_rank == 7
-    assert np.all(np.diff(data.eigvals) <= 0)
+    w = eigh_desc(state.rho)[1]
+    assert np.allclose(w, expected, atol=1e-12)
+    assert numerical_rank(w, w.size) == 7
+    assert np.all(np.diff(w) <= 0)
 
 
 def test_spectral_prep_half_corner_spectrum():
@@ -81,18 +80,17 @@ def test_spectral_prep_half_corner_spectrum():
     state, _ = fixtures(3, FixtureParams(a=a, b=b, c=c))
     k = 2 + a + b + c + 1 / a + 1 / b + 1 / c
     expected = np.array([1 / c, 1 / b, 1 / a, 1.5, a, b, c, 0.5]) / k
-    data = spectral_prep(state.rho)
-    assert np.allclose(data.eigvals, expected, atol=1e-12)
-    assert data.support_rank == 8
+    w = eigh_desc(state.rho)[1]
+    assert np.allclose(w, expected, atol=1e-12)
+    assert numerical_rank(w, w.size) == 8
 
 
 def test_spectral_prep_reconstructs_and_clusters():
     rho = np.diag([0.4, 0.4, 0.2, 0.0]).astype(complex)
-    data = spectral_prep(rho)
-    assert data.support_rank == 3
+    q, w = eigh_desc(rho)
+    assert numerical_rank(w, w.size) == 3
     # the degenerate pair leads, the kernel trails
-    assert np.allclose(data.eigvals, [0.4, 0.4, 0.2, 0.0], atol=1e-15)
-    q, w = data.eigvecs, data.eigvals
+    assert np.allclose(w, [0.4, 0.4, 0.2, 0.0], atol=1e-15)
     assert np.allclose(q @ np.diag(w) @ q.conj().T, rho)
 
 
@@ -151,24 +149,31 @@ def test_kernel_ratio_needs_proportional_rows():
 def test_full_rank_verdict_eigendecomposes_only_the_normal_forms(monkeypatch):
     # the kernel ratio needs both support ranks n - 1, and the rank screen's
     # singular values already rule that out for full-rank states, so the
-    # raw states are never eigendecomposed: only the two normal forms are
+    # raw states are never eigendecomposed: only the two normal forms are,
+    # each once and for its eigenvalues alone
     dims = (2, 2, 2)
     base = random_density(dims, 1340)
     other, _ = make_equivalent_pair(base, 1341)
     forms = [normal_form(state.rho, dims)[0] for state in (base, other)]
-    seen = []
-    inner = mixed.spectral_prep
+    seen, full = [], []
+    inner_values, inner_full = np.linalg.eigvalsh, np.linalg.eigh
 
-    def spy(rho):
-        seen.append(rho)
-        return inner(rho)
+    def spy_values(a, *args, **kwargs):
+        seen.append(a)
+        return inner_values(a, *args, **kwargs)
 
-    monkeypatch.setattr(mixed, "spectral_prep", spy)
+    def spy_full(a, *args, **kwargs):
+        full.append(np.shape(a))
+        return inner_full(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy_values)
+    monkeypatch.setattr(np.linalg, "eigh", spy_full)
     verdict = checked_mixed(base, other)
     assert verdict.outcome == "Equivalent" and verdict.kernel_ratio is None
     assert len(seen) == 2
-    for rho, form in zip(seen, forms):
-        assert np.array_equal(rho, form)
+    for a, form in zip(seen, forms):
+        assert np.array_equal(a, form)
+    assert all(shape[-2:] != (8, 8) for shape in full)
 
 
 def test_first_verdict_leaves_an_ill_conditioned_connector_to_the_oracle():
@@ -511,8 +516,8 @@ def test_raw_support_mismatch_with_converging_filter_is_equivalent():
     image = a @ base.rho @ a.conj().T
     image = (image + image.conj().T) / (2.0 * np.trace(image).real)
     other = MixedState(TWO_QUBITS, image)
-    assert spectral_prep(base.rho).support_rank == 4
-    assert spectral_prep(other.rho).support_rank == 3
+    assert numerical_rank(eigh_desc(base.rho)[1], 4) == 4
+    assert numerical_rank(eigh_desc(other.rho)[1], 4) == 3
     verdict = checked_mixed(base, other)
     assert verdict.outcome == "Equivalent", verdict.reason
 

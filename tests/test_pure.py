@@ -141,6 +141,24 @@ def test_biseparable_pair_signatures_differ():
     assert "rank signature" in verdict.reason
 
 
+def test_mismatched_cut_is_decided_from_its_one_svd(monkeypatch):
+    # each signature cut of each state is decomposed once, and a mismatched
+    # cut's decisive ranks are read from those singular values
+    phi, psi = fixtures(4)
+    calls = []
+    inner = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(a)
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    verdict = check_pure_equivalence(phi, psi)
+    assert verdict.outcome == "Inequivalent"
+    assert verdict.reason == "rank signature differs on cut (1,) (1 vs 2)"
+    assert len(calls) == 6
+
+
 def test_identical_states_shortcut():
     verdict = checked_pure(GHZ3, GHZ3)
     assert verdict.outcome == "Equivalent"
@@ -162,7 +180,7 @@ def test_two_party_pairs_are_screened_by_schmidt_rank_alone(monkeypatch):
     def refuse(psi):
         raise AssertionError("a two-party pair needs no rank signature")
 
-    monkeypatch.setattr(pure, "rank_signature", refuse)
+    monkeypatch.setattr(pure, "_cut_reports", refuse)
     verdict = checked_pure(product, bell)
     assert verdict.outcome == "Inequivalent"
     assert verdict.reason == "Schmidt ranks differ (1 vs 2)"
