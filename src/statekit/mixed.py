@@ -10,11 +10,14 @@ number.
 
 Filtering brings both states to the local form whose single-party reduced
 matrices are all maximally mixed (Verstraete, Dehaene and De Moor, PRA 68,
-012103), over-relaxed over two parties and in closed form for qubits. The
-filters act on a square-root factor G of the state, rho = G G^dag, so each
-step takes one product for the reduced matrix and one for the filter. A
-normal form counts only once the accumulated filters, applied to the input
-rather than to G, reproduce it (normal_form). States equivalent under
+012103). The filters act on a square-root factor G of the state,
+rho = G G^dag. One sweep of local filters, in closed form for qubits, is
+followed by Newton steps on all the filters at once (Allen-Zhu, Garg, Li,
+Oliveira and Wigderson, STOC 2018), which converge quadratically, also near
+pure states where sweeps crawl; where they give up, the sweeps go on,
+over-relaxed over two parties. A normal form counts only once the
+accumulated filters, applied to the input rather than to G, reproduce it
+(normal_form). States equivalent under
 invertible local maps have filtered forms related by a local unitary
 U = (x)U_k, with equal spectra (a mismatch ends the verdict). One-copy covariants, reduced matrices
 of powers of the filtered state, are conjugated by U party by party (the
@@ -35,6 +38,7 @@ connector's pairing of the raw eigenbases fixes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -48,7 +52,6 @@ from .linalg import (
     SystemShape,
     _decisive,
     as_dims,
-    decisive_rank,
     eigh_desc,
     kron_list,
     lift_supports,
@@ -64,6 +67,8 @@ from .oracle import Verdict
 FILTER_SWEEPS = 20000
 FILTER_TOL = 1e-12
 FILTER_SOFT_TOL = 1e-9
+# Newton solves after the first sweep before the sweeps take over again.
+NEWTON_STEPS = 8
 # The least eigenvalue of a normalized reduced matrix red / tr red that
 # filtering inverts; below it the state has no normal form.
 FILTER_FLOOR = 1e-14
@@ -158,6 +163,161 @@ def _relaxation(omega: float, rate: float) -> float:
     return 2.0 / (1.0 + math.sqrt(1.0 - mu2)) if mu2 < 1.0 else omega
 
 
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """The (d^2, d, d) stack of Hermitian matrices orthonormal under
+    Tr(a b): I / sqrt(d) first, then the generalized Gell-Mann matrices
+    (a symmetric and an antisymmetric one per pair of levels, then the
+    diagonal ones). For d = 2 these are I and the Pauli matrices over
+    sqrt(2)."""
+    out = [np.eye(d, dtype=complex) / math.sqrt(d)]
+    for j, k in itertools.combinations(range(d), 2):
+        sym, anti = np.zeros((2, d, d), dtype=complex)
+        sym[j, k] = sym[k, j] = 1.0 / math.sqrt(2.0)
+        anti[j, k], anti[k, j] = -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
+        out += [sym, anti]
+    for level in range(1, d):
+        diag = np.zeros(d)
+        diag[:level], diag[level] = 1.0, -level
+        out.append(np.diag(diag / math.sqrt(level * (level + 1))).astype(complex))
+    return np.array(out)
+
+
+@dataclass(frozen=True)
+class _NewtonLayout:
+    """What a Newton step (_newton_filter) reads that depends on dims alone.
+
+    C = Tr(r (x)l_{a_k}) over the products of each party's _hermitian_basis
+    is taken by one mode product per party (`modes`, each party's l_a^*
+    flattened) on r with each party's row and column axes side by side
+    (`interleave`). Every entry of [J | g] is then a weighted sum of C
+    entries (`gather`, `weights`), all short of the same factor
+    prod_k sqrt(d_k), which tr r = C[0] shares: g_(j,a) is C at l_a on
+    party j and I elsewhere over sqrt(d_j); J off the diagonal blocks is C
+    at l_a, l_b on parties j, l over sqrt(d_j d_l), and within party j
+    sum_c Re Tr(l_a l_b l_c) C at l_c over sqrt(d_j). `spread` sums g^2
+    party by party, times d_k^2."""
+
+    interleave: tuple[int, ...]
+    modes: tuple[np.ndarray, ...]
+    gather: np.ndarray
+    weights: np.ndarray
+    spread: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _newton_layout(dims: tuple[int, ...]) -> _NewtonLayout:
+    k = len(dims)
+    shape = [d * d for d in dims]
+    bases = [_hermitian_basis(d) for d in dims]
+    # (party, basis index) of each unknown: the traceless basis matrices
+    unknowns = [(j, a) for j, d in enumerate(dims) for a in range(1, d * d)]
+
+    def at(*pairs):
+        digits = [0] * k
+        for j, a in pairs:
+            digits[j] = a
+        return int(np.ravel_multi_index(digits, shape))
+
+    cells = []
+    for j, a in unknowns:
+        row = []
+        for l, b in unknowns:
+            if j != l:
+                row.append([(at((j, a), (l, b)), 1.0 / math.sqrt(dims[j] * dims[l]))])
+            else:
+                s = np.einsum("ij,jk,cki->c", bases[j][a], bases[j][b], bases[j]).real
+                row.append([(at((j, c)), s[c] / math.sqrt(dims[j]))
+                            for c in np.flatnonzero(np.abs(s) > 1e-12)])
+        row.append([(at((j, a)), 1.0 / math.sqrt(dims[j]))])
+        cells.append(row)
+    width = max(len(cell) for row in cells for cell in row)
+    gather = np.zeros((len(unknowns), len(unknowns) + 1, width), dtype=int)
+    weights = np.zeros(gather.shape)
+    for p, row in enumerate(cells):
+        for q, cell in enumerate(row):
+            for t, (index, weight) in enumerate(cell):
+                gather[p, q, t], weights[p, q, t] = index, weight
+    spread = np.zeros((len(unknowns), k))
+    for p, (j, _) in enumerate(unknowns):
+        spread[p, j] = dims[j] ** 2
+    return _NewtonLayout(
+        interleave=tuple(x for j in range(k) for x in (j, k + j)),
+        modes=tuple(b.conj().reshape(d * d, d * d) for b, d in zip(bases, dims)),
+        gather=gather[..., 0] if width == 1 else gather,
+        weights=weights[..., 0] if width == 1 else weights,
+        spread=spread)
+
+
+def _exp_half(x: np.ndarray, d: int) -> np.ndarray:
+    """exp(-X / 2) for X = sum_a x_a l_a over the traceless part of
+    _hermitian_basis(d). For d = 2, X / 2 = v . sigma with v = x / (2 sqrt
+    2), and exp(-v . sigma) = cosh|v| I - sinh|v| (v / |v|) . sigma (math
+    raises OverflowError past |v| = 710); otherwise it comes from the
+    eigendecomposition of X."""
+    if d == 2:
+        vx, vy, vz = (x / (2.0 * math.sqrt(2.0))).tolist()
+        t = math.hypot(vx, vy, vz)
+        c, s = math.cosh(t), (math.sinh(t) / t if t > 0.0 else 1.0)
+        vx, vy, vz = s * vx, s * vy, s * vz
+        return np.array([[c - vz, complex(-vx, vy)], [complex(-vx, -vy), c + vz]])
+    w, q = np.linalg.eigh(np.tensordot(x, _hermitian_basis(d)[1:], 1))
+    return (q * np.exp(-w / 2.0)) @ q.conj().T
+
+
+def _newton_filter(factor: np.ndarray, filters: Sequence[np.ndarray], dims: tuple[int, ...]):
+    """Newton steps toward the normal form from the factor G and filters
+    that normal_form's first sweep reached: (G, filters) once the deviation
+    is below FILTER_TOL, or None.
+
+    The filters to come are f_k = exp(-X_k / 2), X_k traceless Hermitian,
+    which minimize Tr(r (x)exp(X_k)) for r = G G^dag. That function is
+    convex in X (Kempf-Ness), and at its critical point every marginal of
+    (x)f_k r (x)f_k^dag is a multiple of I. In each party's
+    _hermitian_basis the gradient g holds Tr(l_a m_k), m_k the marginals of
+    r, and the Hessian is J_(j,a),(l,b) = Re Tr(r l_a^(j) l_b^(l)): the
+    two-party marginals off the diagonal blocks and (1/2) Tr({l_a, l_b}
+    m_j) on them, all read off one coefficient tensor (_NewtonLayout). A
+    step solves J x = g and applies f_k = exp(-X_k / 2) (_exp_half) to G
+    and to filters[k]; each f_k has determinant 1, so G is renormalized
+    only at the end. The deviation is max_k (d_k / tr r) ||g_k||, the
+    ||d m_k / tr - I|| that the sweeps read. The attempt gives up on a
+    singular J, on a non-finite iterate, and after NEWTON_STEPS solves: a
+    first step can overshoot, but convergence after it is quadratic.
+    """
+    layout = _newton_layout(dims)
+    n = factor.shape[0]
+    filters = list(filters)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(NEWTON_STEPS + 1):
+            r = factor @ factor.conj().T
+            c = r.reshape(dims + dims).transpose(layout.interleave)
+            for t in layout.modes:
+                c = c.reshape(len(t), -1).T @ t.T
+            c = c.reshape(-1).real
+            system = c[layout.gather] * layout.weights
+            if system.ndim == 3:
+                system = system.sum(-1)
+            g = system[:, -1]
+            dev = math.sqrt(float(np.max((g * g) @ layout.spread))) / c[0]
+            if not math.isfinite(dev) or step == NEWTON_STEPS:
+                return None
+            if dev < FILTER_TOL:
+                return factor / math.sqrt(np.vdot(factor, factor).real), filters
+            try:
+                x = np.linalg.solve(system[:, :-1], g)
+                lo = 0
+                for party, d in enumerate(dims):
+                    f = _exp_half(x[lo:lo + d * d - 1], d)
+                    lo += d * d - 1
+                    factor = factor.reshape(d, -1).T @ f.T
+                    filters[party] = f @ filters[party]
+            except (np.linalg.LinAlgError, OverflowError):
+                return None
+            factor = factor.reshape(-1, n).T
+    return None
+
+
 class NoNormalForm(ValueError):
     """Raised by normal_form for a state it brings to no certified normal
     form. Its one argument is the cause: singular_marginal, stalled,
@@ -191,6 +351,14 @@ def normal_form(rho: np.ndarray, shape):
     deviation halves omega's distance from 1. With three or more parties
     Young's relation does not hold, and over-relaxed sweeps can stall states
     near a pure one short of their normal form, so omega stays 1.
+
+    After the first sweep, unless it already reached FILTER_TOL, the
+    filtering tries Newton steps once (_newton_filter): they solve for all
+    the filters at once and stop at FILTER_TOL, most states within three to
+    five solves. When the attempt gives up (a singular Hessian, a
+    non-finite iterate, or NEWTON_STEPS solves, as for a state with no
+    normal form), the sweeps go on from the first sweep's iterate, with
+    everything below unchanged.
 
     Returns the filtered state and the per-party filters. FILTER_TOL is
     accepted at once, and a plateau between FILTER_TOL and FILTER_SOFT_TOL
@@ -231,7 +399,7 @@ def normal_form(rho: np.ndarray, shape):
     best = np.inf
     since_gain = 0
     omega, last, ratio = 1.0, np.inf, None
-    for _ in range(FILTER_SWEEPS):
+    for sweep in range(FILTER_SWEEPS):
         dev = 0.0
         power = -omega / 2.0
         for party, d in enumerate(dims):
@@ -257,6 +425,11 @@ def normal_form(rho: np.ndarray, shape):
         factor = factor / math.sqrt(np.vdot(factor, factor).real)
         if dev < FILTER_TOL:
             break
+        if sweep == 0:
+            newton = _newton_filter(factor, filters, dims)
+            if newton is not None:
+                factor, filters = newton
+                break
         if dev < 0.9 * best:
             best = dev
             since_gain = 0
@@ -290,28 +463,29 @@ def normal_form(rho: np.ndarray, shape):
 
 
 def _powers(f: np.ndarray) -> np.ndarray:
-    """The (3, n, n) stack of f, f^2 and f^3, taken once per state for
-    _party_covariants."""
+    """The stack of f, f^2 and f^3 on a new leading axis, taken once for
+    _party_covariants; f is one n x n matrix or a stack of them."""
     sq = f @ f
     return np.stack([f, sq, sq @ f])
 
 
 def _party_covariants(powers: np.ndarray, dims: Sequence[int], party: int) -> np.ndarray:
-    """The (4, d, d) stack Tr_rest of f^2, f^3, f E and f E^2 for `party`
-    (0-based), from `powers`, the stack of f, f^2 and f^3 (_powers), where
-    E = I_party (x) Tr_party(f^2) and rest is every other party. Each is
-    Hermitian, since a partial trace is cyclic in operators on the parties
-    it traces out.
+    """The (..., 4, d, d) stack Tr_rest of f^2, f^3, f E and f E^2 for
+    `party` (0-based), from `powers`, the stack of f, f^2 and f^3 (_powers)
+    of one state or of a stack of states, where E = I_party (x)
+    Tr_party(f^2) and rest is every other party. Each is Hermitian, since a
+    partial trace is cyclic in operators on the parties it traces out.
 
     The traces contract (before, d, after) views of the powers. f E and
     f E^2 are never formed: Tr_rest(f E^j) pairs f's rest indices with
     those of (Tr_party f^2)^j."""
     before, d, after = math.prod(dims[:party]), dims[party], math.prod(dims[party + 1:])
-    v = powers.reshape(3, before, d, after, before, d, after)
-    g = np.einsum("aicbie->acbe", v[1]).reshape(before * after, before * after)
-    e = np.stack([g, g @ g]).reshape(2, before, after, before, after)
-    return np.concatenate([np.einsum("xaicajc->xij", v[1:]),
-                           np.einsum("aicbje,xbeac->xij", v[0], e)])
+    lead = powers.shape[1:-2]
+    v = powers.reshape((3,) + lead + (before, d, after, before, d, after))
+    g = np.einsum("...aicbie->...acbe", v[1]).reshape(lead + (before * after,) * 2)
+    e = np.stack([g, g @ g]).reshape((2,) + lead + (before, after, before, after))
+    return np.concatenate([np.einsum("x...aicajc->...xij", v[1:]),
+                           np.einsum("...aicbje,x...beac->...xij", v[0], e)], axis=-3)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -396,6 +570,20 @@ def _phase_vectors(rows: np.ndarray, ratio: np.ndarray, frames, top: float) -> l
     return [np.where(s, -1.0, 1.0) for s in signs]
 
 
+@functools.lru_cache(maxsize=None)
+def _phase_layout(dims: tuple[int, ...]):
+    """What _covariant_unitaries' phase solve reads that depends on dims
+    alone: the indices (i, j) of the entries above the diagonal, the one-hot
+    rows and the bounds of each party's variables. The variables are
+    theta_k(1..d_k - 1), party by party; row (i, j) of a phase equation
+    holds +1 at i's digits and -1 at j's, which cancel where they agree."""
+    n = math.prod(dims)
+    digits = np.array(np.unravel_index(np.arange(n), dims)).T
+    onehot = np.concatenate(
+        [digits[:, [k]] == np.arange(1, d) for k, d in enumerate(dims)], axis=1).astype(int)
+    return (*np.triu_indices(n, 1), onehot, np.cumsum([0] + [d - 1 for d in dims]))
+
+
 def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
                          dims: Sequence[int]) -> Optional[list[list[np.ndarray]]]:
     """Candidates for the local unitaries U_k with (x)U_k f2 (x)U_k^dag = f1
@@ -416,33 +604,25 @@ def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
     always gives None.
     """
     bases = []
-    p1, p2 = _powers(f1), _powers(f2)
+    powers = _powers(np.stack([f1, f2]))
     for k in range(len(dims)):
-        c1, c2 = _party_covariants(p1, dims, k), _party_covariants(p2, dims, k)
-        w1, a = np.linalg.eigh(c1)
-        b = np.linalg.eigh(c2)[1]
-        scale = np.maximum(np.max(np.abs(w1), axis=1), 1e-300)
-        gap = np.min(np.diff(w1, axis=1), axis=1) / scale
+        w, vecs = np.linalg.eigh(_party_covariants(powers, dims, k))
+        scale = np.maximum(np.max(np.abs(w[0]), axis=1), 1e-300)
+        gap = np.min(np.diff(w[0], axis=1), axis=1) / scale
         x = int(np.argmax(gap))
         if gap[x] < COVARIANT_GAP:
             return None
-        bases.append((a[x], b[x]))
+        bases.append((vecs[0, x], vecs[1, x]))
     a = kron_list([p for p, _ in bases])
     b = kron_list([q for _, q in bases])
     g1 = a.conj().T @ f1 @ a
     g2 = b.conj().T @ f2 @ b
     m1 = np.abs(g1)
     top = float(m1.max())
-    i, j = np.triu_indices(len(g1), 1)
+    i, j, onehot, bounds = _phase_layout(tuple(dims))
     keep = m1[i, j] > COVARIANT_GAP * top
     order = np.argsort(-m1[i, j][keep], kind="stable")
     i, j = i[keep][order], j[keep][order]
-    # the variables are theta_k(1..d_k - 1), party by party; row (i, j)
-    # holds +1 at i's digits and -1 at j's, which cancel where they agree
-    digits = np.array(np.unravel_index(np.arange(len(g1)), dims)).T
-    onehot = np.concatenate(
-        [digits[:, [k]] == np.arange(1, d) for k, d in enumerate(dims)], axis=1).astype(int)
-    bounds = np.cumsum([0] + [d - 1 for d in dims])
     return [
         [(p * np.concatenate([[1.0], ph[lo:hi]])) @ q.conj().T
          for (p, q), lo, hi in zip(bases, bounds[:-1], bounds[1:])]
@@ -630,7 +810,8 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
 
     Both inputs are MixedStates, which refuse non-finite entries. The first
     step is the rank screen: invertible local maps keep the global rank and
-    every single-party reduced rank, each taken once by decisive_rank. A
+    every single-party reduced rank, each decided once by decisive_rank's
+    rule (_decisive), from one SVD of both states' matrices at a time. A
     reduced mismatch (rank_mismatch) is Inequivalent at once; a global one
     only when either state has no normal form or their better-conditioned
     normal forms mismatch too. Equivalent only with an independently
@@ -664,13 +845,17 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     r1, r2 = rho1.rho, rho2.rho
     dims = rho1.shape.dims
     n = math.prod(dims)
-    reds = [[partial_trace_keep(r, dims, p) for p in range(1, len(dims) + 1)] for r in (r1, r2)]
-    ranks = [[decisive_rank(red) for red in side] for side in reds]
+    # per party, both reduced matrices and their singular values at once
+    both = np.stack([r1, r2])
+    stacks = [partial_trace_keep(both, dims, p) for p in range(1, len(dims) + 1)]
+    reds = [[red[side] for red in stacks] for side in (0, 1)]
+    ranks = list(zip(*([_decisive(s) for s in np.linalg.svd(red, compute_uv=False)]
+                       for red in stacks)))
 
     # the rank screen: invertible local maps keep the global rank and every
     # reduced rank, and a global mismatch must hold on the normal forms too.
     # The global singular values also give _kernel_ratio's precondition
-    svals = [np.linalg.svd(r, compute_uv=False) for r in (r1, r2)]
+    svals = np.linalg.svd(both, compute_uv=False)
     mismatch = rank_mismatch(*map(_decisive, svals))
     if mismatch is None:
         for party, pair in enumerate(zip(*ranks), start=1):
