@@ -256,12 +256,12 @@ def _exp_half(x: np.ndarray, d: int) -> np.ndarray:
     raises OverflowError past |v| = 710); otherwise it comes from the
     eigendecomposition of X."""
     if d == 2:
-        vx, vy, vz = (x / (2.0 * math.sqrt(2.0))).tolist()
-        t = math.hypot(vx, vy, vz)
-        c, s = math.cosh(t), (math.sinh(t) / t if t > 0.0 else 1.0)
+        vx, vy, vz = x.tolist()
+        t = math.hypot(vx, vy, vz) / (2.0 * math.sqrt(2.0))
+        c, s = math.cosh(t), (math.sinh(t) / t if t > 0.0 else 1.0) / (2.0 * math.sqrt(2.0))
         vx, vy, vz = s * vx, s * vy, s * vz
         return np.array([[c - vz, complex(-vx, vy)], [complex(-vx, -vy), c + vz]])
-    w, q = np.linalg.eigh(np.tensordot(x, _hermitian_basis(d)[1:], 1))
+    w, q = np.linalg.eigh((x @ _hermitian_basis(d)[1:].reshape(len(x), -1)).reshape(d, d))
     return (q * np.exp(-w / 2.0)) @ q.conj().T
 
 
@@ -299,7 +299,7 @@ def _newton_filter(factor: np.ndarray, filters: Sequence[np.ndarray], dims: tupl
             if system.ndim == 3:
                 system = system.sum(-1)
             g = system[:, -1]
-            dev = math.sqrt(float(np.max((g * g) @ layout.spread))) / c[0]
+            dev = math.sqrt(float(((g * g) @ layout.spread).max())) / c[0]
             if not math.isfinite(dev) or step == NEWTON_STEPS:
                 return None
             if dev < FILTER_TOL:
