@@ -183,32 +183,22 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return np.array(out)
 
 
-@dataclass(frozen=True)
-class _NewtonLayout:
-    """What a Newton step (_newton_filter) reads that depends on dims alone.
+@functools.lru_cache(maxsize=None)
+def _newton_layout(dims: tuple[int, ...]):
+    """What a Newton step (_newton_filter) reads that depends on dims alone:
+    (interleave, modes, gather, weights, spread).
 
     C = Tr(r (x)l_{a_k}) over the products of each party's _hermitian_basis
     is taken by one mode product per party (`modes`, each party's l_a^*
     flattened) on r with each party's row and column axes side by side
     (`interleave`). Every entry of [J | g] is then a weighted sum of C
-    entries (`gather`, `weights`), all short of the same factor
-    prod_k sqrt(d_k), which tr r = C[0] shares: g_(j,a) is C at l_a on
-    party j and I elsewhere over sqrt(d_j); J off the diagonal blocks is C
-    at l_a, l_b on parties j, l over sqrt(d_j d_l), and within party j
-    sum_c Re Tr(l_a l_b l_c) C at l_c over sqrt(d_j). `spread` sums g^2
-    party by party, times d_k^2."""
-
-    interleave: tuple[int, ...]
-    modes: tuple[np.ndarray, ...]
-    gather: np.ndarray
-    weights: np.ndarray
-    spread: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _newton_layout(dims: tuple[int, ...]) -> _NewtonLayout:
+    entries (`gather`, `weights`, padded with zero weights), all short of
+    the same factor prod_k sqrt(d_k), which tr r = C[0] shares: g_(j,a) is C
+    at l_a on party j and I elsewhere over sqrt(d_j); J off the diagonal
+    blocks is C at l_a, l_b on parties j, l over sqrt(d_j d_l), and within
+    party j sum_c Re Tr(l_a l_b l_c) C at l_c over sqrt(d_j). `spread` sums
+    g^2 party by party, times d_k^2."""
     k = len(dims)
-    shape = [d * d for d in dims]
     bases = [_hermitian_basis(d) for d in dims]
     # (party, basis index) of each unknown: the traceless basis matrices
     unknowns = [(j, a) for j, d in enumerate(dims) for a in range(1, d * d)]
@@ -217,36 +207,22 @@ def _newton_layout(dims: tuple[int, ...]) -> _NewtonLayout:
         digits = [0] * k
         for j, a in pairs:
             digits[j] = a
-        return int(np.ravel_multi_index(digits, shape))
+        return int(np.ravel_multi_index(digits, [d * d for d in dims]))
 
-    cells = []
-    for j, a in unknowns:
-        row = []
-        for l, b in unknowns:
-            if j != l:
-                row.append([(at((j, a), (l, b)), 1.0 / math.sqrt(dims[j] * dims[l]))])
-            else:
-                s = np.einsum("ij,jk,cki->c", bases[j][a], bases[j][b], bases[j]).real
-                row.append([(at((j, c)), s[c] / math.sqrt(dims[j]))
-                            for c in np.flatnonzero(np.abs(s) > 1e-12)])
-        row.append([(at((j, a)), 1.0 / math.sqrt(dims[j]))])
-        cells.append(row)
+    def terms(j, a, l, b):
+        if j != l:
+            return [(at((j, a), (l, b)), 1.0 / math.sqrt(dims[j] * dims[l]))]
+        s = np.einsum("ij,jk,cki->c", bases[j][a], bases[j][b], bases[j]).real
+        return [(at((j, c)), s[c] / math.sqrt(dims[j])) for c in np.flatnonzero(np.abs(s) > 1e-12)]
+
+    cells = [[terms(j, a, l, b) for l, b in unknowns] + [[(at((j, a)), 1.0 / math.sqrt(dims[j]))]]
+             for j, a in unknowns]
     width = max(len(cell) for row in cells for cell in row)
-    gather = np.zeros((len(unknowns), len(unknowns) + 1, width), dtype=int)
-    weights = np.zeros(gather.shape)
-    for p, row in enumerate(cells):
-        for q, cell in enumerate(row):
-            for t, (index, weight) in enumerate(cell):
-                gather[p, q, t], weights[p, q, t] = index, weight
-    spread = np.zeros((len(unknowns), k))
-    for p, (j, _) in enumerate(unknowns):
-        spread[p, j] = dims[j] ** 2
-    return _NewtonLayout(
-        interleave=tuple(x for j in range(k) for x in (j, k + j)),
-        modes=tuple(b.conj().reshape(d * d, d * d) for b, d in zip(bases, dims)),
-        gather=gather[..., 0] if width == 1 else gather,
-        weights=weights[..., 0] if width == 1 else weights,
-        spread=spread)
+    padded = np.array([[cell + [(0, 0.0)] * (width - len(cell)) for cell in row] for row in cells])
+    return (tuple(x for j in range(k) for x in (j, k + j)),
+            tuple(b.conj().reshape(d * d, d * d) for b, d in zip(bases, dims)),
+            padded[..., 0].astype(int), padded[..., 1],
+            np.array([[dims[j] ** 2 * (j == l) for l in range(k)] for j, _ in unknowns], dtype=float))
 
 
 def _exp_half(x: np.ndarray, d: int) -> np.ndarray:
@@ -277,7 +253,7 @@ def _newton_filter(factor: np.ndarray, filters: Sequence[np.ndarray], dims: tupl
     _hermitian_basis the gradient g holds Tr(l_a m_k), m_k the marginals of
     r, and the Hessian is J_(j,a),(l,b) = Re Tr(r l_a^(j) l_b^(l)): the
     two-party marginals off the diagonal blocks and (1/2) Tr({l_a, l_b}
-    m_j) on them, all read off one coefficient tensor (_NewtonLayout). A
+    m_j) on them, all read off one coefficient tensor (_newton_layout). A
     step solves J x = g and applies f_k = exp(-X_k / 2) (_exp_half) to G
     and to filters[k]; each f_k has determinant 1, so G is renormalized
     only at the end. The deviation is max_k (d_k / tr r) ||g_k||, the
@@ -285,21 +261,19 @@ def _newton_filter(factor: np.ndarray, filters: Sequence[np.ndarray], dims: tupl
     singular J, on a non-finite iterate, and after NEWTON_STEPS solves: a
     first step can overshoot, but convergence after it is quadratic.
     """
-    layout = _newton_layout(dims)
+    interleave, modes, gather, weights, spread = _newton_layout(dims)
     n = factor.shape[0]
     filters = list(filters)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(NEWTON_STEPS + 1):
             r = factor @ factor.conj().T
-            c = r.reshape(dims + dims).transpose(layout.interleave)
-            for t in layout.modes:
+            c = r.reshape(dims + dims).transpose(interleave)
+            for t in modes:
                 c = c.reshape(len(t), -1).T @ t.T
             c = c.reshape(-1).real
-            system = c[layout.gather] * layout.weights
-            if system.ndim == 3:
-                system = system.sum(-1)
+            system = (c[gather] * weights).sum(-1)
             g = system[:, -1]
-            dev = math.sqrt(float(((g * g) @ layout.spread).max())) / c[0]
+            dev = math.sqrt(float(((g * g) @ spread).max())) / c[0]
             if not math.isfinite(dev) or step == NEWTON_STEPS:
                 return None
             if dev < FILTER_TOL:
