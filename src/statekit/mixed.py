@@ -190,7 +190,7 @@ def _newton_layout(dims: tuple[int, ...]):
 
     C = Tr(r (x)l_{a_k}) over the products of each party's _hermitian_basis
     is taken by one mode product per party (`modes`, each party's l_a^*
-    flattened) on r with each party's row and column axes side by side
+    flattened, transposed) on r with each party's row and column axes side by side
     (`interleave`). Every entry of [J | g] is then a weighted sum of C
     entries (`gather`, `weights`, padded with zero weights), all short of
     the same factor prod_k sqrt(d_k), which tr r = C[0] shares: g_(j,a) is C
@@ -199,30 +199,31 @@ def _newton_layout(dims: tuple[int, ...]):
     party j sum_c Re Tr(l_a l_b l_c) C at l_c over sqrt(d_j). `spread` sums
     g^2 party by party, times d_k^2."""
     k = len(dims)
-    bases = [_hermitian_basis(d) for d in dims]
-    # (party, basis index) of each unknown: the traceless basis matrices
-    unknowns = [(j, a) for j, d in enumerate(dims) for a in range(1, d * d)]
-
-    def at(*pairs):
-        digits = [0] * k
-        for j, a in pairs:
-            digits[j] = a
-        return int(np.ravel_multi_index(digits, [d * d for d in dims]))
-
-    def terms(j, a, l, b):
-        if j != l:
-            return [(at((j, a), (l, b)), 1.0 / math.sqrt(dims[j] * dims[l]))]
-        s = np.einsum("ij,jk,cki->c", bases[j][a], bases[j][b], bases[j]).real
-        return [(at((j, c)), s[c] / math.sqrt(dims[j])) for c in np.flatnonzero(np.abs(s) > 1e-12)]
-
-    cells = [[terms(j, a, l, b) for l, b in unknowns] + [[(at((j, a)), 1.0 / math.sqrt(dims[j]))]]
-             for j, a in unknowns]
-    width = max(len(cell) for row in cells for cell in row)
-    padded = np.array([[cell + [(0, 0.0)] * (width - len(cell)) for cell in row] for row in cells])
+    sizes = [d * d for d in dims]
+    strides = [math.prod(sizes[j + 1:]) for j in range(k)]
+    # party, and flat index of C at that party's l_a and I elsewhere, of each
+    # unknown: the traceless basis matrices
+    party = np.repeat(np.arange(k), [s - 1 for s in sizes])
+    index = np.concatenate([np.arange(1, s) * t for s, t in zip(sizes, strides)])
+    root = 1.0 / np.sqrt(np.array(dims, dtype=float)[party])
+    gather = np.zeros((len(party), len(party) + 1, max(sizes)), dtype=int)
+    weights = np.zeros(gather.shape)
+    gather[:, :-1, 0] = index[:, None] + index
+    weights[:, :-1, 0] = np.where(party[:, None] == party, 0.0, root[:, None] * root)
+    gather[:, -1, 0], weights[:, -1, 0] = index, root
+    for j, (d, s, t) in enumerate(zip(dims, sizes, strides)):
+        b = _hermitian_basis(d)
+        block = np.ix_(party == j, party == j, np.arange(s))
+        gather[block] = np.arange(s) * t
+        weights[block] = np.einsum("aij,bjk,cki->abc", b[1:], b[1:], b).real / math.sqrt(d)
+    # Re Tr(l_a l_b l_c) is 0 up to rounding for most c (for qubits, all but
+    # c = 0): drop those terms, then the slots no entry uses
+    weights[np.abs(weights) < 1e-12] = 0.0
+    used = np.flatnonzero(np.any(weights != 0.0, axis=(0, 1)))
     return (tuple(x for j in range(k) for x in (j, k + j)),
-            tuple(b.conj().reshape(d * d, d * d) for b, d in zip(bases, dims)),
-            padded[..., 0].astype(int), padded[..., 1],
-            np.array([[dims[j] ** 2 * (j == l) for l in range(k)] for j, _ in unknowns], dtype=float))
+            tuple(_hermitian_basis(d).conj().reshape(s, s).T for d, s in zip(dims, sizes)),
+            gather[..., used], weights[..., used],
+            (party[:, None] == np.arange(k)) * np.array(sizes, dtype=float))
 
 
 def _exp_half(x: np.ndarray, d: int) -> np.ndarray:
@@ -269,7 +270,7 @@ def _newton_filter(factor: np.ndarray, filters: Sequence[np.ndarray], dims: tupl
             r = factor @ factor.conj().T
             c = r.reshape(dims + dims).transpose(interleave)
             for t in modes:
-                c = c.reshape(len(t), -1).T @ t.T
+                c = c.reshape(len(t), -1).T @ t
             c = c.reshape(-1).real
             system = (c[gather] * weights).sum(-1)
             g = system[:, -1]
