@@ -17,9 +17,9 @@ Oliveira and Wigderson, STOC 2018), which converge quadratically, also near
 pure states where sweeps crawl; where they give up, the sweeps go on,
 over-relaxed over two parties. A normal form counts only once the
 accumulated filters, applied to the input rather than to G, reproduce it
-(normal_form). States equivalent under
-invertible local maps have filtered forms related by a local unitary
-U = (x)U_k, with equal spectra (a mismatch ends the verdict). One-copy covariants, reduced matrices
+(normal_form). States equivalent under invertible local maps have filtered
+forms related by a local unitary U = (x)U_k, with equal spectra (a mismatch
+ends the verdict). One-copy covariants, reduced matrices
 of powers of the filtered state, are conjugated by U party by party (the
 mixed analogue of Kraus's local-unitary standard form, PRL 104, 020504).
 Their eigenbases fix U up to one diagonal phase per party, and those phases
@@ -190,9 +190,9 @@ def _newton_layout(dims: tuple[int, ...]):
 
     C = Tr(r (x)l_{a_k}) over the products of each party's _hermitian_basis
     is taken by one mode product per party (`modes`, each party's l_a^*
-    flattened, transposed) on r with each party's row and column axes side by side
-    (`interleave`). Every entry of [J | g] is then a weighted sum of C
-    entries (`gather`, `weights`, padded with zero weights), all short of
+    flattened, transposed) on r with each party's row and column axes side
+    by side (`interleave`). Every entry of [J | g] is then a weighted sum of
+    C entries (`gather`, `weights`, padded with zero weights), all short of
     the same factor prod_k sqrt(d_k), which tr r = C[0] shares: g_(j,a) is C
     at l_a on party j and I elsewhere over sqrt(d_j); J off the diagonal
     blocks is C at l_a, l_b on parties j, l over sqrt(d_j d_l), and within
@@ -233,9 +233,9 @@ def _exp_half(x: np.ndarray, d: int) -> np.ndarray:
     raises OverflowError past |v| = 710); otherwise it comes from the
     eigendecomposition of X."""
     if d == 2:
-        vx, vy, vz = x.tolist()
-        t = math.hypot(vx, vy, vz) / (2.0 * math.sqrt(2.0))
-        c, s = math.cosh(t), (math.sinh(t) / t if t > 0.0 else 1.0) / (2.0 * math.sqrt(2.0))
+        vx, vy, vz = (a / (2.0 * math.sqrt(2.0)) for a in x.tolist())
+        t = math.hypot(vx, vy, vz)
+        c, s = math.cosh(t), (math.sinh(t) / t if t > 0.0 else 1.0)
         vx, vy, vz = s * vx, s * vy, s * vz
         return np.array([[c - vz, complex(-vx, vy)], [complex(-vx, -vy), c + vz]])
     w, q = np.linalg.eigh((x @ _hermitian_basis(d)[1:].reshape(len(x), -1)).reshape(d, d))
@@ -566,7 +566,8 @@ def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
 
     U conjugates every covariant of party k by U_k, so f1's covariant with
     the widest relative eigengap (at least COVARIANT_GAP) and the same
-    covariant of f2 give eigenbases A_k, B_k with
+    covariant of f2 (both states' powers and covariants are taken as one
+    stack, and one eigh per party serves both) give eigenbases A_k, B_k with
     U_k = A_k diag(e^{i theta_k}) B_k^dag. In A = (x)A_k and B = (x)B_k,
     with g1 = A^dag f1 A and g2 = B^dag f2 B, each off-diagonal entry of
     g1 above COVARIANT_GAP of the largest gives
