@@ -68,7 +68,7 @@ FILTER_SWEEPS = 20000
 FILTER_TOL = 1e-12
 FILTER_SOFT_TOL = 1e-9
 # Newton solves after the first sweep before the sweeps take over again.
-NEWTON_STEPS = 8
+NEWTON_STEPS = 10
 # The least eigenvalue of a normalized reduced matrix red / tr red that
 # filtering inverts; below it the state has no normal form.
 FILTER_FLOOR = 1e-14
@@ -233,9 +233,9 @@ def _exp_half(x: np.ndarray, d: int) -> np.ndarray:
     raises OverflowError past |v| = 710); otherwise it comes from the
     eigendecomposition of X."""
     if d == 2:
-        vx, vy, vz = (a / (2.0 * math.sqrt(2.0)) for a in x.tolist())
-        t = math.hypot(vx, vy, vz)
-        c, s = math.cosh(t), (math.sinh(t) / t if t > 0.0 else 1.0)
+        vx, vy, vz = x.tolist()
+        t = math.hypot(vx, vy, vz) / (2.0 * math.sqrt(2.0))
+        c, s = math.cosh(t), (math.sinh(t) / t if t > 0.0 else 1.0) / (2.0 * math.sqrt(2.0))
         vx, vy, vz = s * vx, s * vy, s * vz
         return np.array([[c - vz, complex(-vx, vy)], [complex(-vx, -vy), c + vz]])
     w, q = np.linalg.eigh((x @ _hermitian_basis(d)[1:].reshape(len(x), -1)).reshape(d, d))
@@ -275,10 +275,12 @@ def _newton_filter(factor: np.ndarray, filters: Sequence[np.ndarray], dims: tupl
             system = (c[gather] * weights).sum(-1)
             g = system[:, -1]
             dev = math.sqrt(float(((g * g) @ spread).max())) / c[0]
-            if not math.isfinite(dev) or step == NEWTON_STEPS:
+            if not math.isfinite(dev):
                 return None
             if dev < FILTER_TOL:
                 return factor / math.sqrt(np.vdot(factor, factor).real), filters
+            if step == NEWTON_STEPS:
+                return None
             try:
                 x = np.linalg.solve(system[:, :-1], g)
                 lo = 0
