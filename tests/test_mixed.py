@@ -361,6 +361,18 @@ def _counted_steps(monkeypatch):
     return calls
 
 
+def _count_solves(monkeypatch, counter):
+    """Add one to counter[0] at every np.linalg.solve call: inside
+    normal_form, one per Newton step."""
+    inner = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        counter[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+
+
 def _refuse_newton(monkeypatch):
     """Make normal_form's Newton attempt give up at its first solve, as on a
     singular Hessian, so that the sweeps run on from the first sweep."""
@@ -730,13 +742,7 @@ FILTER_BUDGET = {(2, 2): 40, (2, 3): 74, (2, 2, 2): 51}
 @pytest.mark.parametrize("dims", sorted(FILTER_BUDGET), ids=lambda d: "x".join(map(str, d)))
 def test_work_counts_stay_within_budget(monkeypatch, dims):
     steps = _counted_steps(monkeypatch)
-    inner_solve = np.linalg.solve
-
-    def counted_solve(*args, **kwargs):
-        steps[0] += 1
-        return inner_solve(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    _count_solves(monkeypatch, steps)
     filtering = [0]
     inner = mixed.normal_form
 
@@ -842,22 +848,18 @@ def test_rank_two_qubit_pair_plus_little_identity_is_certified(monkeypatch):
 
 
 def _counted_solves(monkeypatch):
-    """Count the Newton solves (np.linalg.solve) inside normal_form."""
+    """The Newton solves of each normal_form call, appended as it ends."""
     solves, calls = [0], []
-    inner_solve, inner_form = np.linalg.solve, mixed.normal_form
-
-    def counted_solve(*args, **kwargs):
-        solves[0] += 1
-        return inner_solve(*args, **kwargs)
+    _count_solves(monkeypatch, solves)
+    inner = mixed.normal_form
 
     def counted_form(*args):
         before = solves[0]
         try:
-            return inner_form(*args)
+            return inner(*args)
         finally:
             calls.append(solves[0] - before)
 
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(mixed, "normal_form", counted_form)
     return calls
 
