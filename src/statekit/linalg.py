@@ -215,16 +215,13 @@ def lift_supports(splits: Sequence[tuple[np.ndarray, ...]],
 
 
 def partial_trace_keep(rho: np.ndarray, shape, party: int) -> np.ndarray:
-    """Reduced matrix of `party` (1-based): trace out all other parties.
-    Leading axes of rho, beyond its last two, index a stack of matrices and
-    are kept."""
+    """Reduced matrix of `party` (1-based): trace out all other parties."""
     dims = as_dims(shape)
     keep = party - 1
     before = math.prod(dims[:keep])
     after = math.prod(dims[keep + 1:])
-    rho = np.asarray(rho)
-    t = rho.reshape(rho.shape[:-2] + (before, dims[keep], after, before, dims[keep], after))
-    return np.einsum("...aibajb->...ij", t)
+    t = np.asarray(rho).reshape(before, dims[keep], after, before, dims[keep], after)
+    return np.einsum("aibajb->ij", t)
 
 
 def kron_list(mats: Sequence[np.ndarray]) -> np.ndarray:

@@ -14,12 +14,12 @@ matrices are all maximally mixed (Verstraete, Dehaene and De Moor, PRA 68,
 rho = G G^dag. One sweep of local filters, in closed form for qubits, is
 followed by Newton steps on all the filters at once (Allen-Zhu, Garg, Li,
 Oliveira and Wigderson, STOC 2018), which converge quadratically, also near
-pure states where sweeps crawl; where they give up, the sweeps go on,
-over-relaxed over two parties. A normal form counts only once the
-accumulated filters, applied to the input rather than to G, reproduce it
-(normal_form). States equivalent under invertible local maps have filtered
-forms related by a local unitary U = (x)U_k, with equal spectra (a mismatch
-ends the verdict). One-copy covariants, reduced matrices
+pure states where sweeps crawl; where they give up, or where the parties
+are too large for them to pay, the sweeps go on. A normal form counts only
+once the accumulated filters, applied to the input rather than to G,
+reproduce it (normal_form). States equivalent under invertible local maps
+have filtered forms related by a local unitary U = (x)U_k, with equal
+spectra (a mismatch ends the verdict). One-copy covariants, reduced matrices
 of powers of the filtered state, are conjugated by U party by party (the
 mixed analogue of Kraus's local-unitary standard form, PRL 104, 020504).
 Their eigenbases fix U up to one diagonal phase per party, and those phases
@@ -52,6 +52,7 @@ from .linalg import (
     SystemShape,
     _decisive,
     as_dims,
+    decisive_rank,
     eigh_desc,
     kron_list,
     lift_supports,
@@ -67,8 +68,12 @@ from .oracle import Verdict
 FILTER_SWEEPS = 20000
 FILTER_TOL = 1e-12
 FILTER_SOFT_TOL = 1e-9
-# Newton solves after the first sweep before the sweeps take over again.
-NEWTON_STEPS = 10
+# Newton solves after the first sweep before the sweeps take over again,
+# and the widest Hessian, sum_k (d_k^2 - 1) unknowns, for which normal_form
+# tries them. A sweep's cost grows with the state alone; the Newton layout's
+# memory grows as that width squared times d_k^2, and a solve as its cube.
+NEWTON_STEPS = 12
+NEWTON_WIDTH = 64
 # The least eigenvalue of a normalized reduced matrix red / tr red that
 # filtering inverts; below it the state has no normal form.
 FILTER_FLOOR = 1e-14
@@ -152,17 +157,6 @@ def _qubit_power(red: np.ndarray, p: float) -> tuple[Optional[np.ndarray], float
     return np.array([[alpha + beta * a, c], [c.conjugate(), alpha - beta * a]]), low, 1.0 + s
 
 
-def _relaxation(omega: float, rate: float) -> float:
-    """The over-relaxation factor for sweeps that contract the deviation by
-    `rate` at factor omega, or omega when rate implies none.
-
-    Over two blocks, the rate lambda at omega and the rate mu^2 at omega = 1
-    obey (lambda + omega - 1)^2 = lambda omega^2 mu^2 (Young), and
-    2 / (1 + sqrt(1 - mu^2)) is the factor of least rate."""
-    mu2 = (rate + omega - 1.0) ** 2 / (rate * omega * omega)
-    return 2.0 / (1.0 + math.sqrt(1.0 - mu2)) if mu2 < 1.0 else omega
-
-
 @functools.lru_cache(maxsize=None)
 def _hermitian_basis(d: int) -> np.ndarray:
     """The (d^2, d, d) stack of Hermitian matrices orthonormal under
@@ -186,13 +180,14 @@ def _hermitian_basis(d: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _newton_layout(dims: tuple[int, ...]):
     """What a Newton step (_newton_filter) reads that depends on dims alone:
-    (interleave, modes, gather, weights, spread).
+    (interleave, modes, entry, gather, weights, spread).
 
     C = Tr(r (x)l_{a_k}) over the products of each party's _hermitian_basis
     is taken by one mode product per party (`modes`, each party's l_a^*
     flattened, transposed) on r with each party's row and column axes side
     by side (`interleave`). Every entry of [J | g] is then a weighted sum of
-    C entries (`gather`, `weights`, padded with zero weights), all short of
+    C entries, one term per nonzero weight: the term at C[gather[i]] times
+    weights[i] adds to the flat entry entry[i]. All entries are short of
     the same factor prod_k sqrt(d_k), which tr r = C[0] shares: g_(j,a) is C
     at l_a on party j and I elsewhere over sqrt(d_j); J off the diagonal
     blocks is C at l_a, l_b on parties j, l over sqrt(d_j d_l), and within
@@ -215,14 +210,14 @@ def _newton_layout(dims: tuple[int, ...]):
         b = _hermitian_basis(d)
         block = np.ix_(party == j, party == j, np.arange(s))
         gather[block] = np.arange(s) * t
-        weights[block] = np.einsum("aij,bjk,cki->abc", b[1:], b[1:], b).real / math.sqrt(d)
+        weights[block] = np.einsum("aij,bjk,cki->abc", b[1:], b[1:], b,
+                                   optimize=True).real / math.sqrt(d)
     # Re Tr(l_a l_b l_c) is 0 up to rounding for most c (for qubits, all but
-    # c = 0): drop those terms, then the slots no entry uses
-    weights[np.abs(weights) < 1e-12] = 0.0
-    used = np.flatnonzero(np.any(weights != 0.0, axis=(0, 1)))
+    # c = 0): keep only the other terms
+    live = np.flatnonzero(np.abs(weights) >= 1e-12)
     return (tuple(x for j in range(k) for x in (j, k + j)),
             tuple(_hermitian_basis(d).conj().reshape(s, s).T for d, s in zip(dims, sizes)),
-            gather[..., used], weights[..., used],
+            live // gather.shape[-1], gather.ravel()[live], weights.ravel()[live],
             (party[:, None] == np.arange(k)) * np.array(sizes, dtype=float))
 
 
@@ -259,12 +254,16 @@ def _newton_filter(factor: np.ndarray, filters: Sequence[np.ndarray], dims: tupl
     and to filters[k]; each f_k has determinant 1, so G is renormalized
     only at the end. The deviation is max_k (d_k / tr r) ||g_k||, the
     ||d m_k / tr - I|| that the sweeps read. The attempt gives up on a
-    singular J, on a non-finite iterate, and after NEWTON_STEPS solves: a
-    first step can overshoot, but convergence after it is quadratic.
+    singular J, on a non-finite iterate, after two successive solves that
+    each keep more than 0.9 of the deviation, and after NEWTON_STEPS solves:
+    a first step can overshoot, but convergence after it is quadratic. Along
+    the unbounded direction of a state with no normal form, such as an image
+    of W, a solve keeps the deviation to six digits.
     """
-    interleave, modes, gather, weights, spread = _newton_layout(dims)
-    n = factor.shape[0]
+    interleave, modes, entry, gather, weights, spread = _newton_layout(dims)
+    n, u = factor.shape[0], len(spread)
     filters = list(filters)
+    devs = []
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(NEWTON_STEPS + 1):
             r = factor @ factor.conj().T
@@ -272,14 +271,16 @@ def _newton_filter(factor: np.ndarray, filters: Sequence[np.ndarray], dims: tupl
             for t in modes:
                 c = c.reshape(len(t), -1).T @ t
             c = c.reshape(-1).real
-            system = (c[gather] * weights).sum(-1)
+            system = np.bincount(entry, c[gather] * weights, u * (u + 1)).reshape(u, u + 1)
             g = system[:, -1]
             dev = math.sqrt(float(((g * g) @ spread).max())) / c[0]
             if not math.isfinite(dev):
                 return None
             if dev < FILTER_TOL:
                 return factor / math.sqrt(np.vdot(factor, factor).real), filters
-            if step == NEWTON_STEPS:
+            devs.append(dev)
+            if step == NEWTON_STEPS or (
+                    step >= 2 and devs[-1] > 0.9 * devs[-2] and devs[-2] > 0.9 * devs[-3]):
                 return None
             try:
                 x = np.linalg.solve(system[:, :-1], g)
@@ -308,7 +309,7 @@ def normal_form(rho: np.ndarray, shape):
     The filtering acts on a factor G with rho = G G^dag, not on rho: G is
     rho's Cholesky factor, or, where Cholesky refuses a singular rho, the
     eigenvectors of its positive eigenvalues scaled by their square roots.
-    Cyclically applies f = m^(-omega/2) on each party, with m = d red / tr
+    Cyclically applies f = m^(-1/2) on each party, with m = d red / tr
     red, and G -> (f (x) I) G. G is kept with the party being filtered on
     its leading axis: with x = G reshaped to (d, rest), red = x x^dag, and
     x^T f^T is the filtered G with that party moved behind the rest, so the
@@ -320,21 +321,13 @@ def normal_form(rho: np.ndarray, shape):
     of m as ||w - 1||, and G is renormalized to tr G G^dag = 1 once per
     sweep.
 
-    The over-relaxation factor omega comes from the iteration alone and
-    starts at 1, plain filtering. With two parties, once two successive
-    ratios of sweep deviations agree within 5% of the ratio's distance from
-    1, omega is set from the latest by _relaxation, which re-estimates it
-    from the accelerated ratios in turn. A sweep that more than doubles the
-    deviation halves omega's distance from 1. With three or more parties
-    Young's relation does not hold, and over-relaxed sweeps can stall states
-    near a pure one short of their normal form, so omega stays 1.
-
-    After the first sweep, unless it already reached FILTER_TOL, the
-    filtering tries Newton steps once (_newton_filter): they solve for all
-    the filters at once and stop at FILTER_TOL, most states within three to
-    five solves. When the attempt gives up (a singular Hessian, a
-    non-finite iterate, or NEWTON_STEPS solves, as for a state with no
-    normal form), the sweeps go on from the first sweep's iterate, with
+    After the first sweep, unless it already reached FILTER_TOL or the
+    Hessian would be wider than NEWTON_WIDTH, the filtering tries Newton
+    steps once (_newton_filter): they solve for all the filters at once and
+    stop at FILTER_TOL, most states within three to five solves. When the
+    attempt gives up (a singular Hessian, a non-finite iterate, two solves
+    without a 10% gain, as for a state with no normal form, or NEWTON_STEPS
+    solves), the sweeps go on from the first sweep's iterate, with
     everything below unchanged.
 
     Returns the filtered state and the per-party filters. FILTER_TOL is
@@ -375,15 +368,13 @@ def normal_form(rho: np.ndarray, shape):
     filters = [np.eye(d, dtype=complex) for d in dims]
     best = np.inf
     since_gain = 0
-    omega, last, ratio = 1.0, np.inf, None
     for sweep in range(FILTER_SWEEPS):
         dev = 0.0
-        power = -omega / 2.0
         for party, d in enumerate(dims):
             x = factor.reshape(d, -1)
             red = x @ x.conj().T
             if d == 2:
-                f, low, high = _qubit_power(red, power)
+                f, low, high = _qubit_power(red, -0.5)
                 if low < d * FILTER_FLOOR:  # low is the least eigenvalue of m
                     raise NoNormalForm("singular_marginal")
                 dev = max(dev, math.hypot(low - 1.0, high - 1.0))
@@ -393,7 +384,7 @@ def normal_form(rho: np.ndarray, shape):
                     raise NoNormalForm("singular_marginal")
                 e = w - 1.0
                 dev = max(dev, math.sqrt(e @ e))
-                f = (v * w ** power) @ v.conj().T
+                f = (v * w ** -0.5) @ v.conj().T
             # (f (x) I) G with the party moved behind the rest
             factor = x.T @ f.T
             filters[party] = f @ filters[party]
@@ -402,7 +393,7 @@ def normal_form(rho: np.ndarray, shape):
         factor = factor / math.sqrt(np.vdot(factor, factor).real)
         if dev < FILTER_TOL:
             break
-        if sweep == 0:
+        if sweep == 0 and sum(d * d - 1 for d in dims) <= NEWTON_WIDTH:
             newton = _newton_filter(factor, filters, dims)
             if newton is not None:
                 factor, filters = newton
@@ -416,13 +407,6 @@ def normal_form(rho: np.ndarray, shape):
                 if dev < FILTER_SOFT_TOL:
                     break
                 raise NoNormalForm("stalled")
-        rate = dev / last
-        if rate > 2.0:
-            omega, rate = 1.0 + (omega - 1.0) / 2.0, None
-        elif (len(dims) == 2 and rate < 1.0 and ratio is not None
-              and abs(rate - ratio) <= 0.05 * (1.0 - rate)):
-            omega = _relaxation(omega, rate)
-        last, ratio = dev, rate
     else:
         raise NoNormalForm("sweep_cap")
     r = factor @ factor.conj().T
@@ -788,8 +772,7 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
 
     Both inputs are MixedStates, which refuse non-finite entries. The first
     step is the rank screen: invertible local maps keep the global rank and
-    every single-party reduced rank, each decided once by decisive_rank's
-    rule (_decisive), from one SVD of both states' matrices at a time. A
+    every single-party reduced rank, each taken once by decisive_rank. A
     reduced mismatch (rank_mismatch) is Inequivalent at once; a global one
     only when either state has no normal form or their better-conditioned
     normal forms mismatch too. Equivalent only with an independently
@@ -823,17 +806,13 @@ def check_mixed_equivalence(rho1, rho2) -> Verdict:
     r1, r2 = rho1.rho, rho2.rho
     dims = rho1.shape.dims
     n = math.prod(dims)
-    # per party, both reduced matrices and their singular values at once
-    both = np.stack([r1, r2])
-    stacks = [partial_trace_keep(both, dims, p) for p in range(1, len(dims) + 1)]
-    reds = [[red[side] for red in stacks] for side in (0, 1)]
-    ranks = list(zip(*([_decisive(s) for s in np.linalg.svd(red, compute_uv=False)]
-                       for red in stacks)))
+    reds = [[partial_trace_keep(r, dims, p) for p in range(1, len(dims) + 1)] for r in (r1, r2)]
+    ranks = [[decisive_rank(red) for red in side] for side in reds]
 
     # the rank screen: invertible local maps keep the global rank and every
     # reduced rank, and a global mismatch must hold on the normal forms too.
     # The global singular values also give _kernel_ratio's precondition
-    svals = np.linalg.svd(both, compute_uv=False)
+    svals = [np.linalg.svd(r, compute_uv=False) for r in (r1, r2)]
     mismatch = rank_mismatch(*map(_decisive, svals))
     if mismatch is None:
         for party, pair in enumerate(zip(*ranks), start=1):
