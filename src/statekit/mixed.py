@@ -15,11 +15,12 @@ rho = G G^dag. One sweep of local filters, in closed form for qubits, is
 followed by Newton steps on all the filters at once (Allen-Zhu, Garg, Li,
 Oliveira and Wigderson, STOC 2018), which converge quadratically, also near
 pure states where sweeps crawl; where they give up, or where the parties
-are too large for them to pay, the sweeps go on. A normal form counts only
-once the accumulated filters, applied to the input rather than to G,
-reproduce it (normal_form). States equivalent under invertible local maps
-have filtered forms related by a local unitary U = (x)U_k, with equal
-spectra (a mismatch ends the verdict). One-copy covariants, reduced matrices
+are too large for them to pay, the sweeps go on, over-relaxed over two
+parties. A normal form counts only once the accumulated filters, applied to
+the input rather than to G, reproduce it (normal_form). States equivalent
+under invertible local maps have filtered forms related by a local unitary
+U = (x)U_k, with equal spectra (a mismatch ends the verdict). One-copy
+covariants, reduced matrices
 of powers of the filtered state, are conjugated by U party by party (the
 mixed analogue of Kraus's local-unitary standard form, PRL 104, 020504).
 Their eigenbases fix U up to one diagonal phase per party, and those phases
@@ -155,6 +156,17 @@ def _qubit_power(red: np.ndarray, p: float) -> tuple[Optional[np.ndarray], float
         alpha, beta = lp * (1.0 + e / 2.0), lp * e / (low * x)
     c = beta * b
     return np.array([[alpha + beta * a, c], [c.conjugate(), alpha - beta * a]]), low, 1.0 + s
+
+
+def _relaxation(omega: float, rate: float) -> float:
+    """The over-relaxation factor for sweeps that contract the deviation by
+    `rate` at factor omega, or omega when rate implies none.
+
+    Over two blocks, the rate lambda at omega and the rate mu^2 at omega = 1
+    obey (lambda + omega - 1)^2 = lambda omega^2 mu^2 (Young), and
+    2 / (1 + sqrt(1 - mu^2)) is the factor of least rate."""
+    mu2 = (rate + omega - 1.0) ** 2 / (rate * omega * omega)
+    return 2.0 / (1.0 + math.sqrt(1.0 - mu2)) if mu2 < 1.0 else omega
 
 
 @functools.lru_cache(maxsize=None)
@@ -309,7 +321,7 @@ def normal_form(rho: np.ndarray, shape):
     The filtering acts on a factor G with rho = G G^dag, not on rho: G is
     rho's Cholesky factor, or, where Cholesky refuses a singular rho, the
     eigenvectors of its positive eigenvalues scaled by their square roots.
-    Cyclically applies f = m^(-1/2) on each party, with m = d red / tr
+    Cyclically applies f = m^(-omega/2) on each party, with m = d red / tr
     red, and G -> (f (x) I) G. G is kept with the party being filtered on
     its leading axis: with x = G reshaped to (d, rest), red = x x^dag, and
     x^T f^T is the filtered G with that party moved behind the rest, so the
@@ -321,14 +333,22 @@ def normal_form(rho: np.ndarray, shape):
     of m as ||w - 1||, and G is renormalized to tr G G^dag = 1 once per
     sweep.
 
+    The over-relaxation factor omega comes from the iteration alone and
+    starts at 1, plain filtering. With two parties, once two successive
+    ratios of sweep deviations agree within 5% of the ratio's distance from
+    1, omega is set from the latest by _relaxation, which re-estimates it
+    from the accelerated ratios in turn. A sweep that more than doubles the
+    deviation halves omega's distance from 1. With three or more parties
+    Young's relation does not hold, and over-relaxed sweeps can stall states
+    near a pure one short of their normal form, so omega stays 1.
+
     After the first sweep, unless it already reached FILTER_TOL or the
     Hessian would be wider than NEWTON_WIDTH, the filtering tries Newton
     steps once (_newton_filter): they solve for all the filters at once and
     stop at FILTER_TOL, most states within three to five solves. When the
     attempt gives up (a singular Hessian, a non-finite iterate, two solves
     without a 10% gain, as for a state with no normal form, or NEWTON_STEPS
-    solves), the sweeps go on from the first sweep's iterate, with
-    everything below unchanged.
+    solves), the sweeps above go on from the first sweep's iterate.
 
     Returns the filtered state and the per-party filters. FILTER_TOL is
     accepted at once, and a plateau between FILTER_TOL and FILTER_SOFT_TOL
@@ -368,13 +388,15 @@ def normal_form(rho: np.ndarray, shape):
     filters = [np.eye(d, dtype=complex) for d in dims]
     best = np.inf
     since_gain = 0
+    omega, last, ratio = 1.0, np.inf, None
     for sweep in range(FILTER_SWEEPS):
         dev = 0.0
+        power = -omega / 2.0
         for party, d in enumerate(dims):
             x = factor.reshape(d, -1)
             red = x @ x.conj().T
             if d == 2:
-                f, low, high = _qubit_power(red, -0.5)
+                f, low, high = _qubit_power(red, power)
                 if low < d * FILTER_FLOOR:  # low is the least eigenvalue of m
                     raise NoNormalForm("singular_marginal")
                 dev = max(dev, math.hypot(low - 1.0, high - 1.0))
@@ -384,7 +406,7 @@ def normal_form(rho: np.ndarray, shape):
                     raise NoNormalForm("singular_marginal")
                 e = w - 1.0
                 dev = max(dev, math.sqrt(e @ e))
-                f = (v * w ** -0.5) @ v.conj().T
+                f = (v * w ** power) @ v.conj().T
             # (f (x) I) G with the party moved behind the rest
             factor = x.T @ f.T
             filters[party] = f @ filters[party]
@@ -407,6 +429,13 @@ def normal_form(rho: np.ndarray, shape):
                 if dev < FILTER_SOFT_TOL:
                     break
                 raise NoNormalForm("stalled")
+        rate = dev / last
+        if rate > 2.0:
+            omega, rate = 1.0 + (omega - 1.0) / 2.0, None
+        elif (len(dims) == 2 and rate < 1.0 and ratio is not None
+              and abs(rate - ratio) <= 0.05 * (1.0 - rate)):
+            omega = _relaxation(omega, rate)
+        last, ratio = dev, rate
     else:
         raise NoNormalForm("sweep_cap")
     r = factor @ factor.conj().T

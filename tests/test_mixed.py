@@ -255,10 +255,10 @@ def test_normal_form_fixed_point_of_balanced_state():
 
 
 def _normal_form_reference(rho, dims):
-    """normal_form's sweeps with the filter built through np.diag and
-    applied by tensordot over the party's row and column axes of the full
-    tensor, and the certificate formed through np.kron and
-    partial_trace_keep."""
+    """normal_form with the filter built through np.diag and applied by
+    tensordot over the party's row and column axes of the full tensor, the
+    same over-relaxation rule written out, and the certificate formed
+    through np.kron and partial_trace_keep."""
     k = len(dims)
     rho = np.asarray(rho, dtype=complex)
     rho = rho / np.trace(rho).real
@@ -266,6 +266,7 @@ def _normal_form_reference(rho, dims):
     filters = [np.eye(d, dtype=complex) for d in dims]
     best = np.inf
     since_gain = 0
+    omega, last, ratio = 1.0, np.inf, None
     for _ in range(mixed.FILTER_SWEEPS):
         dev = 0.0
         for party in range(k):
@@ -274,7 +275,7 @@ def _normal_form_reference(rho, dims):
             w, v = np.linalg.eigh(red)
             if float(w.min()) < 1e-14:
                 return None
-            f = v @ np.diag((dims[party] * w) ** -0.5) @ v.conj().T
+            f = v @ np.diag((dims[party] * w) ** (-omega / 2.0)) @ v.conj().T
             t = r.reshape(dims + dims)
             t = np.moveaxis(np.tensordot(f, t, axes=(1, party)), 0, party)
             t = np.moveaxis(np.tensordot(t, f.conj(), axes=(k + party, 1)), -1, k + party)
@@ -292,6 +293,16 @@ def _normal_form_reference(rho, dims):
                 if dev < mixed.FILTER_SOFT_TOL:
                     break
                 return None
+        # Young: (rate + omega - 1)^2 = rate omega^2 mu^2 over two parties
+        rate = dev / last
+        if rate > 2.0:
+            omega, rate = 1.0 + (omega - 1.0) / 2.0, None
+        elif (k == 2 and rate < 1.0 and ratio is not None
+              and abs(rate - ratio) <= 0.05 * (1.0 - rate)):
+            mu2 = (rate + omega - 1.0) ** 2 / (rate * omega ** 2)
+            if mu2 < 1.0:
+                omega = 2.0 / (1.0 + np.sqrt(1.0 - mu2))
+        last, ratio = dev, rate
     else:
         return None
     big = filters[0]
@@ -388,7 +399,7 @@ def test_normal_form_runs_the_reference_sweeps(monkeypatch, dims):
     # with the Newton attempt refused, the closed-form qubit power, the
     # deviation read off the eigenvalues, the fixed reshape shapes and one
     # trace renormalization per sweep stop on the same sweep as the
-    # reference and agree with it
+    # reference and agree with it; two parties run over-relaxed
     _refuse_newton(monkeypatch)
     if dims == (2, 2):
         states = [_gram_plus_identity(2, 0.01)]
@@ -826,6 +837,18 @@ def test_wide_party_pairs_filter_by_sweeps_alone(monkeypatch, dims):
     assert calls == [0, 0]
     assert mixed._newton_layout.cache_info().misses == layouts
     assert elapsed < 5.0 and peak < 32 * 2 ** 20
+
+
+def test_wide_two_party_state_filters_over_relaxed(monkeypatch):
+    # a (8,9) Hessian would have 143 unknowns, past NEWTON_WIDTH, so this
+    # near-pure state runs the sweeps alone: plain ones took 217, and the
+    # over-relaxed ones take under half as many
+    rho = _near_pure((8, 9), 0, 1e-2).rho
+    solves = [0]
+    _count_solves(monkeypatch, solves)
+    steps = _counted_steps(monkeypatch)
+    normal_form(rho, (8, 9))
+    assert solves == [0] and steps[0] / 2 <= 217 / 2
 
 
 def _near_pure(dims, seed, eps):
