@@ -35,6 +35,12 @@ reduced matrices. The unitary, composed with the filters, is the verdict
 once the oracle passes it. A kernel ratio is read in one case only: a qubit
 first party whose two states each have a one-dimensional kernel, which the
 connector's pairing of the raw eigenbases fixes.
+
+The local-group arithmetic is written once: the generators of every party
+are its _hermitian_basis (for qubits, the Pauli matrices over sqrt(2)), a
+qubit exponential exp(a I + v . sigma) is taken in closed form (_exp_sigma,
+which the filter powers and the Newton steps share), and any other
+exponential of a Hermitian generator from its eigendecomposition (_expm).
 """
 
 from __future__ import annotations
@@ -90,8 +96,6 @@ COVARIANT_MATCH = 1e-8
 ALIGN_STEPS = 60
 ALIGN_TOL = 1e-12
 ALIGN_START = 1e-2
-# The Pauli matrices x, y and z.
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass(frozen=True)
@@ -132,30 +136,41 @@ def _qubit_power(red: np.ndarray, p: float) -> tuple[Optional[np.ndarray], float
     of positive trace, and low <= high the eigenvalues of m, in closed form;
     m^p is None unless low > 0.
 
-    m = I + N with N traceless, and s = ||N||_2 gives low, high = 1 -+ s and
-    m^p = alpha I + beta N: alpha is the mean of low^p and high^p and beta
-    their divided difference. Both are formed from low^p and expm1(p
-    log1p(2 s / low)), so a nearly degenerate pair divides nothing by its
-    gap, and at s = 0 beta is the derivative p low^(p - 1). The power is
-    Hermitian to the bit.
+    m = I + n . sigma for a real 3-vector n, s = |n| gives low, high =
+    1 -+ s, and m^p = exp(a I + v . sigma) (_exp_sigma) with
+    a = (p/2) log(low high) and v = (p/2) log1p(2 s / low) n / s. The
+    angle over s is formed from log1p, so a nearly degenerate pair divides
+    nothing by its gap, and at s = 0, v = 0. The power is Hermitian to the
+    bit.
     """
     (r00, r01), (_, r11) = red.tolist()
     t = (r00.real + r11.real) / 2.0
     a = (r00.real - r11.real) / (2.0 * t)
     b = r01 / t
     s = math.hypot(a, b.real, b.imag)
-    low = 1.0 - s
+    low, high = 1.0 - s, 1.0 + s
     if low <= 0.0:
-        return None, low, 1.0 + s
-    lp = low ** p
-    if s == 0.0:
-        alpha, beta = lp, p * lp / low
-    else:
-        x = 2.0 * s / low
-        e = math.expm1(p * math.log1p(x))
-        alpha, beta = lp * (1.0 + e / 2.0), lp * e / (low * x)
-    c = beta * b
-    return np.array([[alpha + beta * a, c], [c.conjugate(), alpha - beta * a]]), low, 1.0 + s
+        return None, low, high
+    k = p / 2.0 * math.log1p(2.0 * s / low) / s if s > 0.0 else 0.0
+    return _exp_sigma(p / 2.0 * math.log(low * high), k * b.real, -k * b.imag, k * a), low, high
+
+
+def _exp_sigma(a: float, vx: float, vy: float, vz: float) -> np.ndarray:
+    """exp(a I + v . sigma) = e^a (cosh|v| I + sinh|v| (v / |v|) . sigma)
+    for a real a and 3-vector v, in closed form; math raises OverflowError
+    past |v| = 710."""
+    t = math.hypot(vx, vy, vz)
+    e = math.exp(a)
+    c, s = e * math.cosh(t), e * (math.sinh(t) / t if t > 0.0 else 1.0)
+    return np.array([[c + s * vz, complex(s * vx, -s * vy)],
+                     [complex(s * vx, s * vy), c - s * vz]])
+
+
+def _expm(h: np.ndarray, c: complex) -> np.ndarray:
+    """exp(c h) for a Hermitian matrix h and a scalar c, from the
+    eigendecomposition of h."""
+    w, q = np.linalg.eigh(h)
+    return (q * np.exp(c * w)) @ q.conj().T
 
 
 def _relaxation(omega: float, rate: float) -> float:
@@ -235,18 +250,13 @@ def _newton_layout(dims: tuple[int, ...]):
 
 def _exp_half(x: np.ndarray, d: int) -> np.ndarray:
     """exp(-X / 2) for X = sum_a x_a l_a over the traceless part of
-    _hermitian_basis(d). For d = 2, X / 2 = v . sigma with v = x / (2 sqrt
-    2), and exp(-v . sigma) = cosh|v| I - sinh|v| (v / |v|) . sigma (math
-    raises OverflowError past |v| = 710); otherwise it comes from the
-    eigendecomposition of X."""
+    _hermitian_basis(d). For d = 2 the l_a are sigma / sqrt(2), so
+    -X / 2 = v . sigma with v = -x / sqrt(8), in closed form (_exp_sigma);
+    otherwise it comes from the eigendecomposition of X (_expm)."""
     if d == 2:
         vx, vy, vz = x.tolist()
-        t = math.hypot(vx, vy, vz) / (2.0 * math.sqrt(2.0))
-        c, s = math.cosh(t), (math.sinh(t) / t if t > 0.0 else 1.0) / (2.0 * math.sqrt(2.0))
-        vx, vy, vz = s * vx, s * vy, s * vz
-        return np.array([[c - vz, complex(-vx, vy)], [complex(-vx, -vy), c + vz]])
-    w, q = np.linalg.eigh((x @ _hermitian_basis(d)[1:].reshape(len(x), -1)).reshape(d, d))
-    return (q * np.exp(-w / 2.0)) @ q.conj().T
+        return _exp_sigma(0.0, -vx / 8 ** 0.5, -vy / 8 ** 0.5, -vz / 8 ** 0.5)
+    return _expm((x @ _hermitian_basis(d)[1:].reshape(len(x), -1)).reshape(d, d), -0.5)
 
 
 def _newton_filter(factor: np.ndarray, filters: Sequence[np.ndarray], dims: tuple[int, ...]):
@@ -371,13 +381,17 @@ def normal_form(rho: np.ndarray, shape):
     not positive).
 
     Raises ValueError, before any decomposition, when an entry of rho is
-    not finite.
+    not finite or its trace is not positive. The certificate fails on a
+    non-finite g or r.
     """
     dims = as_dims(shape)
     rho = np.asarray(rho, dtype=complex)
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix entries must be finite")
-    rho = rho / np.trace(rho).real
+    trace = np.trace(rho).real
+    if not trace > 0.0:
+        raise ValueError("density matrix trace must be positive")
+    rho = rho / trace
     n = math.prod(dims)
     try:
         factor = np.linalg.cholesky(rho)
@@ -442,12 +456,13 @@ def normal_form(rho: np.ndarray, shape):
     big = kron_list(filters)
     g = big @ rho @ big.conj().T
     g = g / np.trace(g).real
-    if float(np.linalg.norm(g - r)) > FILTER_SOFT_TOL * float(np.linalg.norm(r)):
+    # "not <=", so that a NaN fails the certificate
+    if not float(np.linalg.norm(g - r)) <= FILTER_SOFT_TOL * float(np.linalg.norm(r)):
         raise NoNormalForm("uncertified")
     g = (g + g.conj().T) / 2.0
     for party, d in enumerate(dims, start=1):
         red = partial_trace_keep(g, dims, party)
-        if float(np.linalg.norm(d * red - np.eye(d))) > FILTER_SOFT_TOL:
+        if not float(np.linalg.norm(d * red - np.eye(d))) <= FILTER_SOFT_TOL:
             raise NoNormalForm("uncertified")
     return g, filters
 
@@ -622,12 +637,6 @@ def _covariant_unitaries(f1: np.ndarray, f2: np.ndarray,
     ]
 
 
-def _expi(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for a Hermitian matrix h."""
-    w, q = np.linalg.eigh(h)
-    return (q * np.exp(1j * w)) @ q.conj().T
-
-
 def _align(f1: np.ndarray, f2: np.ndarray, dims: Sequence[int],
            start: Optional[Sequence[np.ndarray]] = None) -> list[np.ndarray]:
     """Local unitaries U_k, from `start`, that bring V = U f2 U^dag toward
@@ -635,30 +644,27 @@ def _align(f1: np.ndarray, f2: np.ndarray, dims: Sequence[int],
 
     A step solves i[H, V] = f1 - V in the least-squares sense over local
     Hermitian H = sum_k H_k, H_k acting on party k: a real problem of 2 n^2
-    equations in sum_k d_k^2 unknowns. It then sets U_k <- exp(i H_k) U_k.
-    The steps stop at a residual ||f1 - V|| of ALIGN_TOL relative to ||f1||,
-    or after ALIGN_STEPS; a step that raises the residual does not stop
-    them, since Gauss-Newton is not monotone far from a solution. The result
-    is a proposal, which the oracle judges.
+    equations in sum_k d_k^2 unknowns, the coefficients of H_k in party
+    k's _hermitian_basis, each basis matrix lifted to the whole system on
+    every call. It then sets U_k <- exp(i H_k) U_k (_expm). The steps stop
+    at a residual ||f1 - V|| of ALIGN_TOL relative to ||f1||, or after
+    ALIGN_STEPS; a step that raises the residual does not stop them, since
+    Gauss-Newton is not monotone far from a solution. The result is a
+    proposal, which the oracle judges.
 
-    With no start given, U_k starts at exp(i ALIGN_START T_k), T_k the sum
-    of party k's basis: just off the identity, which is a stationary point
-    whenever f1 and f2 commute (as GHZ-diagonal normal forms do), since
-    every step direction i[H, f2] is then orthogonal to f1 - f2.
+    With no start given, U_k starts at exp(i ALIGN_START sum_a l_a), the
+    sum over party k's _hermitian_basis: just off the identity, which is a
+    stationary point whenever f1 and f2 commute (as GHZ-diagonal normal
+    forms do), since every step direction i[H, f2] is then orthogonal to
+    f1 - f2.
     """
-    local = []  # per party, the d^2 Hermitian d x d matrices of a real basis
-    for d in dims:
-        es = np.zeros((d, d, d, d), dtype=complex)
-        for a, b in itertools.product(range(d), repeat=2):
-            es[a, b, a, b] = 1.0 if a <= b else 1j
-            es[a, b, b, a] = es[a, b, a, b].conjugate()
-        local.append(es.reshape(d * d, d, d))
+    bases = [_hermitian_basis(d) for d in dims]
     # each basis matrix lifted to the whole system
     lifted = np.concatenate([
         [np.kron(np.kron(np.eye(math.prod(dims[:k])), e), np.eye(math.prod(dims[k + 1:])))
-         for e in es] for k, es in enumerate(local)])
+         for e in basis] for k, basis in enumerate(bases)])
     bounds = np.cumsum([0] + [d * d for d in dims])
-    u = list(start) if start is not None else [_expi(ALIGN_START * es.sum(0)) for es in local]
+    u = list(start) if start is not None else [_expm(b.sum(0), 1j * ALIGN_START) for b in bases]
     tol = ALIGN_TOL * float(np.linalg.norm(f1))
     for _ in range(ALIGN_STEPS):
         big = kron_list(u)
@@ -669,17 +675,19 @@ def _align(f1: np.ndarray, f2: np.ndarray, dims: Sequence[int],
         c = 1j * (lifted @ v - v @ lifted)
         jac = np.concatenate([c.real, c.imag], axis=1).reshape(len(c), -1).T
         x = np.linalg.lstsq(jac, np.concatenate([r.real, r.imag]).ravel(), rcond=None)[0]
-        for k, es in enumerate(local):
-            u[k] = _expi(np.tensordot(x[bounds[k]:bounds[k + 1]], es, 1)) @ u[k]
+        for k, basis in enumerate(bases):
+            u[k] = _expm(np.tensordot(x[bounds[k]:bounds[k + 1]], basis, 1), 1j) @ u[k]
     return u
 
 
 def _su2_lift(o: np.ndarray) -> np.ndarray:
     """A unitary U, up to scale, with U^dag sigma_i U = sum_k o_ik sigma_k:
-    the null vector of sigma_i U - U (sum_k o_ik sigma_k) = 0."""
-    eye = np.eye(2)
+    the null vector of sigma_i U - U (sum_k o_ik sigma_k) = 0. The sigma_i
+    are taken as _hermitian_basis(2)[1:], the Pauli matrices over sqrt(2);
+    that common scale leaves the null vector alone."""
+    eye, sigma = np.eye(2), _hermitian_basis(2)[1:]
     m = np.concatenate([
-        np.kron(_PAULI[i], eye) - np.kron(eye, np.tensordot(o[i], _PAULI, 1).T)
+        np.kron(sigma[i], eye) - np.kron(eye, np.tensordot(o[i], sigma, 1).T)
         for i in range(3)
     ])
     return np.linalg.svd(m)[2][-1].conj().reshape(2, 2)
@@ -690,9 +698,12 @@ def _two_qubit_unitaries(f1: np.ndarray, f2: np.ndarray) -> list[np.ndarray]:
     two-qubit normal forms, read off their correlation tensors.
 
     U maps T_ij = Tr f (sigma_i (x) sigma_j) to O_A T O_B^T (Verstraete,
-    Dehaene and De Moor, PRA 64, 010101(R)). SVDs T1 = P1 S Q1^T and
-    T2 = P2 S Q2^T give O_A = P1 D_A P2^T and O_B = Q1 D_B Q2^T, with
-    D = diag(1, 1, +-1) chosen for determinant +1. Each rotation lifts to
+    Dehaene and De Moor, PRA 64, 010101(R)). T is read over
+    _hermitian_basis(2)[1:], the Pauli matrices over sqrt(2), so it is
+    defined up to a factor 2, which changes no rotation below. SVDs
+    T1 = P1 S Q1^T and T2 = P2 S Q2^T give O_A = P1 D_A P2^T and
+    O_B = Q1 D_B Q2^T, with D = diag(1, 1, +-1) chosen for determinant
+    +1. Each rotation lifts to
     SU(2) by _su2_lift. Nothing is compared here. A two-qubit normal form
     is a local-unitary image of a Bell-diagonal state, and two of those
     with equal spectra have correlation tensors related by a signed
@@ -701,8 +712,9 @@ def _two_qubit_unitaries(f1: np.ndarray, f2: np.ndarray) -> list[np.ndarray]:
     D_A != D_B only on a zero singular value, and the oracle refuses a U
     that does not map f2 onto f1.
     """
-    # T_ij = sum f[(a c), (b d)] sigma_i[b, a] sigma_j[d, c]
-    t1, t2 = (np.einsum("iba,jdc,acbd->ij", _PAULI, _PAULI, f.reshape(2, 2, 2, 2)).real
+    # T_ij = sum f[(a c), (b d)] sigma_i[b, a] sigma_j[d, c], over 2
+    sigma = _hermitian_basis(2)[1:]
+    t1, t2 = (np.einsum("iba,jdc,acbd->ij", sigma, sigma, f.reshape(2, 2, 2, 2)).real
               for f in (f1, f2))
     p1, _, q1 = np.linalg.svd(t1)
     p2, _, q2 = np.linalg.svd(t2)

@@ -17,7 +17,10 @@ from statekit.mixed import (
     MixedState,
     NoNormalForm,
     _covariant_unitaries,
+    _exp_half,
+    _exp_sigma,
     _first_verdict,
+    _hermitian_basis,
     _kernel_ratio,
     _party_covariants,
     _powers,
@@ -65,6 +68,25 @@ def test_non_finite_matrices_are_refused_before_any_decomposition(call, value):
     a[0, 1] = value
     with pytest.raises(ValueError, match="entries must be finite"):
         call(a, (2, 2))
+
+
+@pytest.mark.parametrize("rho", [np.zeros((4, 4)), np.diag([1.0, -1.0, 0.5, -0.5]), -np.eye(4)],
+                         ids=["zero", "traceless", "minus_identity"])
+def test_normal_form_refuses_a_trace_that_is_not_positive(rho):
+    # dividing by a zero trace makes every entry NaN, which no comparison of
+    # the certificate refuses; eigh need not converge on a traceless
+    # indefinite matrix; and -I over its trace is I/4
+    with pytest.raises(ValueError, match="trace must be positive") as caught:
+        normal_form(rho.astype(complex), (2, 2))
+    assert not isinstance(caught.value, NoNormalForm)
+
+
+def test_normal_form_certificate_fails_closed_on_nan(monkeypatch):
+    # every comparison with NaN is false, so the certificate must ask for
+    # the bound to hold rather than for it to be exceeded
+    monkeypatch.setattr(mixed, "kron_list", lambda mats: np.full((4, 4), np.nan))
+    with pytest.raises(NoNormalForm, match="^uncertified$"), np.errstate(invalid="ignore"):
+        normal_form(random_density((2, 2), 40).rho, (2, 2))
 
 
 def test_spectral_prep_full_corner_spectrum():
@@ -455,6 +477,81 @@ def test_qubit_power_matches_the_eigh_power(omega):
 def test_qubit_power_refuses_a_singular_marginal():
     f, low, high = _qubit_power(np.diag([1.0, 0.0]).astype(complex), -0.5)
     assert f is None and low == 0.0 and high == 2.0
+
+
+@pytest.mark.parametrize("p", [-0.5, -1.0])
+def test_qubit_power_stays_finite_as_the_least_eigenvalue_vanishes(p):
+    # low = 1 - s, so low below the spacing of doubles at 1 comes out 0 and
+    # the power None; above it, (low high)^(p/2) and the cosh of the angle
+    # stay finite for every over-relaxed power
+    u = np.linalg.qr(random_complex(np.random.default_rng(1610), 2, 2))[0]
+    reds = [red for eps in (1e-13, 1e-16, 1e-300)
+            for red in (np.diag([eps, 1.0]).astype(complex), (u * [eps, 1.0]) @ u.conj().T)]
+    with np.errstate(all="raise"):
+        for red in reds:
+            f, low, high = _qubit_power(red, p)
+            assert (f is None) == (low <= 0.0)
+            assert f is None or np.all(np.isfinite(f))
+    assert _qubit_power(np.diag([1e-13, 1.0]).astype(complex), p)[0] is not None
+    assert _qubit_power(np.diag([1e-300, 1.0]).astype(complex), p)[0] is None
+
+
+def _eigh_exp(h):
+    w, q = np.linalg.eigh(h)
+    return (q * np.exp(w)) @ q.conj().T
+
+
+def test_pauli_matrices_are_the_scaled_qubit_basis():
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    assert np.allclose(np.sqrt(2.0) * _hermitian_basis(2)[1:], sigma, rtol=0.0, atol=1e-15)
+
+
+def test_qubit_exponentials_match_the_eigh_exponential():
+    # _exp_half's qubit branch and _qubit_power share _exp_sigma,
+    # exp(a I + v . sigma)
+    sigma = np.sqrt(2.0) * _hermitian_basis(2)[1:]
+    rng = np.random.default_rng(1620)
+    xs = [rng.standard_normal(3) * scale for scale in (1e-8, 1.0, 10.0) for _ in range(4)]
+    for x in xs + [np.zeros(3)]:
+        h = np.tensordot(x, _hermitian_basis(2)[1:], 1)
+        want = _eigh_exp(-h / 2.0)
+        assert np.linalg.norm(_exp_half(x, 2) - want) <= 1e-13 * np.linalg.norm(want)
+        for a in (0.0, rng.standard_normal()):
+            want = _eigh_exp(a * np.eye(2) + np.tensordot(x, sigma, 1))
+            got = _exp_sigma(a, *x.tolist())
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            assert np.array_equal(got, got.conj().T)
+    assert np.array_equal(_exp_half(np.zeros(3), 2), np.eye(2))
+    assert np.array_equal(_exp_sigma(0.0, 0.0, 0.0, 0.0), np.eye(2))
+
+
+def test_exp_sigma_overflow_ends_the_newton_attempt(monkeypatch):
+    # cosh overflows a double past |v| = 710: the Newton attempt gives up on
+    # it, and the sweeps carry the filtering to a certified normal form
+    assert np.all(np.isfinite(_exp_sigma(0.0, 0.0, 700.0, 0.0)))
+    with pytest.raises(OverflowError):
+        _exp_sigma(0.0, 0.0, 711.0, 0.0)
+    raised = []
+
+    def spied(*v):
+        try:
+            return _exp_sigma(*v)
+        except OverflowError:
+            raised.append(v)
+            raise
+
+    inner = np.linalg.solve
+    monkeypatch.setattr(mixed, "_exp_sigma", spied)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: 1e4 * np.ones_like(inner(a, b)))
+    rho = random_density((2, 2, 2), 1630).rho
+    factor = np.linalg.cholesky(rho)
+    assert mixed._newton_filter(factor, [np.eye(2)] * 3, (2, 2, 2)) is None
+    assert len(raised) == 1
+    filtered, filters = normal_form(rho, (2, 2, 2))
+    for party in (1, 2, 3):
+        red = partial_trace_keep(filtered, (2, 2, 2), party)
+        assert np.linalg.norm(2.0 * red - np.eye(2)) <= mixed.FILTER_SOFT_TOL
+    assert len(raised) == 2
 
 
 def test_w_projector_has_no_normal_form_and_warns_nothing():
